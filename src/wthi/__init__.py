@@ -56,14 +56,12 @@ from .gaussian import (
     awgn_capacity,
     rate_achievable,
     rate_interference_assisted,
-    rate_interferer_silent,
     rate_wiretap,
 )
 from .power import (
     GridOracleResult,
     PolicyIntermediates,
     asymptotic_rate,
-    grid_oracle,
     grid_oracle_detailed,
     optimal_power,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "bound_z_channel",
     "build_codebooks",
     "dmc_sato_bound",
-    "grid_oracle",
     "grid_oracle_detailed",
     "in_region_eavesdropper",
     "in_region_receiver",
@@ -105,7 +102,6 @@ __all__ = [
     "optimal_power",
     "rate_achievable",
     "rate_interference_assisted",
-    "rate_interferer_silent",
     "rate_wiretap",
     "result_record",
     "sato_minimize",

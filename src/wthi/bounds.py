@@ -37,13 +37,12 @@ class BoundKind(enum.Enum):
 class SatoEvaluation:
     """Result of minimizing the Sato objective over the noise correlation.
 
-    rho is where the objective was evaluated (equal to rho_star, the closed
-    form minimizer); discriminant is the nonnegative radicand of that closed
-    form.  ``degenerate`` marks the zero-signal corner where the correlation
-    is immaterial and the bound is reported as its limit value 0.
+    rho_star is the closed-form minimizer, where the objective was evaluated;
+    discriminant is the nonnegative radicand of that closed form.
+    ``degenerate`` marks the zero-signal corner where the correlation is
+    immaterial and the bound is reported as its limit value 0.
     """
 
-    rho: float
     rho_star: float
     discriminant: float
     value: float
@@ -98,8 +97,7 @@ def sato_minimize(ch: GaussianWthi, alloc: PowerAllocation) -> SatoEvaluation:
     p1, p2 = alloc.p1, alloc.p2
     s = math.sqrt(a) * p1 + math.sqrt(b) * p2
     if s <= 0.0:
-        return SatoEvaluation(rho=0.0, rho_star=0.0, discriminant=0.0, value=0.0,
-                              degenerate=True)
+        return SatoEvaluation(rho_star=0.0, discriminant=0.0, value=0.0, degenerate=True)
 
     sab = math.sqrt(a * b)
     cross = (sab - 1.0) ** 2 * p1 * p2
@@ -112,7 +110,7 @@ def sato_minimize(ch: GaussianWthi, alloc: PowerAllocation) -> SatoEvaluation:
 
     value = 0.5 * math.log((rho_star + s) / (rho_star * (1.0 + a * p1 + p2))) / _LN2
     value = max(value, 0.0)
-    return SatoEvaluation(rho=rho_star, rho_star=rho_star, discriminant=disc, value=value)
+    return SatoEvaluation(rho_star=rho_star, discriminant=disc, value=value)
 
 
 def bound_sato(ch: GaussianWthi) -> float:

@@ -72,7 +72,6 @@ class SweepConfig:
     spacing: str = "linear"
     out: str | None = None
     grid: int = 21
-    coupling_grid: int = 9
     seed: int = 0
     trials: int = 200
     channel: str | None = None
@@ -337,12 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--grid", type=int, help="input-distribution grid density")
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--p1-max", dest="p1_max", type=float)
-        p.add_argument("--p2-max", dest="p2_max", type=float)
+        if mode in ("sweep-interferer", "point", "power-opt", "bounds"):
+            p.add_argument("--a", type=float)
+            p.add_argument("--b", type=float)
+        if mode in ("sweep-symmetric", "sweep-interferer", "point", "power-opt", "bounds"):
+            p.add_argument("--p1-max", dest="p1_max", type=float)
+        if mode in ("sweep-symmetric", "point", "power-opt", "bounds"):
+            p.add_argument("--p2-max", dest="p2_max", type=float)
         if mode == "point":
             p.add_argument("--p1", type=float)
             p.add_argument("--p2", type=float)
@@ -353,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spacing", choices=("linear", "log"))
         if mode in ("dmc", "simulate"):
             p.add_argument("--channel", help="channel JSON file")
+        if mode == "dmc":
+            p.add_argument("--grid", type=int, help="input-distribution grid density")
         if mode == "simulate":
+            p.add_argument("--seed", type=int)
             p.add_argument("--trials", type=int)
             p.add_argument("--n", type=int)
             p.add_argument("--r1s", type=float)

@@ -18,6 +18,19 @@ conservative reading; it demands marginally more redundancy and never
 overclaims secrecy.  The optimum secrecy rate is unaffected because the
 objective is continuous in the rates.
 
+Information measures
+--------------------
+The inputs are independent, so on each output Y every field of the profile
+is a difference of four conditional entropies:
+
+    I(X1;Y|X2)  = H(Y|X2) - H(Y|X1,X2)
+    I(X2;Y|X1)  = H(Y|X1) - H(Y|X1,X2)
+    I(X1,X2;Y)  = H(Y)    - H(Y|X1,X2)
+    I(X1;Y)     = H(Y)    - H(Y|X1)
+
+H(Y|x1,x2) is a constant of the channel.  Every grid search reads these
+profiles from one table, a row of the input-law grid at a time.
+
 All information quantities are in bits.
 """
 
@@ -35,36 +48,6 @@ from .errors import DeskScaleError, DomainError, RegimeMismatchError
 from .gaussian import RateSplit, Regime
 
 _SIMPLEX_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Entropy helpers (exact summation, 0*log 0 = 0)
-# ---------------------------------------------------------------------------
-
-
-def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy of a (possibly unnormalized-by-roundoff) pmf, in bits."""
-    p = np.asarray(p, dtype=float).ravel()
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
-def mutual_information_bits(joint: np.ndarray) -> float:
-    """I(X;Y) from a joint pmf with X on axis 0 and Y on axis 1, in bits."""
-    joint = np.asarray(joint, dtype=float)
-    hx = entropy_bits(joint.sum(axis=1))
-    hy = entropy_bits(joint.sum(axis=0))
-    return max(0.0, hx + hy - entropy_bits(joint))
-
-
-def _cond_mi(joint: np.ndarray) -> float:
-    """I(X;Y|Z) from a joint pmf with axes (Z, X, Y)."""
-    total = 0.0
-    for z in range(joint.shape[0]):
-        pz = float(joint[z].sum())
-        if pz > 0.0:
-            total += pz * mutual_information_bits(joint[z] / pz)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +164,39 @@ class MutualInfoProfile:
     i_x1_y2: float
 
 
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits along the last axis, vectorized (0*log 0 = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def _output_laws(ch: DmcWthi) -> np.ndarray:
+    """p(y1|x1,x2) and p(y2|x1,x2) zero-padded to one alphabet: (2, nx1, nx2, ny)."""
+    w = np.zeros((2, ch.nx1, ch.nx2, max(ch.ny1, ch.ny2)))
+    w[0, ..., : ch.ny1] = ch.receiver_marginal()
+    w[1, ..., : ch.ny2] = ch.eavesdropper_marginal()
+    return w
+
+
+def _profile_table(w: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> np.ndarray:
+    """Profiles of the laws px1[k] x px2[k] as rows of ``MutualInfoProfile`` fields.
+
+    ``w`` comes from ``_output_laws``, ``px1`` is (n, nx1) and ``px2`` (n, nx2);
+    each field is a difference of conditional entropies, clamped at 0.
+    """
+    y_x1 = np.einsum("nj,oijy->noiy", px2, w)           # p(y|x1)
+    y_x2 = np.einsum("ni,oijy->nojy", px1, w)           # p(y|x2)
+    h_y = _entropy_rows(np.einsum("ni,noiy->noy", px1, y_x1))
+    h_y_x1 = np.einsum("ni,noi->no", px1, _entropy_rows(y_x1))
+    h_y_x2 = np.einsum("nj,noj->no", px2, _entropy_rows(y_x2))
+    h_y_x1x2 = np.einsum("ni,nj,oij->no", px1, px2, _entropy_rows(w))
+    fields = np.stack(
+        [h_y_x2 - h_y_x1x2, h_y_x1 - h_y_x1x2, h_y - h_y_x1x2, h_y - h_y_x1], axis=-1
+    )  # (n, output, 4)
+    return np.maximum(fields, 0.0).reshape(-1, 8)
+
+
 def mi_profile(ch: DmcWthi, inp: ProductInput) -> MutualInfoProfile:
     """Exact mutual informations of the product-input joint distribution."""
     if inp.px1.size != ch.nx1 or inp.px2.size != ch.nx2:
@@ -188,29 +204,8 @@ def mi_profile(ch: DmcWthi, inp: ProductInput) -> MutualInfoProfile:
             f"input sizes ({inp.px1.size}, {inp.px2.size}) do not match channel "
             f"alphabets ({ch.nx1}, {ch.nx2})"
         )
-    joint = inp.px1[:, None, None, None] * inp.px2[None, :, None, None] * ch.transition
-
-    def side(axis_other_y: int) -> tuple[float, float, float, float]:
-        # Marginalize out the other terminal's output; j has axes (x1, x2, y).
-        j = joint.sum(axis=axis_other_y)
-        given_x2 = _cond_mi(np.transpose(j, (1, 0, 2)))             # I(X1;Y|X2)
-        given_x1 = _cond_mi(j)                                      # I(X2;Y|X1)
-        pair = mutual_information_bits(j.reshape(-1, j.shape[2]))   # I(X1,X2;Y)
-        single = mutual_information_bits(j.sum(axis=1))             # I(X1;Y)
-        return given_x2, given_x1, pair, single
-
-    a1, a2, a12, a1m = side(3)
-    b1, b2, b12, b1m = side(2)
-    return MutualInfoProfile(
-        i_x1_y1_given_x2=a1,
-        i_x2_y1_given_x1=a2,
-        i_x1x2_y1=a12,
-        i_x1_y1=a1m,
-        i_x1_y2_given_x2=b1,
-        i_x2_y2_given_x1=b2,
-        i_x1x2_y2=b12,
-        i_x1_y2=b1m,
-    )
+    row = _profile_table(_output_laws(ch), inp.px1[None, :], inp.px2[None, :])[0]
+    return MutualInfoProfile(*row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +341,10 @@ def simplex_grid(dim: int, points_per_coord: int) -> list[np.ndarray]:
 
 
 _DESK_ALPHABET = 4
+# Most input laws (or Sato objective evaluations) one search may enumerate:
+# 4-ary inputs at grid 21 are 1771**2 = 3.1M laws, dmc_sato_bound(9, 21) is
+# 9**4 * 21**2 = 2.9M evaluations.
+_ENUMERATION_BUDGET = 4_000_000
 
 
 def _check_desk_scale(ch: DmcWthi) -> None:
@@ -356,6 +355,32 @@ def _check_desk_scale(ch: DmcWthi) -> None:
         )
 
 
+def _check_budget(count: int, what: str) -> None:
+    if count > _ENUMERATION_BUDGET:
+        raise DeskScaleError(
+            f"{count} {what} exceed the desk-scale enumeration budget of "
+            f"{_ENUMERATION_BUDGET}; use a coarser grid"
+        )
+
+
+def _law_rows(ch: DmcWthi, grid_per_dim: int):
+    """Profile table of the product-law grid, one row of the grid at a time.
+
+    Yields ``(px1, px2s, table)`` in ``simplex_grid`` order: one ``px1`` with
+    every ``px2`` of ``px2s``, and ``table[k]`` the ``MutualInfoProfile``
+    fields of the law ``(px1, px2s[k])``.
+    """
+    _check_desk_scale(ch)
+    if grid_per_dim < 2:
+        raise DomainError("grid_per_dim must be >= 2")
+    n1, n2 = (math.comb(grid_per_dim + n - 2, n - 1) for n in (ch.nx1, ch.nx2))
+    _check_budget(n1 * n2, "input laws")
+    w = _output_laws(ch)
+    px2s = np.asarray(simplex_grid(ch.nx2, grid_per_dim))
+    for px1 in simplex_grid(ch.nx1, grid_per_dim):
+        yield px1, px2s, _profile_table(w, np.broadcast_to(px1, (n2, ch.nx1)), px2s)
+
+
 def achievable_rate(
     ch: DmcWthi, grid_per_dim: int = 21
 ) -> tuple[float, ProductInput, RateSplit]:
@@ -364,20 +389,19 @@ def achievable_rate(
     Each input simplex is discretized with ``grid_per_dim`` points per free
     coordinate and every pair is scored with ``achievable_rate_fixed_input``.
     Iteration order is deterministic and ties keep the first (lexicographically
-    smallest) grid point.  Desk scale only: alphabets of size at most 4.
+    smallest) grid point.  Desk scale only: alphabets of size at most 4 and at
+    most ``_ENUMERATION_BUDGET`` laws.
     """
-    _check_desk_scale(ch)
     if grid_per_dim < 3:
         raise DomainError("grid_per_dim must be >= 3")
-    best: tuple[float, ProductInput, RateSplit] | None = None
-    for px1 in simplex_grid(ch.nx1, grid_per_dim):
-        for px2 in simplex_grid(ch.nx2, grid_per_dim):
-            inp = ProductInput(px1, px2)
-            rate, split = achievable_rate_fixed_input(mi_profile(ch, inp))
-            if best is None or rate > best[0] + 1e-15:
-                best = (rate, inp, split)
-    assert best is not None
-    return best
+    best = (-math.inf, None, None, None)
+    for px1, px2s, table in _law_rows(ch, grid_per_dim):
+        for px2, row in zip(px2s, table.tolist()):
+            rate, split = achievable_rate_fixed_input(MutualInfoProfile(*row))
+            if rate > best[0] + 1e-15:
+                best = (rate, px1, px2, split)
+    rate, px1, px2, split = best
+    return rate, ProductInput(px1, px2), split
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +411,13 @@ def achievable_rate(
 _REGIME_SLACK = 1e-9
 
 
-def _profiles(ch: DmcWthi, grid_per_dim: int):
-    for px1 in simplex_grid(ch.nx1, grid_per_dim):
-        for px2 in simplex_grid(ch.nx2, grid_per_dim):
-            inp = ProductInput(px1, px2)
-            yield inp, mi_profile(ch, inp)
+def _require_regime(name: str, fails: np.ndarray, px1: np.ndarray, px2s: np.ndarray) -> None:
+    """Raise at the first law of the row where the regime condition fails."""
+    if fails.any():
+        px2 = px2s[int(np.argmax(fails))]
+        raise RegimeMismatchError(
+            f"{name}-regime condition fails at px1={px1.tolist()}, px2={px2.tolist()}"
+        )
 
 
 def weak_regime_rate(ch: DmcWthi, grid_per_dim: int = 21) -> float:
@@ -403,19 +429,12 @@ def weak_regime_rate(ch: DmcWthi, grid_per_dim: int = 21) -> float:
     does.  The rate is max over the grid of max(delta1, delta2) where
     delta1 = I(X1;Y1|X2) - I(X1;Y2|X2) and delta2 = I(X1;Y1) - I(X1;Y2).
     """
-    _check_desk_scale(ch)
     best = -math.inf
-    for inp, prof in _profiles(ch, grid_per_dim):
-        if prof.i_x1_y1_given_x2 < prof.i_x1_y2_given_x2 - _REGIME_SLACK or (
-            prof.i_x2_y2_given_x1 < prof.i_x2_y1_given_x1 - _REGIME_SLACK
-        ):
-            raise RegimeMismatchError(
-                f"weak-regime condition fails at px1={inp.px1.tolist()}, "
-                f"px2={inp.px2.tolist()}"
-            )
-        delta1 = prof.i_x1_y1_given_x2 - prof.i_x1_y2_given_x2
-        delta2 = prof.i_x1_y1 - prof.i_x1_y2
-        best = max(best, delta1, delta2)
+    for px1, px2s, table in _law_rows(ch, grid_per_dim):
+        a1, a2, _, a1m, b1, b2, _, b1m = table.T
+        fails = (a1 < b1 - _REGIME_SLACK) | (b2 < a2 - _REGIME_SLACK)
+        _require_regime("weak", fails, px1, px2s)
+        best = max(best, float(np.max(np.maximum(a1 - b1, a1m - b1m))))
     return best
 
 
@@ -426,30 +445,20 @@ def strong_regime_rate(ch: DmcWthi, grid_per_dim: int = 21) -> float:
     one.  The rate is max over the grid, clamped at zero, of
     min(I(X1,X2;Y1) - I(X1,X2;Y2), I(X1;Y1|X2) - I(X1;Y2)).
     """
-    _check_desk_scale(ch)
     best = 0.0
-    for inp, prof in _profiles(ch, grid_per_dim):
-        if prof.i_x1_y1_given_x2 > prof.i_x1_y2_given_x2 + _REGIME_SLACK or (
-            prof.i_x2_y2_given_x1 > prof.i_x2_y1_given_x1 + _REGIME_SLACK
-        ):
-            raise RegimeMismatchError(
-                f"strong-regime condition fails at px1={inp.px1.tolist()}, "
-                f"px2={inp.px2.tolist()}"
-            )
-        val = min(
-            prof.i_x1x2_y1 - prof.i_x1x2_y2,
-            prof.i_x1_y1_given_x2 - prof.i_x1_y2,
-        )
-        best = max(best, val)
+    for px1, px2s, table in _law_rows(ch, grid_per_dim):
+        a1, a2, a12, _, b1, b2, b12, b1m = table.T
+        fails = (a1 > b1 + _REGIME_SLACK) | (b2 > a2 + _REGIME_SLACK)
+        _require_regime("strong", fails, px1, px2s)
+        best = max(best, float(np.max(np.minimum(a12 - b12, a1 - b1m))))
     return best
 
 
 def very_strong_eavesdropping(ch: DmcWthi, grid_per_dim: int = 21) -> bool:
     """True iff I(X1;Y2) >= I(X1;Y1|X2) at every grid input (no positive rate)."""
-    _check_desk_scale(ch)
     return all(
-        prof.i_x1_y2 >= prof.i_x1_y1_given_x2 - _REGIME_SLACK
-        for _, prof in _profiles(ch, grid_per_dim)
+        bool(np.all(table[:, 7] >= table[:, 0] - _REGIME_SLACK))
+        for _, _, table in _law_rows(ch, grid_per_dim)
     )
 
 
@@ -504,28 +513,32 @@ def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
     return q.reshape(params.shape[0], 2, 2, 2, 2)
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits along the last axis, vectorized."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
-
-
 def _inner_objective(couplings: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> np.ndarray:
-    """I(X1,X2; Y1~ | Y2~) for every coupling, at one product input."""
-    n = couplings.shape[0]
+    """I(X1,X2; Y1~ | Y2~) for every input law and every coupling.
+
+    ``px1`` and ``px2`` are laws of shape (..., 2) with broadcastable leading
+    axes and ``couplings`` has shape (n, 2, 2, 2, 2); the result is (..., n).
+    """
     joint = (
-        px1[None, :, None, None, None]
-        * px2[None, None, :, None, None]
+        px1[..., None, :, None, None, None]
+        * px2[..., None, None, :, None, None]
         * couplings
-    )  # (n, x1, x2, y1, y2)
-    flat = joint.reshape(n, -1)
-    h_all = _entropy_rows(flat)
-    h_y1y2 = _entropy_rows(joint.sum(axis=(1, 2)).reshape(n, -1))
-    h_y2 = _entropy_rows(joint.sum(axis=(1, 2, 3)))
-    h_x_y2 = _entropy_rows(joint.sum(axis=3).reshape(n, -1))
+    )  # (..., n, x1, x2, y1, y2)
+    lead = joint.shape[:-4]
+    h_all = _entropy_rows(joint.reshape(*lead, -1))
+    h_y1y2 = _entropy_rows(joint.sum(axis=(-4, -3)).reshape(*lead, -1))
+    h_y2 = _entropy_rows(joint.sum(axis=(-4, -3, -2)))
+    h_x_y2 = _entropy_rows(joint.sum(axis=-2).reshape(*lead, -1))
     # I = H(Y1|Y2) - H(Y1 | X1, X2, Y2)
     return (h_y1y2 - h_y2) - (h_all - h_x_y2)
+
+
+def _grid_max(couplings: np.ndarray, inputs: list) -> np.ndarray:
+    """Max of the inner objective over the input grid, for every coupling."""
+    best = np.full(couplings.shape[0], -np.inf)
+    for px1, px2 in inputs:
+        best = np.maximum(best, _inner_objective(couplings, px1, px2))
+    return best
 
 
 def dmc_sato_bound(
@@ -538,13 +551,14 @@ def dmc_sato_bound(
     conditional mutual information.  Binary alphabets only; the coupling
     space has one free parameter per input pair, discretized with
     ``coupling_grid`` points, and the inner maximization uses ``input_grid``
-    points per input coordinate.  See ``DmcSatoBound`` for what the reported
-    tolerances cover.
+    points per input coordinate, at most ``_ENUMERATION_BUDGET`` evaluations
+    in all.  See ``DmcSatoBound`` for what the reported tolerances cover.
     """
     if (ch.nx1, ch.nx2, ch.ny1, ch.ny2) != (2, 2, 2, 2):
         raise DeskScaleError("the Sato minimax search supports binary alphabets only")
     if coupling_grid < 2 or input_grid < 3:
         raise DomainError("coupling_grid must be >= 2 and input_grid >= 3")
+    _check_budget(coupling_grid**4 * input_grid**2, "Sato objective evaluations")
 
     steps = np.linspace(0.0, 1.0, coupling_grid)
     params = np.asarray(list(itertools.product(steps, repeat=4)))
@@ -554,9 +568,7 @@ def dmc_sato_bound(
     inputs = [(np.asarray([t1, 1 - t1]), np.asarray([t2, 1 - t2]))
               for t1 in t_axis for t2 in t_axis]
 
-    inner_max = np.full(couplings.shape[0], -np.inf)
-    for px1, px2 in inputs:
-        inner_max = np.maximum(inner_max, _inner_objective(couplings, px1, px2))
+    inner_max = _grid_max(couplings, inputs)
     best_idx = int(np.argmin(inner_max))
     value = float(inner_max[best_idx])
     best_coupling = couplings[best_idx : best_idx + 1]
@@ -564,13 +576,8 @@ def dmc_sato_bound(
     # Inner-max quality at the winning coupling: refine the input grid 4x and
     # add the local variation of the refined surface as a Lipschitz cushion.
     fine_axis = np.linspace(0.0, 1.0, 4 * (input_grid - 1) + 1)
-    surface = np.empty((fine_axis.size, fine_axis.size))
-    for i, t1 in enumerate(fine_axis):
-        px1 = np.asarray([t1, 1 - t1])
-        for j, t2 in enumerate(fine_axis):
-            surface[i, j] = _inner_objective(
-                best_coupling, px1, np.asarray([t2, 1 - t2])
-            )[0]
+    fine = np.stack([fine_axis, 1 - fine_axis], axis=-1)
+    surface = _inner_objective(best_coupling, fine[:, None], fine[None, :])[..., 0]
     fine_max = float(surface.max())
     local_var = max(
         float(np.max(np.abs(np.diff(surface, axis=0)))),
@@ -579,20 +586,9 @@ def dmc_sato_bound(
     inner_tol = max(0.0, fine_max - value) + local_var
 
     # Outer-min sensitivity: half-step perturbations of the winning coupling.
-    half = 0.5 / (coupling_grid - 1)
-    base = params[best_idx]
-    perturbed = []
-    for k in range(4):
-        for sign in (-1.0, 1.0):
-            p = base.copy()
-            p[k] = min(1.0, max(0.0, p[k] + sign * half))
-            perturbed.append(p)
-    pert_couplings = _coupling_tensors(ch, np.asarray(perturbed))
-    pert_max = np.full(pert_couplings.shape[0], -np.inf)
-    for px1, px2 in inputs:
-        pert_max = np.maximum(pert_max, _inner_objective(pert_couplings, px1, px2))
+    # Rows: -half, +half on parameter 0, then on 1, 2, 3.
+    half_steps = np.kron(np.eye(4), [[-1.0], [1.0]]) * (0.5 / (coupling_grid - 1))
+    perturbed = np.clip(params[best_idx] + half_steps, 0.0, 1.0)
+    pert_max = _grid_max(_coupling_tensors(ch, perturbed), inputs)
     coupling_tol = max(0.0, value - float(pert_max.min()))
-
-    return DmcSatoBound(
-        value=value, inner_tolerance=inner_tol, coupling_tolerance=coupling_tol
-    )
+    return DmcSatoBound(value=value, inner_tolerance=inner_tol, coupling_tolerance=coupling_tol)

@@ -174,37 +174,23 @@ def rate_interference_assisted(
     return raw, RateSplit(r1=raw + r1d, r2=r2, r1s=raw, r1d=r1d, regime=regime)
 
 
-def rate_interferer_silent(ch: GaussianWthi, p1: float) -> float:
-    """Secrecy rate with the interferer silent; identical to ``rate_wiretap``.
-
-    Kept as a distinct operation because the achievable rate maximizes over
-    this scheme and the interferer-assisted one.
-    """
-    p1 = _require_finite_nonneg("p1", p1)
-    if p1 > ch.p1_max + 1e-9 * max(1.0, ch.p1_max):
-        raise DomainError(f"p1={p1} exceeds p1_max={ch.p1_max}")
-    return rate_wiretap(ch.a, p1)
-
-
 def rate_achievable(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, RateSplit]:
-    """Best of the two schemes at a fixed power pair; ties go to the silent scheme.
+    """Best of the interferer-assisted and the plain wiretap scheme at a fixed
+    power pair; ties go to the wiretap scheme (interferer silent).
 
     When the winning value is zero the all-zero ``SILENT`` split is returned
-    (no secret bit is carried, so no operating point is meaningful).
+    (no secret bit is carried, so no operating point is meaningful).  Under
+    very strong eavesdropping (a >= 1 and a >= 1 + p2) neither scheme has a
+    positive rate, so that value is exactly zero.
     """
-    v1, s1 = rate_interference_assisted(ch, alloc)
-    v2 = rate_interferer_silent(ch, alloc.p1)
-    if v2 >= v1:
-        if v2 > 0.0:
-            r1 = awgn_capacity(alloc.p1)
-            r1d = awgn_capacity(ch.a * alloc.p1)
-            split = RateSplit(r1=v2 + r1d, r2=0.0, r1s=v2, r1d=r1d, regime=Regime.NO_INTERFERER)
-            value = v2
-        else:
-            value, split = 0.0, _SILENT_SPLIT
-    else:
-        value, split = v1, s1
-    # Very strong eavesdropping: no scheme can beat zero here.
+    _check_pairing(ch, alloc)
     if ch.a >= 1.0 and ch.a >= 1.0 + alloc.p2:
-        assert value == 0.0
-    return value, split
+        return 0.0, _SILENT_SPLIT
+    v1, s1 = rate_interference_assisted(ch, alloc)
+    v2 = rate_wiretap(ch.a, alloc.p1)
+    if v2 < v1:
+        return v1, s1
+    if v2 > 0.0:
+        r1d = awgn_capacity(ch.a * alloc.p1)
+        return v2, RateSplit(r1=v2 + r1d, r2=0.0, r1s=v2, r1d=r1d, regime=Regime.NO_INTERFERER)
+    return 0.0, _SILENT_SPLIT

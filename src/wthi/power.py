@@ -3,8 +3,8 @@
 The secrecy rate of the interferer-assisted scheme is piecewise smooth in the
 power pair (p1, p2), and the partial derivatives have closed-form signs, so
 the maximizing allocation over the box [0, p1_max] x [0, p2_max] is given by
-a small case analysis on the gains (a, b).  ``grid_oracle`` provides an
-independent exhaustive check of that case analysis.
+a small case analysis on the gains (a, b).  ``grid_oracle_detailed`` provides
+an independent exhaustive check of that case analysis.
 """
 
 from __future__ import annotations
@@ -264,12 +264,6 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     return GridOracleResult(alloc=best, rate=rate, eps_grid=eps)
 
 
-def grid_oracle(ch: GaussianWthi, n1: int, n2: int) -> tuple[PowerAllocation, float]:
-    """Argmax and max of ``rate_achievable`` over the n1 x n2 power grid."""
-    res = grid_oracle_detailed(ch, n1, n2)
-    return res.alloc, res.rate
-
-
 def asymptotic_rate(a: float, b: float) -> float:
     """Power-unconstrained secrecy rate: the limit as both power caps grow.
 
@@ -292,11 +286,7 @@ __all__ = [
     "GridOracleResult",
     "PolicyIntermediates",
     "asymptotic_rate",
-    "grid_oracle",
     "grid_oracle_detailed",
     "intermediates",
     "optimal_power",
-    "awgn_capacity",
-    "GaussianWthi",
-    "PowerAllocation",
 ]

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: rates are recomputed with
 arbitrary-precision logarithms, the fixed-input secrecy optimizer is checked
 against a dense two-dimensional scan built directly from the decodable-region
 inequalities, and the closed-form Sato minimizer is checked against a plain
-grid argmin.
+grid argmin.  Mutual informations are recomputed from joint entropies of the
+full joint pmf, where the library takes differences of conditional entropies.
 """
 
 from __future__ import annotations
@@ -20,6 +21,41 @@ mp.dps = 50
 def half_log2(numerator: float, denominator: float = 1.0) -> float:
     """(1/2) * log2(numerator / denominator) at 50 decimal digits, rounded to float."""
     return float(mp.log(mp.mpf(numerator) / mp.mpf(denominator), 2) / 2)
+
+
+def entropy_bits(p: np.ndarray) -> float:
+    """Shannon entropy of a pmf (any shape), in bits, with 0*log 0 = 0."""
+    p = np.asarray(p, dtype=float).ravel()
+    nz = p[p > 0.0]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
+def mutual_information_bits(joint: np.ndarray) -> float:
+    """I(X;Y) from a joint pmf with X on axis 0 and Y on axis 1, in bits."""
+    joint = np.asarray(joint, dtype=float)
+    hx, hy = entropy_bits(joint.sum(axis=1)), entropy_bits(joint.sum(axis=0))
+    return hx + hy - entropy_bits(joint)
+
+
+def joint_entropy_profile(transition: np.ndarray, px1: np.ndarray, px2: np.ndarray
+                          ) -> list[float]:
+    """The eight ``MutualInfoProfile`` fields, in field order, from joint entropies.
+
+    With H_S the entropy of the marginal of the joint pmf on the variables S:
+    I(X1;Y|X2) = H_{X1X2} + H_{X2Y} - H_{X1X2Y} - H_{X2}, symmetrically for
+    I(X2;Y|X1), I(X1,X2;Y) = H_{X1X2} + H_Y - H_{X1X2Y} and
+    I(X1;Y) = H_{X1} + H_Y - H_{X1Y}.
+    """
+    joint = px1[:, None, None, None] * px2[None, :, None, None] * np.asarray(transition)
+    out = []
+    for other_output in (3, 2):
+        j = joint.sum(axis=other_output)  # (x1, x2, y)
+        h = entropy_bits
+        h12y, h12 = h(j), h(j.sum(axis=2))
+        h1, h2, hy = h(j.sum(axis=(1, 2))), h(j.sum(axis=(0, 2))), h(j.sum(axis=(0, 1)))
+        h1y, h2y = h(j.sum(axis=1)), h(j.sum(axis=0))
+        out += [h12 + h2y - h12y - h2, h12 + h1y - h12y - h1, h12 + hy - h12y, h1 + hy - h1y]
+    return out
 
 
 def scan_secrecy_rate(prof: MutualInfoProfile, n1: int = 2000, n2: int = 2000

@@ -149,6 +149,14 @@ class TestDmcAndSimulate:
     def test_missing_channel_file_is_validation_error(self, tmp_path):
         assert run_cli(["dmc", "--channel", str(tmp_path / "nope.json")]) == 2
 
+    def test_dmc_enumeration_budget(self, tmp_path):
+        t = np.random.default_rng(3).random((4, 4, 4, 4))
+        doc = {"nx1": 4, "nx2": 4, "ny1": 4, "ny2": 4,
+               "transition": (t / t.sum(axis=(2, 3), keepdims=True)).tolist()}
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["dmc", "--channel", str(path), "--grid", "200"]) == 2
+
     def test_invalid_channel_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"nx1": 2, "nx2": 2, "ny1": 2, "ny2": 2,
@@ -177,3 +185,10 @@ class TestConfigHandling:
 
     def test_bad_gain_rejected(self):
         assert run_cli(["bounds", "--a", "-3"]) == 2
+
+    @pytest.mark.parametrize("args", [["bounds", "--seed", "3"], ["simulate", "--grid", "5"]])
+    def test_flag_of_another_subcommand_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

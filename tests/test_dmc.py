@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from wthi.dmc import (
     achievable_rate,
     achievable_rate_fixed_input,
     dmc_sato_bound,
-    entropy_bits,
     in_region_eavesdropper,
     in_region_receiver,
     mi_profile,
-    mutual_information_bits,
     simplex_grid,
     strong_regime_rate,
     very_strong_eavesdropping,
@@ -35,7 +34,12 @@ from channels import (
     very_strong_instance,
     weak_instance,
 )
-from oracles import scan_secrecy_rate
+from oracles import (
+    entropy_bits,
+    joint_entropy_profile,
+    mutual_information_bits,
+    scan_secrecy_rate,
+)
 
 UNIFORM = ProductInput.uniform(2, 2)
 
@@ -87,6 +91,29 @@ class TestMiProfile:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             mi_profile(noiseless_blind_channel(), ProductInput.uniform(3, 2))
+
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_joint_entropy_reference(self, sizes, seed, sparse):
+        rng = np.random.default_rng(seed)
+        t = rng.random(sizes)
+        if sparse:  # zero transitions and a zero input probability
+            t[t < 0.4] = 0.0
+            t[..., 0, 0] += 1e-3
+        t /= t.sum(axis=(2, 3), keepdims=True)
+        px1, px2 = rng.dirichlet(np.ones(sizes[0])), rng.dirichlet(np.ones(sizes[1]))
+        if sparse:
+            px1[0] = 0.0
+            px1 /= px1.sum()
+        ch = DmcWthi(*sizes, t)
+        prof = mi_profile(ch, ProductInput(px1, px2))
+        expected = joint_entropy_profile(ch.transition, px1, px2)
+        got = [getattr(prof, f) for f in prof.__dataclass_fields__]
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestDmcWthiValidation:
@@ -206,6 +233,18 @@ class TestAchievableRate:
     def test_grid_too_coarse(self):
         with pytest.raises(DomainError):
             achievable_rate(noiseless_blind_channel(), 2)
+
+    def test_enumeration_budget(self):
+        t = np.random.default_rng(3).random((4, 4, 4, 4))
+        ch = DmcWthi(4, 4, 4, 4, t / t.sum(axis=(2, 3), keepdims=True))
+        start = time.perf_counter()
+        with pytest.raises(DeskScaleError, match="budget"):
+            achievable_rate(ch, 200)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(DeskScaleError, match="budget"):
+            weak_regime_rate(ch, 200)
+        with pytest.raises(DeskScaleError, match="budget"):
+            dmc_sato_bound(random_binary_channel(np.random.default_rng(4)), 9, 250)
 
 
 class TestRegimeSpecialCases:

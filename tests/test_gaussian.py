@@ -13,7 +13,6 @@ from wthi.gaussian import (
     awgn_capacity,
     rate_achievable,
     rate_interference_assisted,
-    rate_interferer_silent,
     rate_wiretap,
 )
 from wthi.power import _rate_grid
@@ -102,13 +101,15 @@ class TestInterferenceAssisted:
 class TestInterfererSilent:
     def test_trivial_points(self):
         ch = GaussianWthi(1.0, 2.0, 5.0, 5.0)
-        assert rate_interferer_silent(ch, 5.0) == 0.0
+        assert rate_wiretap(ch.a, 5.0) == 0.0
         ch = GaussianWthi(0.25, 2.0, 5.0, 5.0)
-        assert rate_interferer_silent(ch, 0.0) == 0.0
+        assert rate_wiretap(ch.a, 0.0) == 0.0
 
     def test_same_contract_as_wiretap(self):
+        # the silent scheme inside rate_achievable is rate_wiretap
         ch = GaussianWthi(0.5, 3.0, 10.0, 5.0)
-        assert rate_interferer_silent(ch, 10.0) == rate_wiretap(0.5, 10.0)
+        rate, _ = rate_achievable(ch, PowerAllocation(10.0, 0.0))
+        assert rate == rate_wiretap(0.5, 10.0)
 
     @given(st.floats(min_value=0.0, max_value=0.999), powers, powers)
     @settings(max_examples=80, deadline=None)
@@ -163,6 +164,14 @@ class TestRateAchievable:
         ch = GaussianWthi(a, b, 30.0, p2 + 1e-9)
         rate, _ = rate_achievable(ch, PowerAllocation(30.0, p2))
         assert rate == 0.0
+
+    def test_very_strong_boundary_is_exactly_zero(self):
+        # a = 1 + p2 up to rounding: the rate is zero, not a rounding residue
+        ch = GaussianWthi(3.4871134774380947, 25.52121996783805, 0.307563713665154,
+                          2.4871134774380947)
+        rate, split = rate_achievable(ch, ch.full_power())
+        assert rate == 0.0
+        assert split.regime is Regime.SILENT
 
     def test_allocation_must_respect_constraints(self):
         ch = GaussianWthi(0.5, 2.0, 1.0, 1.0)

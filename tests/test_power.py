@@ -7,7 +7,6 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import (
     asymptotic_rate,
-    grid_oracle,
     grid_oracle_detailed,
     intermediates,
     optimal_power,
@@ -32,7 +31,7 @@ class TestOptimalPower:
             ch = GaussianWthi(2.0, 0.1, 10.0, p2_max)
             alloc, _ = optimal_power(ch)
             assert (alloc.p1, alloc.p2) == (0.0, 0.0)
-            _, best = grid_oracle(ch, 80, 80)
+            best = grid_oracle_detailed(ch, 80, 80).rate
             assert best == 0.0
 
     def test_decode_cancel_point(self):
@@ -130,11 +129,12 @@ class TestIntermediates:
 
 class TestGridOracle:
     def test_symmetric_unit_gains_give_zero(self):
-        _, best = grid_oracle(GaussianWthi(1.0, 1.0, 7.0, 13.0), 50, 50)
+        best = grid_oracle_detailed(GaussianWthi(1.0, 1.0, 7.0, 13.0), 50, 50).rate
         assert best == 0.0
 
     def test_degenerate_interferer_cap_reduces_to_wiretap(self):
-        alloc, best = grid_oracle(GaussianWthi(0.5, 10.0, 10.0, 0.0), 100, 2)
+        res = grid_oracle_detailed(GaussianWthi(0.5, 10.0, 10.0, 0.0), 100, 2)
+        alloc, best = res.alloc, res.rate
         assert (alloc.p1, alloc.p2) == (10.0, 0.0)
         assert best == pytest.approx(half_log2(11, 6), abs=1e-12)
 
@@ -148,7 +148,7 @@ class TestGridOracle:
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(DomainError):
-            grid_oracle(GaussianWthi(1.0, 1.0, 1.0, 1.0), 1, 50)
+            grid_oracle_detailed(GaussianWthi(1.0, 1.0, 1.0, 1.0), 1, 50)
 
 
 class TestAsymptoticRate:
