@@ -13,7 +13,8 @@ dmc               binning achievable rate of a finite-alphabet channel file
 simulate          Monte Carlo run of the binning code on a channel file
 
 Configuration precedence: built-in defaults, then the ``--config`` JSON file,
-then explicit command-line flags.  Sweep outputs are CSV with ``#`` comment
+which may set only the fields of its subcommand's flags and ``out``, then
+explicit command-line flags.  Sweep outputs are CSV with ``#`` comment
 lines carrying the tool version, units and the full resolved configuration;
 single-point outputs are JSON that echoes the inputs.  Floats in CSV are
 printed with 12 significant digits, so outputs are byte-reproducible for a
@@ -42,15 +43,31 @@ from .errors import DeskScaleError, DomainError, RegimeMismatchError
 from .gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
 from .power import optimal_power
 
-_MODES = (
-    "sweep-symmetric",
-    "sweep-interferer",
-    "point",
-    "power-opt",
-    "bounds",
-    "dmc",
-    "simulate",
-)
+_GAINS = ("a", "b", "p1_max", "p2_max")
+_RANGE = ("start", "stop", "points", "spacing")
+# The ``SweepConfig`` fields each subcommand reads: its flags, and the keys its
+# config file may set besides ``out``.
+_FIELDS = {
+    "sweep-symmetric": ("p1_max", "p2_max", *_RANGE),
+    "sweep-interferer": ("a", "b", "p1_max", *_RANGE),
+    "point": (*_GAINS, "p1", "p2"),
+    "power-opt": _GAINS,
+    "bounds": _GAINS,
+    "dmc": ("channel", "grid"),
+    "simulate": ("channel", "seed", "trials", "n", "r1s",
+                 "r1d_prime", "r1d_dprime", "r2_prime", "r2_dprime"),
+}
+_MODES = tuple(_FIELDS)
+# argparse options of the flags that do not take a float
+_FLAG_OPTIONS = {
+    "points": {"type": int},
+    "spacing": {"choices": ("linear", "log")},
+    "channel": {"help": "channel JSON file"},
+    "grid": {"type": int, "help": "input-distribution grid density"},
+    "seed": {"type": int},
+    "trials": {"type": int},
+    "n": {"type": int},
+}
 
 
 class ConfigError(ValueError):
@@ -126,10 +143,9 @@ def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepCon
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        known = {f.name for f in dataclasses.fields(SweepConfig)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {"out", *_FIELDS.get(mode, ())}
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"config fields that {mode} does not read: {sorted(unknown)}")
         values.update(doc)
     values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = SweepConfig(**values)
@@ -336,34 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out", help="output path (stdout when omitted)")
-        if mode in ("sweep-interferer", "point", "power-opt", "bounds"):
-            p.add_argument("--a", type=float)
-            p.add_argument("--b", type=float)
-        if mode in ("sweep-symmetric", "sweep-interferer", "point", "power-opt", "bounds"):
-            p.add_argument("--p1-max", dest="p1_max", type=float)
-        if mode in ("sweep-symmetric", "point", "power-opt", "bounds"):
-            p.add_argument("--p2-max", dest="p2_max", type=float)
-        if mode == "point":
-            p.add_argument("--p1", type=float)
-            p.add_argument("--p2", type=float)
-        if mode.startswith("sweep"):
-            p.add_argument("--start", type=float)
-            p.add_argument("--stop", type=float)
-            p.add_argument("--points", type=int)
-            p.add_argument("--spacing", choices=("linear", "log"))
-        if mode in ("dmc", "simulate"):
-            p.add_argument("--channel", help="channel JSON file")
-        if mode == "dmc":
-            p.add_argument("--grid", type=int, help="input-distribution grid density")
-        if mode == "simulate":
-            p.add_argument("--seed", type=int)
-            p.add_argument("--trials", type=int)
-            p.add_argument("--n", type=int)
-            p.add_argument("--r1s", type=float)
-            p.add_argument("--r1d-prime", dest="r1d_prime", type=float)
-            p.add_argument("--r1d-dprime", dest="r1d_dprime", type=float)
-            p.add_argument("--r2-prime", dest="r2_prime", type=float)
-            p.add_argument("--r2-dprime", dest="r2_dprime", type=float)
+        for name in _FIELDS[mode]:
+            p.add_argument("--" + name.replace("_", "-"), dest=name,
+                           **_FLAG_OPTIONS.get(name, {"type": float}))
     return parser
 
 

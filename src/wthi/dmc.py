@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -258,18 +258,30 @@ def in_region_eavesdropper(prof: MutualInfoProfile, r1d: float, r2: float) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _receiver_rate_cap(prof: MutualInfoProfile, r2: float) -> float:
-    """Largest r1 the receiver supports at dummy rate r2."""
-    if r2 <= prof.i_x2_y1_given_x1:
-        return min(prof.i_x1_y1_given_x2, prof.i_x1x2_y1 - r2)
-    return prof.i_x1_y1
+def _breakpoint_search(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best secrecy rate of each profile-table row, with its dummy and redundancy rates.
 
-
-def _redundancy_required(prof: MutualInfoProfile, r2: float) -> float:
-    """Smallest redundancy rate that saturates the eavesdropper at dummy rate r2."""
-    if r2 < prof.i_x2_y2_given_x1:
-        return min(prof.i_x1_y2_given_x2, prof.i_x1x2_y2 - r2)
-    return prof.i_x1_y2
+    At dummy rate r2 the receiver supports r1 up to cap(r2) and a redundancy
+    rate of required(r2) saturates the eavesdropper.  The candidate r2 are
+    scanned in ascending order and a later one wins only by more than 1e-15,
+    so ties break to the smallest r2.  Secrecy and redundancy rates are clamped at 0.
+    """
+    a1, a2, a12, a1m, b1, b2, b12, b1m = table.T[..., None]  # (n, 1) columns
+    # 0, the breakpoints of both forms, and the four crossings of a constant
+    # piece of one form with the sloped piece of the other
+    r2 = np.concatenate([np.zeros_like(a1), a2, b2, a12 - a1, b12 - b1,
+                         b12 - a1, b12 - a1m, a12 - b1, a12 - b1m], axis=1)
+    r2 = np.sort(np.where(r2 >= 0.0, r2, np.inf), axis=1)  # negatives dropped last
+    cap = np.where(r2 <= a2, np.minimum(a1, a12 - r2), a1m)
+    required = np.where(r2 < b2, np.minimum(b1, b12 - r2), b1m)
+    r1s = np.where(np.isinf(r2), -np.inf, cap - required)
+    best, pick = np.full(len(table), -np.inf), np.zeros(len(table), dtype=int)
+    for k in range(r2.shape[1]):
+        wins = r1s[:, k] > best + 1e-15
+        best, pick = np.where(wins, r1s[:, k], best), np.where(wins, k, pick)
+    rows = np.arange(len(table))
+    r1d = required[rows, pick]
+    return np.where(best > 0.0, best, 0.0), r2[rows, pick], np.where(r1d > 0.0, r1d, 0.0)
 
 
 def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSplit]:
@@ -278,8 +290,8 @@ def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSpl
     The objective max(0, cap(r2) - required(r2)) is piecewise linear in the
     dummy rate r2 with slopes in {0, +-1}, so the supremum over r2 >= 0 is
     attained at a breakpoint of either piecewise form (or at a crossing,
-    where the clamped objective is zero).  The finite breakpoint set is
-    evaluated directly; ties break to the smallest r2.
+    where the clamped objective is zero); ``_breakpoint_search`` evaluates
+    that finite set.
 
     The returned split uses r1d equal to the redundancy requirement at the
     winning r2 and r1 = r1s + r1d, which the receiver supports by
@@ -288,35 +300,17 @@ def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSpl
     when it exceeds the receiver's conditional capacity for the interferer,
     ``JOINT_DECODE`` otherwise.
     """
-    a1, a2 = prof.i_x1_y1_given_x2, prof.i_x2_y1_given_x1
-    a12, a1m = prof.i_x1x2_y1, prof.i_x1_y1
-    b1, b2 = prof.i_x1_y2_given_x2, prof.i_x2_y2_given_x1
-    b12, b1m = prof.i_x1x2_y2, prof.i_x1_y2
-
-    points = {0.0, a2, b2, a12 - a1, b12 - b1}
-    # Crossings of a constant piece of one form with the sloped piece of the other.
-    points.update({b12 - a1, b12 - a1m, a12 - b1, a12 - b1m})
-    candidates = sorted(p for p in points if p >= 0.0)
-
-    best_rate = -math.inf
-    best_r2 = 0.0
-    for r2 in candidates:
-        r1s = _receiver_rate_cap(prof, r2) - _redundancy_required(prof, r2)
-        if r1s > best_rate + 1e-15:
-            best_rate, best_r2 = r1s, r2
-
-    if best_rate <= 0.0:
+    rates, r2s, r1ds = _breakpoint_search(np.asarray([astuple(prof)]))
+    rate, r2, r1d = float(rates[0]), float(r2s[0]), float(r1ds[0])
+    if rate == 0.0:
         return 0.0, RateSplit(0.0, 0.0, 0.0, 0.0, Regime.SILENT)
-
-    r1d = max(0.0, _redundancy_required(prof, best_r2))
-    if best_r2 == 0.0:
+    if r2 == 0.0:
         regime = Regime.NO_INTERFERER
-    elif best_r2 > a2:
+    elif r2 > prof.i_x2_y1_given_x1:
         regime = Regime.TREAT_AS_NOISE
     else:
         regime = Regime.JOINT_DECODE
-    split = RateSplit(r1=best_rate + r1d, r2=best_r2, r1s=best_rate, r1d=r1d, regime=regime)
-    return best_rate, split
+    return rate, RateSplit(r1=rate + r1d, r2=r2, r1s=rate, r1d=r1d, regime=regime)
 
 
 def simplex_grid(dim: int, points_per_coord: int) -> list[np.ndarray]:
@@ -387,20 +381,23 @@ def achievable_rate(
     """Achievable secrecy rate maximized over a grid of product input laws.
 
     Each input simplex is discretized with ``grid_per_dim`` points per free
-    coordinate and every pair is scored with ``achievable_rate_fixed_input``.
-    Iteration order is deterministic and ties keep the first (lexicographically
-    smallest) grid point.  Desk scale only: alphabets of size at most 4 and at
-    most ``_ENUMERATION_BUDGET`` laws.
+    coordinate.  Every pair is scored by ``_breakpoint_search``, a row of the
+    law grid at a time, and only the winner's split is built, by
+    ``achievable_rate_fixed_input``.  Iteration order is deterministic and a
+    later law wins only by more than 1e-15, so ties keep the first
+    (lexicographically smallest) grid point.  Desk scale only: alphabets of
+    size at most 4 and at most ``_ENUMERATION_BUDGET`` laws.
     """
     if grid_per_dim < 3:
         raise DomainError("grid_per_dim must be >= 3")
-    best = (-math.inf, None, None, None)
+    best_rate, best = -math.inf, None
     for px1, px2s, table in _law_rows(ch, grid_per_dim):
-        for px2, row in zip(px2s, table.tolist()):
-            rate, split = achievable_rate_fixed_input(MutualInfoProfile(*row))
-            if rate > best[0] + 1e-15:
-                best = (rate, px1, px2, split)
-    rate, px1, px2, split = best
+        rates = _breakpoint_search(table)[0]
+        for k in np.flatnonzero(rates > best_rate + 1e-15):  # the only laws that can win
+            if rates[k] > best_rate + 1e-15:
+                best_rate, best = float(rates[k]), (px1, px2s[k], table[k])
+    px1, px2, row = best
+    rate, split = achievable_rate_fixed_input(MutualInfoProfile(*row.tolist()))
     return rate, ProductInput(px1, px2), split
 
 

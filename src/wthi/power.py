@@ -196,7 +196,10 @@ def _rate_grid(ch: GaussianWthi, p1s: np.ndarray, p2s: np.ndarray) -> np.ndarray
     else:
         assisted = np.where(b >= 1.0 + p1, r_cancel, r_joint)
     silent = np.maximum(cap(p1) - cap(a * p1), 0.0)
-    return np.maximum(np.maximum(assisted, 0.0), np.broadcast_to(silent, assisted.shape))
+    rates = np.maximum(np.maximum(assisted, 0.0), np.broadcast_to(silent, assisted.shape))
+    if a >= 1.0:  # very strong eavesdropping: exactly zero, as in rate_achievable
+        rates[:, a >= 1.0 + p2[0]] = 0.0
+    return rates
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,19 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"alpha": 2.0}))
         assert run_cli(["sweep-symmetric", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("doc", [{"mode": "point"}, {"seed": 3, "grid": 5}])
+    def test_config_field_the_subcommand_does_not_read_rejected(self, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["bounds", "--config", str(cfg)]) == 2
+
+    def test_config_may_set_out(self, tmp_path):
+        out = tmp_path / "bd.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": 0.5, "out": str(out)}))
+        assert run_cli(["bounds", "--config", str(cfg)]) == 0
+        assert json.loads(out.read_text())["config"]["a"] == 0.5
+
     def test_bad_range_rejected(self):
         assert run_cli(["sweep-symmetric", "--start", "5", "--stop", "1"]) == 2
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wthi.dmc import (
     DmcWthi,
+    MutualInfoProfile,
     ProductInput,
     achievable_rate,
     achievable_rate_fixed_input,
@@ -183,6 +184,15 @@ class TestRegions:
             assert in_region_eavesdropper(prof, r1 * f1, r2 * f2)
 
 
+def random_channel(sizes: tuple, seed: int, sparse: bool) -> DmcWthi:
+    rng = np.random.default_rng(seed)
+    t = rng.random(sizes)
+    if sparse:
+        t[t < 0.6] = 0.0
+        t[..., 0, 0] += t.sum(axis=(2, 3)) == 0.0
+    return DmcWthi(*sizes, t / t.sum(axis=(2, 3), keepdims=True))
+
+
 class TestFixedInputRate:
     def test_blind_eavesdropper_needs_no_redundancy(self):
         prof = mi_profile(noiseless_blind_channel(), UNIFORM)
@@ -197,6 +207,12 @@ class TestFixedInputRate:
         assert rate == 0.0
         assert split.regime is Regime.SILENT
 
+    def test_flat_objective_ties_to_the_smallest_dummy_rate(self):
+        # blind eavesdropper: the rate is a1 = 1 for every r2 in [0, a12 - a1]
+        prof = MutualInfoProfile(1.0, 1.0, 1.5, 0.5, 0.0, 0.0, 0.0, 0.0)
+        rate, split = achievable_rate_fixed_input(prof)
+        assert (rate, split.r2, split.regime) == (1.0, 0.0, Regime.NO_INTERFERER)
+
     def test_matches_scan_oracle_on_random_channels(self):
         rng = np.random.default_rng(2024)
         for _ in range(12):
@@ -207,8 +223,67 @@ class TestFixedInputRate:
             assert rate - scan <= resolution + 1e-9
             assert split.r1s == rate
 
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scan_oracle_on_sparse_channels(self, sizes, seed, point_mass):
+        # zero transitions and point-mass inputs make breakpoints vanish or coincide
+        inp = ProductInput.uniform(sizes[0], sizes[1])
+        if point_mass:
+            inp = ProductInput(inp.px1, np.eye(sizes[1])[0])
+        prof = mi_profile(random_channel(sizes, seed, sparse=True), inp)
+        rate, split = achievable_rate_fixed_input(prof)
+        scan, resolution = scan_secrecy_rate(prof)
+        assert scan <= rate + 1e-9
+        assert rate - scan <= resolution + 1e-9
+        assert split.r1s == rate
+
+
+def reference_search(ch: DmcWthi, grid: int) -> tuple:
+    """(rate, px1, px2, split) of ``achievable_rate`` by one search per law.
+
+    A later law wins only by more than 1e-15.
+    """
+    best = (-math.inf,)
+    for px1 in simplex_grid(ch.nx1, grid):
+        for px2 in simplex_grid(ch.nx2, grid):
+            rate, split = achievable_rate_fixed_input(mi_profile(ch, ProductInput(px1, px2)))
+            if rate > best[0] + 1e-15:
+                best = (rate, px1.tolist(), px2.tolist(), split)
+    return best
+
+
+def search(ch: DmcWthi, grid: int) -> tuple:
+    rate, inp, split = achievable_rate(ch, grid)
+    return rate, inp.px1.tolist(), inp.px2.tolist(), split
+
 
 class TestAchievableRate:
+    @pytest.mark.parametrize("n, grid", [(2, 11), (3, 6), (4, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_matches_reference_loop(self, n, grid, seed, sparse):
+        ch = random_channel((n, n, n, n), seed, sparse)
+        assert search(ch, grid) == reference_search(ch, grid)
+
+    def test_ties_go_to_the_first_law_in_grid_order(self):
+        # x1 = 1 and x1 = 2 are the same input, so swapping their
+        # probabilities ties every law with another one
+        t = random_channel((2, 2, 2, 2), 0, False).transition[[0, 1, 1]]
+        ch = DmcWthi(3, 2, 2, 2, t)
+        found = search(ch, 7)
+        assert found == reference_search(ch, 7)
+        rate, px1, px2, _ = found
+        swapped = [px1[0], px1[2], px1[1]]
+        assert rate > 0.0 and swapped != px1
+        tie, _ = achievable_rate_fixed_input(mi_profile(ch, ProductInput(swapped, px2)))
+        assert abs(tie - rate) <= 1e-15
+        order = [p.tolist() for p in simplex_grid(3, 7)]
+        assert order.index(px1) < order.index(swapped)
+
     def test_blind_channel_attains_conditional_capacity(self):
         rate, inp, _ = achievable_rate(noiseless_blind_channel(), 21)
         assert rate == pytest.approx(1.0, abs=1e-12)

@@ -193,6 +193,17 @@ class TestVectorizedTwin:
                     scalar, _ = rate_achievable(ch, PowerAllocation(p1, p2))
                     assert grid[i, j] == pytest.approx(scalar, abs=1e-12)
 
+    def test_very_strong_boundary_is_exactly_zero(self):
+        # the channel of TestRateAchievable: a = 1 + p2 up to rounding
+        ch = GaussianWthi(3.4871134774380947, 25.52121996783805, 0.307563713665154,
+                          2.4871134774380947)
+        p1s, p2s = np.asarray([0.0, 0.1, ch.p1_max]), np.asarray([0.0, 1.0, ch.p2_max])
+        grid = _rate_grid(ch, p1s, p2s)
+        assert grid[2, 2] == 0.0
+        for i, p1 in enumerate(p1s):
+            for j, p2 in enumerate(p2s):
+                assert grid[i, j] == rate_achievable(ch, PowerAllocation(p1, p2))[0]
+
 
 class TestDomainTypes:
     def test_degraded_predicate(self):

@@ -1,11 +1,13 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import wthi
 
 SOURCES = sorted(Path(wthi.__file__).parent.glob("*.py"))
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def test_no_assert_statements():
@@ -17,3 +19,36 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def traced_attributes() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of ``TRACED`` in bench/workloads.py, read with ast.
+
+    Each entry is a tuple ``(module, attribute, namer)`` or a starred list
+    comprehension ``*[(module, f, namer) for f in (...)]``.
+    """
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    traced = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    pairs = []
+    for entry in traced.elts:
+        if isinstance(entry, ast.Starred):
+            comp = entry.value
+            module = ast.literal_eval(comp.elt.elts[0])
+            pairs += [(module, attr) for attr in ast.literal_eval(comp.generators[0].iter)]
+        else:
+            pairs.append((ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1])))
+    return pairs
+
+
+def test_benchmark_traced_attributes_resolve():
+    # a traced run patches these names; removing one breaks `bench/run.py --trace 1`
+    pairs = traced_attributes()
+    missing = [
+        f"{module}.{attr}" for module, attr in pairs
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert len(pairs) > 20 and missing == []
