@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .gaussian import GaussianWthi, PowerAllocation, _check_pairing, awgn_capacity
+from .gaussian import GaussianWthi, PowerAllocation, _check_pairing, awgn_capacity, rate_wiretap
 
 _LN2 = math.log(2.0)
 
@@ -121,11 +121,10 @@ def bound_sato(ch: GaussianWthi) -> float:
 def bound_z_channel(ch: GaussianWthi) -> float:
     """One-sided-channel bound: wiretap term plus an entropy-power-inequality term."""
     a, p1, p2 = ch.a, ch.p1_max, ch.p2_max
-    wiretap_term = max(0.0, 0.5 * (math.log1p(p1) - math.log1p(a * p1)) / _LN2)
     epi_term = 0.5 * math.log(
         2.0 * (1.0 + a * p1) * (1.0 + p2) / (2.0 + a * p1 + p2)
     ) / _LN2
-    return wiretap_term + epi_term
+    return rate_wiretap(a, p1) + epi_term
 
 
 def bound_best(ch: GaussianWthi) -> tuple[float, BoundKind]:

@@ -159,29 +159,21 @@ def _fmt(x: float) -> str:
 
 def write_csv(path: str | None, cfg: SweepConfig, header: list[str],
               rows: list[list[float]]) -> str:
-    # The output path is not part of the computation, so it is excluded from
-    # the embedded config to keep outputs byte-identical across destinations.
-    resolved = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out"}
     lines = [
         f"# wthi {__version__}",
         "# units: bits per channel use",
-        f"# config: {json.dumps(resolved, sort_keys=True)}",
+        f"# config: {json.dumps(_json_config(cfg), sort_keys=True)}",
         ",".join(header),
     ]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-    return text
+    return _write("\n".join(lines) + "\n", path)
 
 
 def write_json(path: str | None, payload: dict) -> str:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+
+
+def _write(text: str, path: str | None) -> str:
     if path is not None:
         try:
             Path(path).write_text(text, encoding="utf-8")
@@ -193,6 +185,8 @@ def write_json(path: str | None, payload: dict) -> str:
 
 
 def _json_config(cfg: SweepConfig) -> dict:
+    # The output path is not part of the computation, so it is excluded from
+    # the embedded config to keep outputs byte-identical across destinations.
     return {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out"}
 
 
@@ -224,13 +218,7 @@ def run_sweep_interferer(cfg: SweepConfig) -> str:
 
 
 def _split_dict(split) -> dict:
-    return {
-        "r1": split.r1,
-        "r2": split.r2,
-        "r1s": split.r1s,
-        "r1d": split.r1d,
-        "regime": split.regime.value,
-    }
+    return {**dataclasses.asdict(split), "r1": split.r1, "regime": split.regime.value}
 
 
 def run_point(cfg: SweepConfig) -> str:

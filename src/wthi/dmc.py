@@ -303,14 +303,14 @@ def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSpl
     rates, r2s, r1ds = _breakpoint_search(np.asarray([astuple(prof)]))
     rate, r2, r1d = float(rates[0]), float(r2s[0]), float(r1ds[0])
     if rate == 0.0:
-        return 0.0, RateSplit(0.0, 0.0, 0.0, 0.0, Regime.SILENT)
+        return 0.0, RateSplit(r2=0.0, r1s=0.0, r1d=0.0, regime=Regime.SILENT)
     if r2 == 0.0:
         regime = Regime.NO_INTERFERER
     elif r2 > prof.i_x2_y1_given_x1:
         regime = Regime.TREAT_AS_NOISE
     else:
         regime = Regime.JOINT_DECODE
-    return rate, RateSplit(r1=rate + r1d, r2=r2, r1s=rate, r1d=r1d, regime=regime)
+    return rate, RateSplit(r2=r2, r1s=rate, r1d=r1d, regime=regime)
 
 
 def simplex_grid(dim: int, points_per_coord: int) -> list[np.ndarray]:

@@ -18,12 +18,11 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
-
-#: Absolute tolerance for the rate-split consistency identity r1 = r1s + r1d.
-SPLIT_TOL = 1e-12
 
 
 def _require_finite_nonneg(name: str, value: float) -> float:
@@ -104,34 +103,87 @@ class Regime(enum.Enum):
 class RateSplit:
     """Operating point (r1, r2, r1s, r1d) of the binning scheme.
 
-    r1 is the total codebook rate of the transmitter, split as r1 = r1s + r1d
-    into the secret-message rate r1s and the redundancy rate r1d sacrificed to
+    r1 = r1s + r1d is the total codebook rate of the transmitter, split into
+    the secret-message rate r1s and the redundancy rate r1d sacrificed to
     confuse the eavesdropper.  r2 is the interferer's dummy rate.
     """
 
-    r1: float
     r2: float
     r1s: float
     r1d: float
     regime: Regime
 
     def __post_init__(self) -> None:
-        for name in ("r1", "r2", "r1s", "r1d"):
+        for name in ("r2", "r1s", "r1d"):
             _require_finite_nonneg(name, getattr(self, name))
-        if abs(self.r1 - (self.r1s + self.r1d)) > SPLIT_TOL:
-            raise DomainError(
-                f"inconsistent split: r1={self.r1} but r1s+r1d={self.r1s + self.r1d}"
-            )
+
+    @property
+    def r1(self) -> float:
+        return self.r1s + self.r1d
 
 
-_SILENT_SPLIT = RateSplit(0.0, 0.0, 0.0, 0.0, Regime.SILENT)
+_SILENT_SPLIT = RateSplit(r2=0.0, r1s=0.0, r1d=0.0, regime=Regime.SILENT)
+
+
+def _where(cond, x, y):  # np.where for float powers
+    return x if cond else y
+
+
+def _rates(a, b, p1, p2):
+    """Unclamped rate pieces (assisted, r1d, wiretap, c_ap1) of both schemes.
+
+    The assisted scheme has redundancy rate r1d = C(a*p1/(1+p2)) and codebook
+    rate r1 = assisted + r1d, which depends on how the receiver handles the
+    interference: C(p1) when it decodes and cancels it (b >= 1 + p1),
+    C(p1 + b*p2) - C(p2) when it decodes jointly (1 <= b < 1 + p1), and
+    C(p1/(1+b*p2)) when it treats it as noise (b < 1); the pieces agree at the
+    seams.  The plain wiretap scheme has rate C(p1) - C(a*p1) and redundancy
+    rate c_ap1 = C(a*p1).  The gains are floats; the powers are floats, or
+    arrays that broadcast together and make every piece an array.
+    """
+    if isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray):
+        log1p, where = np.log1p, np.where
+    else:
+        log1p, where = math.log1p, _where
+
+    def c(x):
+        return 0.5 * log1p(x) / _LN2
+
+    c_p1 = c(p1)
+    r1d = c(a * p1 / (1.0 + p2))
+    if b >= 1.0:
+        assisted = where(b >= 1.0 + p1, c_p1 - r1d, c(p1 + b * p2) - c(a * p1 + p2))
+    else:
+        assisted = c(p1 / (1.0 + b * p2)) - r1d
+    c_ap1 = c(a * p1)
+    return assisted, r1d, c_p1 - c_ap1, c_ap1
+
+
+def _pair_rates(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, float, float, float]:
+    rates = _rates(ch.a, ch.b, alloc.p1, alloc.p2)
+    if not math.isfinite(sum(rates)):
+        raise DomainError(f"a capacity overflows at {ch} and {alloc}")
+    return rates
+
+
+def _assisted_split(ch: GaussianWthi, alloc: PowerAllocation, raw: float, r1d: float
+                    ) -> tuple[float, RateSplit]:
+    if raw < 0.0:
+        return 0.0, _SILENT_SPLIT
+    if ch.b >= 1.0 + alloc.p1:
+        regime = Regime.DECODE_CANCEL
+    elif ch.b >= 1.0:
+        regime = Regime.JOINT_DECODE
+    else:
+        regime = Regime.TREAT_AS_NOISE
+    return raw, RateSplit(r2=awgn_capacity(alloc.p2), r1s=raw, r1d=r1d, regime=regime)
 
 
 def rate_wiretap(a: float, p1: float) -> float:
     """Secrecy capacity of the plain Gaussian wiretap channel, [C(p1) - C(a*p1)]+."""
     a = _require_finite_nonneg("a", a)
     p1 = _require_finite_nonneg("p1", p1)
-    return max(0.0, awgn_capacity(p1) - awgn_capacity(a * p1))
+    return max(0.0, _rates(a, 0.0, p1, 0.0)[2])
 
 
 def rate_interference_assisted(
@@ -139,39 +191,16 @@ def rate_interference_assisted(
 ) -> tuple[float, RateSplit]:
     """Secrecy rate of the interferer-assisted scheme at a fixed power pair.
 
-    The interferer transmits dummy codewords at r2 = C(p2) and the
-    transmitter's redundancy rate is r1d = C(a*p1/(1+p2)); the total codebook
-    rate r1 depends on how the receiver handles the interference:
-
-    * ``b >= 1 + p1``: the receiver decodes and cancels the interference
-      first, r1 = C(p1);
-    * ``1 <= b < 1 + p1``: joint decoding, r1 = C(p1 + b*p2) - C(p2);
-    * ``b < 1``: interference treated as noise, r1 = C(p1 / (1 + b*p2)).
-
-    The three pieces agree at the seams, so the boundary assignment is
-    observationally irrelevant.  A negative raw value means the scheme cannot
-    operate; the rate is clamped to zero and an all-zero ``SILENT`` split is
-    returned.
+    The interferer transmits dummy codewords at r2 = C(p2), and the receiver
+    decodes and cancels the interference (b >= 1 + p1), decodes it jointly
+    (1 <= b < 1 + p1) or treats it as noise (b < 1), as the split's regime
+    records.  A negative raw value means the scheme cannot operate; the rate
+    is clamped to zero and an all-zero ``SILENT`` split is returned.  A
+    capacity that overflows a float raises ``DomainError``.
     """
     _check_pairing(ch, alloc)
-    a, b = ch.a, ch.b
-    p1, p2 = alloc.p1, alloc.p2
-
-    r1d = awgn_capacity(a * p1 / (1.0 + p2))
-    r2 = awgn_capacity(p2)
-    if b >= 1.0 + p1:
-        raw = awgn_capacity(p1) - r1d
-        regime = Regime.DECODE_CANCEL
-    elif b >= 1.0:
-        raw = awgn_capacity(p1 + b * p2) - awgn_capacity(a * p1 + p2)
-        regime = Regime.JOINT_DECODE
-    else:
-        raw = awgn_capacity(p1 / (1.0 + b * p2)) - r1d
-        regime = Regime.TREAT_AS_NOISE
-
-    if raw < 0.0:
-        return 0.0, _SILENT_SPLIT
-    return raw, RateSplit(r1=raw + r1d, r2=r2, r1s=raw, r1d=r1d, regime=regime)
+    raw, r1d, _, _ = _pair_rates(ch, alloc)
+    return _assisted_split(ch, alloc, raw, r1d)
 
 
 def rate_achievable(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, RateSplit]:
@@ -186,11 +215,20 @@ def rate_achievable(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, Ra
     _check_pairing(ch, alloc)
     if ch.a >= 1.0 and ch.a >= 1.0 + alloc.p2:
         return 0.0, _SILENT_SPLIT
-    v1, s1 = rate_interference_assisted(ch, alloc)
-    v2 = rate_wiretap(ch.a, alloc.p1)
-    if v2 < v1:
-        return v1, s1
+    raw, r1d, wiretap, c_ap1 = _pair_rates(ch, alloc)
+    v2 = max(0.0, wiretap)
+    if v2 < raw:
+        return _assisted_split(ch, alloc, raw, r1d)
     if v2 > 0.0:
-        r1d = awgn_capacity(ch.a * alloc.p1)
-        return v2, RateSplit(r1=v2 + r1d, r2=0.0, r1s=v2, r1d=r1d, regime=Regime.NO_INTERFERER)
+        return v2, RateSplit(r2=0.0, r1s=v2, r1d=c_ap1, regime=Regime.NO_INTERFERER)
     return 0.0, _SILENT_SPLIT
+
+
+def _rate_achievable_grid(ch: GaussianWthi, p1s: np.ndarray, p2s: np.ndarray) -> np.ndarray:
+    """The rate of ``rate_achievable`` on the outer grid p1s x p2s."""
+    p1 = np.asarray(p1s, dtype=float)[:, None]
+    p2 = np.asarray(p2s, dtype=float)[None, :]
+    assisted, _, wiretap, _ = _rates(ch.a, ch.b, p1, p2)
+    rates = np.maximum(np.maximum(assisted, 0.0), np.maximum(wiretap, 0.0))
+    rates[:, (ch.a >= 1.0) & (ch.a >= 1.0 + p2[0])] = 0.0  # very strong eavesdropping
+    return rates

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gaussian import GaussianWthi, PowerAllocation, awgn_capacity, rate_achievable
-
-_LN2 = math.log(2.0)
+from .gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid, rate_achievable
 
 # Relative tolerance used to detect that a channel sits exactly on a branch
 # boundary of the policy, where adjacent candidate allocations are compared.
@@ -179,29 +177,6 @@ def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediate
 # ---------------------------------------------------------------------------
 
 
-def _rate_grid(ch: GaussianWthi, p1s: np.ndarray, p2s: np.ndarray) -> np.ndarray:
-    """rate_achievable evaluated on the outer grid p1s x p2s (vectorized twin)."""
-    a, b = ch.a, ch.b
-    p1 = np.asarray(p1s, dtype=float)[:, None]
-    p2 = np.asarray(p2s, dtype=float)[None, :]
-
-    def cap(x: np.ndarray) -> np.ndarray:
-        return 0.5 * np.log1p(x) / _LN2
-
-    r_cancel = cap(p1) - cap(a * p1 / (1.0 + p2))
-    r_joint = cap(p1 + b * p2) - cap(a * p1 + p2)
-    r_noise = cap(p1 / (1.0 + b * p2)) - cap(a * p1 / (1.0 + p2))
-    if b < 1.0:
-        assisted = np.broadcast_to(r_noise, (p1.size, p2.size))
-    else:
-        assisted = np.where(b >= 1.0 + p1, r_cancel, r_joint)
-    silent = np.maximum(cap(p1) - cap(a * p1), 0.0)
-    rates = np.maximum(np.maximum(assisted, 0.0), np.broadcast_to(silent, assisted.shape))
-    if a >= 1.0:  # very strong eavesdropping: exactly zero, as in rate_achievable
-        rates[:, a >= 1.0 + p2[0]] = 0.0
-    return rates
-
-
 @dataclass(frozen=True)
 class GridOracleResult:
     alloc: PowerAllocation
@@ -241,7 +216,7 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
 
     ax1 = _axis(ch.p1_max, n1, extras1)
     ax2 = _axis(ch.p2_max, n2, extras2)
-    rates = _rate_grid(ch, ax1, ax2)
+    rates = _rate_achievable_grid(ch, ax1, ax2)
     i, j = np.unravel_index(int(np.argmax(rates)), rates.shape)
 
     # One local refinement pass around the coarse argmax.
@@ -249,14 +224,11 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     lo2, hi2 = ax2[max(j - 1, 0)], ax2[min(j + 1, ax2.size - 1)]
     f1 = np.linspace(lo1, hi1, 21) if hi1 > lo1 else np.asarray([lo1])
     f2 = np.linspace(lo2, hi2, 21) if hi2 > lo2 else np.asarray([lo2])
-    fine = _rate_grid(ch, f1, f2)
+    fine = _rate_achievable_grid(ch, f1, f2)
     fi, fj = np.unravel_index(int(np.argmax(fine)), fine.shape)
 
-    eps = 0.0
-    if fine.shape[0] > 1:
-        eps = max(eps, float(np.max(np.abs(np.diff(fine, axis=0)))))
-    if fine.shape[1] > 1:
-        eps = max(eps, float(np.max(np.abs(np.diff(fine, axis=1)))))
+    eps = max((float(np.max(np.abs(np.diff(fine, axis=k)))) for k in (0, 1)
+               if fine.shape[k] > 1), default=0.0)
 
     if fine[fi, fj] > rates[i, j]:
         best = PowerAllocation(float(f1[fi]), float(f2[fj]))
@@ -264,6 +236,8 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     else:
         best = PowerAllocation(float(ax1[i]), float(ax2[j]))
         rate = float(rates[i, j])
+    if not math.isfinite(rate):
+        raise DomainError(f"the rate overflows on the power grid of {ch}")
     return GridOracleResult(alloc=best, rate=rate, eps_grid=eps)
 
 

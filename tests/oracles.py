@@ -23,6 +23,30 @@ def half_log2(numerator: float, denominator: float = 1.0) -> float:
     return float(mp.log(mp.mpf(numerator) / mp.mpf(denominator), 2) / 2)
 
 
+def rate_achievable_reference(a: float, b: float, p1: float, p2: float) -> float:
+    """Rate of ``rate_achievable`` at 30 decimal digits, from the three-regime formula.
+
+    The interferer-assisted rate is C(p1) - C(a*p1/(1+p2)) when the receiver
+    decodes and cancels the interference (b >= 1 + p1), C(p1 + b*p2) -
+    C(a*p1 + p2) when it decodes jointly (1 <= b < 1 + p1) and
+    C(p1/(1+b*p2)) - C(a*p1/(1+p2)) when it treats it as noise (b < 1); the
+    achievable rate is the best of it, the wiretap rate C(p1) - C(a*p1) and 0.
+    """
+    with mp.workdps(30):
+        a, b, p1, p2 = (mp.mpf(x) for x in (a, b, p1, p2))
+
+        def c(x):
+            return mp.log1p(x) / (2 * mp.log(2))
+
+        if b >= 1 + p1:
+            assisted = c(p1) - c(a * p1 / (1 + p2))
+        elif b >= 1:
+            assisted = c(p1 + b * p2) - c(a * p1 + p2)
+        else:
+            assisted = c(p1 / (1 + b * p2)) - c(a * p1 / (1 + p2))
+        return float(max(assisted, c(p1) - c(a * p1), 0))
+
+
 def entropy_bits(p: np.ndarray) -> float:
     """Shannon entropy of a pmf (any shape), in bits, with 0*log 0 = 0."""
     p = np.asarray(p, dtype=float).ravel()

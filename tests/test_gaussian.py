@@ -10,17 +10,38 @@ from wthi.gaussian import (
     GaussianWthi,
     PowerAllocation,
     Regime,
+    _rate_achievable_grid,
     awgn_capacity,
     rate_achievable,
     rate_interference_assisted,
     rate_wiretap,
 )
-from wthi.power import _rate_grid
 
-from oracles import half_log2
+from oracles import half_log2, rate_achievable_reference
 
 gains = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 powers = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+
+# The closed domain: zero gains and powers, gains log-uniform in [1e-12, 10],
+# powers up to 1e3, and the seams b = 1, b = 1 + p1 and a = 1 + p2.
+closed_gains = st.one_of(st.just(0.0), st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e))
+closed_powers = st.one_of(st.just(0.0), st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def closed_domain_grids(draw):
+    """A channel and power axes p1s, p2s within its caps, seams included."""
+    p1s = draw(st.lists(closed_powers, min_size=1, max_size=4))
+    p2s = draw(st.lists(closed_powers, min_size=1, max_size=4))
+    a, b = draw(closed_gains), draw(closed_gains)
+    seam = draw(st.sampled_from(("none", "b=1", "b=1+p1", "a=1+p2")))
+    if seam == "b=1":
+        b = 1.0
+    elif seam == "b=1+p1":
+        b = 1.0 + draw(st.sampled_from(p1s))
+    elif seam == "a=1+p2":
+        a = 1.0 + draw(st.sampled_from(p2s))
+    return GaussianWthi(a, b, max(p1s), max(p2s)), np.asarray(p1s), np.asarray(p2s)
 
 
 class TestAwgnCapacity:
@@ -178,6 +199,23 @@ class TestRateAchievable:
         with pytest.raises(DomainError):
             rate_achievable(ch, PowerAllocation(2.0, 0.5))
 
+    def test_capacity_overflow_raises(self):
+        # a*p1 overflows a float while a < 1 + p2, so the rate is not trivially 0
+        ch = GaussianWthi(10.0, 0.5, 1e308, 100.0)
+        for rate in (rate_achievable, rate_interference_assisted):
+            with pytest.raises(DomainError):
+                rate(ch, ch.full_power())
+
+    @given(closed_domain_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_high_precision_on_closed_domain(self, case):
+        ch, p1s, p2s = case
+        for p1 in p1s:
+            for p2 in p2s:
+                rate, _ = rate_achievable(ch, PowerAllocation(p1, p2))
+                expected = rate_achievable_reference(ch.a, ch.b, p1, p2)
+                assert rate == pytest.approx(expected, abs=1e-9)
+
 
 class TestVectorizedTwin:
     def test_matches_scalar_rate(self):
@@ -187,7 +225,7 @@ class TestVectorizedTwin:
             ch = GaussianWthi(a, b, 50.0, 50.0)
             p1s = rng.uniform(0.0, 50.0, 6)
             p2s = rng.uniform(0.0, 50.0, 5)
-            grid = _rate_grid(ch, p1s, p2s)
+            grid = _rate_achievable_grid(ch, p1s, p2s)
             for i, p1 in enumerate(p1s):
                 for j, p2 in enumerate(p2s):
                     scalar, _ = rate_achievable(ch, PowerAllocation(p1, p2))
@@ -198,11 +236,24 @@ class TestVectorizedTwin:
         ch = GaussianWthi(3.4871134774380947, 25.52121996783805, 0.307563713665154,
                           2.4871134774380947)
         p1s, p2s = np.asarray([0.0, 0.1, ch.p1_max]), np.asarray([0.0, 1.0, ch.p2_max])
-        grid = _rate_grid(ch, p1s, p2s)
+        grid = _rate_achievable_grid(ch, p1s, p2s)
         assert grid[2, 2] == 0.0
         for i, p1 in enumerate(p1s):
             for j, p2 in enumerate(p2s):
                 assert grid[i, j] == rate_achievable(ch, PowerAllocation(p1, p2))[0]
+
+    @given(closed_domain_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rate_on_closed_domain(self, case):
+        # np.log1p and math.log1p may differ in the last bit, so the two agree
+        # on the exact zeros and to 1e-12 elsewhere, not bit for bit
+        ch, p1s, p2s = case
+        grid = _rate_achievable_grid(ch, p1s, p2s)
+        for i, p1 in enumerate(p1s):
+            for j, p2 in enumerate(p2s):
+                scalar, _ = rate_achievable(ch, PowerAllocation(p1, p2))
+                assert (grid[i, j] == 0.0) == (scalar == 0.0)
+                assert grid[i, j] == pytest.approx(scalar, abs=1e-12)
 
 
 class TestDomainTypes:

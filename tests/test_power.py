@@ -128,6 +128,11 @@ class TestIntermediates:
 
 
 class TestGridOracle:
+    def test_capacity_overflow_raises(self):
+        # p1 + b*p2 overflows a float, as it does for rate_achievable
+        with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
+            grid_oracle_detailed(GaussianWthi(0.5, 2.0, 1e308, 1e308), 20, 20)
+
     def test_symmetric_unit_gains_give_zero(self):
         best = grid_oracle_detailed(GaussianWthi(1.0, 1.0, 7.0, 13.0), 50, 50).rate
         assert best == 0.0
