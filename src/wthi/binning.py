@@ -12,10 +12,23 @@ Maximum-likelihood decoding stands in for joint typicality: typical sets are
 vacuous at blocklengths this small, and ML can only do better, so error
 trends remain meaningful.
 
+Every trial draws its indices and channel outputs first; scoring then runs
+on chunks of trials.  The log-likelihood of a codeword pair is computed from
+exact joint-type counts: for each distinct value of the log table, how many
+symbols k of the pair hit a cell (x1_k, x2_k, y_k) holding that value.  The
+counts are GEMMs of 0/1 indicator matrices (small integers, exact in float64
+whatever the BLAS build or thread count) and are contracted with the table
+values in a fixed elementwise order.  Pairs with equal joint types, or more
+generally hitting the same multiset of table values, therefore score
+bit-identically, so ML ties really go to the lowest flat (transmitter,
+interferer) index, and a trial's results do not depend on which chunk it is
+scored in.  A chunk holds at most ``_CHUNK_ELEMENTS`` (trial, pair) scores
+plus indicators, one trial at n = 14.
+
 Randomness comes from the counter-based Philox 4x64 generator (numpy's
 ``Philox``).  The codebook stream uses key ``(seed, 0)`` and trial ``t`` uses
 key ``(seed, t + 1)``, so serial and parallel trial execution agree
-bit-exactly.
+bit-exactly, and a shorter run is a prefix of a longer one.
 
 Sizes are the rounded powers ``round(2^(n*rate))``; all entropy
 normalizations use the realized size ``m1s`` rather than the nominal rate.
@@ -35,6 +48,8 @@ RNG_ALGORITHM = "philox4x64"
 
 _MAX_BLOCKLENGTH = 14
 _MAX_PAIRS = 1 << 20
+_CHUNK_ELEMENTS = 1 << 17  # per chunk: trials x m1 x (m2 + nx2 * n)
+_GEMM_ELEMENTS = 1 << 18   # OpenBLAS runs a product of at most this size on one thread
 
 
 def _size(n: int, rate: float) -> int:
@@ -137,27 +152,90 @@ def _log_table(p: np.ndarray) -> np.ndarray:
         return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
 
 
-def _pair_loglik(table: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
-    """Sum_k log p(y_k | x1_k, x2_k) for every codeword pair, shape (m1, m2)."""
+def _gemm(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """out = left @ right, in row blocks of at most ``_GEMM_ELEMENTS`` multiply-adds.
+
+    Products this small run on one BLAS thread.  On a 2-core host, threaded
+    products of these shapes took up to 8 ms instead of 0.2 ms whenever the
+    other core was busy.
+    """
+    step = max(1, _GEMM_ELEMENTS // right.size)
+    for lo in range(0, left.shape[0], step):
+        np.matmul(left[lo:lo + step], right, out=out[lo:lo + step])
+
+
+def _pair_scores(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray, y: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Sum_k log p(y_k | x1_k, x2_k) for every trial and codeword pair, shape (T, m1, m2).
+
+    ``log_p`` is (nx1, nx2, ny) with -inf on zero-probability cells and ``y``
+    is (T, n).  A pair's score depends on its symbols only through how many
+    of them hit each distinct value v of the table: with v0 the smallest
+    finite value, score = n*v0 + sum over v > v0, in increasing order, of
+    (v - v0) * M_v.  The counts M_v[(t, i), j] = #{k : log_p[c1[i, k],
+    c2[j, k], y[t, k]] = v} are GEMMs of 0/1 indicators, small integers that
+    are exact in float64 whatever the BLAS.  So pairs that hit the same
+    multiset of table values (equal joint types in particular) score
+    bit-identically, and a trial's scores do not depend on the other trials.
+    A pair that hits a zero-probability cell scores -inf.
+    """
+    trials, n = y.shape
     m1, m2 = c1f.shape[0], c2f.shape[0]
-    ll = np.zeros((m1, m2))
-    for k in range(y.size):
-        ll += table[:, :, y[k]][c1f[:, k][:, None], c2f[:, k][None, :]]
-    return ll
+    nx1, nx2, ny = log_p.shape
+    rows = log_p.transpose(0, 2, 1).reshape(nx1 * ny, nx2)  # [(x1, y), x2]
+    hit = np.take(rows, c1f[None] * ny + y[:, None], axis=0)  # [t, i, k, b]
+    hit = hit.reshape(trials * m1, n * nx2)
+    right = (c2f.T[:, None] == np.arange(nx2)[:, None]).reshape(n * nx2, m2).astype(float)
+    values = sorted(set(log_p.ravel().tolist()))  # np.unique costs more on tables this small
+    finite = [v for v in values if v > -math.inf]
+
+    score = np.empty((trials, m1, m2)) if out is None else out
+    score.fill(n * finite[0])
+    flat = score.reshape(trials * m1, m2)
+    counts = np.empty_like(flat)
+    for v in finite[1:]:
+        _gemm((hit == v).astype(float), right, counts)
+        counts *= v - finite[0]
+        flat += counts
+    if values[0] == -math.inf:
+        _gemm((hit == -math.inf).astype(float), right, counts)
+        flat[counts > 0.0] = -np.inf
+    return score
 
 
 def _posterior_entropy_bits(ll: np.ndarray, m1s: int) -> float:
-    """H(W1 | y2) from the pair log-likelihood matrix under uniform priors."""
-    finite = ll[np.isfinite(ll)]
-    if finite.size == 0:
+    """H(W1 | y2) from one trial's pair log-likelihoods under uniform priors.
+
+    Overwrites ``ll`` with the unnormalized posterior weights.
+    """
+    shift = ll.max()
+    if shift == -np.inf:
         return math.log2(m1s)  # observation impossible under every pair: flat posterior
-    shift = float(finite.max())
-    w = np.exp(ll - shift)
+    w = np.exp(np.subtract(ll, shift, out=ll), out=ll)
     per_bin = w.reshape(m1s, -1).sum(axis=1)
     total = per_bin.sum()
     q = per_bin[per_bin > 0.0] / total
     return float(-np.sum(q * np.log2(q)))
+
+
+def _score_chunk(log_y1: np.ndarray, log_y2: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
+                 m1s: int, y1: np.ndarray, y2: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded secret message and H(W1 | y2) in bits for each trial of a chunk.
+
+    The receiver decodes by ML over all codeword pairs, ties to the lowest
+    flat (transmitter, interferer) index; ``c1f`` rows are ordered bin by bin.
+    """
+    trials = y1.shape[0]
+    m1, m2 = c1f.shape[0], c2f.shape[0]
+    ll = _pair_scores(log_y1, c1f, c2f, y1, out)
+    w1_hat = ll.reshape(trials, -1).argmax(axis=1) // m2 // (m1 // m1s)
+    h_bits = np.zeros(trials)
+    if m1s > 1:
+        ll = _pair_scores(log_y2, c1f, c2f, y2, ll)
+        for k in range(trials):
+            h_bits[k] = _posterior_entropy_bits(ll[k], m1s)
+    return w1_hat, h_bits
 
 
 def simulate(
@@ -204,33 +282,30 @@ def simulate_detailed(
     cdf = np.cumsum(flat_channel, axis=2)
 
     h_bits = np.empty(trials)
-    errors = np.zeros(trials, dtype=bool)
+    errors = np.empty(trials, dtype=bool)
     h_max = math.log2(m1s) if m1s > 1 else 0.0
+    chunk = max(1, _CHUNK_ELEMENTS // (m1 * (m2 + ch.nx2 * spec.n)))
+    buf = np.empty(min(chunk, trials) * m1 * m2)
 
-    for t in range(trials):
-        rng = _stream(seed, t + 1)
-        w1 = int(rng.integers(m1s))
-        idx1 = (w1 * m1p + int(rng.integers(m1p))) * m1pp + int(rng.integers(m1pp))
-        idx2 = int(rng.integers(m2p)) * m2pp + int(rng.integers(m2pp))
-        x1 = c1f[idx1]
-        x2 = c2f[idx2]
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        w1 = np.empty(size, dtype=np.int64)
+        idx1 = np.empty(size, dtype=np.int64)
+        idx2 = np.empty(size, dtype=np.int64)
+        u = np.empty((size, spec.n))
+        for k in range(size):
+            rng = _stream(seed, start + k + 1)
+            w1[k] = rng.integers(m1s)
+            idx1[k] = (w1[k] * m1p + rng.integers(m1p)) * m1pp + rng.integers(m1pp)
+            idx2[k] = rng.integers(m2p) * m2pp + rng.integers(m2pp)
+            u[k] = rng.random(spec.n)
+        row_cdf = cdf[c1f[idx1], c2f[idx2]]  # (size, n, ny1*ny2)
+        out = np.minimum((row_cdf <= u[:, :, None]).sum(axis=2), row_cdf.shape[2] - 1)
 
-        u = rng.random(spec.n)
-        row_cdf = cdf[x1, x2]  # (n, ny1*ny2)
-        out = np.minimum((row_cdf <= u[:, None]).sum(axis=1), row_cdf.shape[1] - 1)
-        y1 = (out // ch.ny2).astype(np.int64)
-        y2 = (out % ch.ny2).astype(np.int64)
-
-        ll1 = _pair_loglik(log_y1, c1f, c2f, y1)
-        flat_best = int(np.argmax(ll1))
-        w1_hat = (flat_best // m2) // (m1p * m1pp)
-        errors[t] = w1_hat != w1
-
-        if m1s > 1:
-            ll2 = _pair_loglik(log_y2, c1f, c2f, y2)
-            h_bits[t] = _posterior_entropy_bits(ll2, m1s)
-        else:
-            h_bits[t] = 0.0
+        w1_hat, h_bits[start:start + size] = _score_chunk(
+            log_y1, log_y2, c1f, c2f, m1s, out // ch.ny2, out % ch.ny2,
+            buf[:size * m1 * m2].reshape(size, m1, m2))
+        errors[start:start + size] = w1_hat != w1
 
     ratio = float(np.mean(h_bits) / h_max) if h_max > 0.0 else 1.0
     result = SimResult(

@@ -129,6 +129,11 @@ def _where(cond, x, y):  # np.where for float powers
     return x if cond else y
 
 
+def _wiretap_capacities(a, p1, log1p):
+    """C(p1) and C(a*p1), the rate pieces of the plain wiretap scheme."""
+    return 0.5 * log1p(p1) / _LN2, 0.5 * log1p(a * p1) / _LN2
+
+
 def _rates(a, b, p1, p2):
     """Unclamped rate pieces (assisted, r1d, wiretap, c_ap1) of both schemes.
 
@@ -139,23 +144,22 @@ def _rates(a, b, p1, p2):
     C(p1/(1+b*p2)) when it treats it as noise (b < 1); the pieces agree at the
     seams.  The plain wiretap scheme has rate C(p1) - C(a*p1) and redundancy
     rate c_ap1 = C(a*p1).  The gains are floats; the powers are floats, or
-    arrays that broadcast together and make every piece an array.
+    arrays that broadcast together and make every piece an array.  Each
+    capacity C(x) = 0.5*log1p(x)/ln 2 is written out: a Python call per
+    capacity cost about as much as the rest of the function.
     """
     if isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray):
         log1p, where = np.log1p, np.where
     else:
         log1p, where = math.log1p, _where
 
-    def c(x):
-        return 0.5 * log1p(x) / _LN2
-
-    c_p1 = c(p1)
-    r1d = c(a * p1 / (1.0 + p2))
+    c_p1, c_ap1 = _wiretap_capacities(a, p1, log1p)
+    r1d = 0.5 * log1p(a * p1 / (1.0 + p2)) / _LN2
     if b >= 1.0:
-        assisted = where(b >= 1.0 + p1, c_p1 - r1d, c(p1 + b * p2) - c(a * p1 + p2))
+        joint = 0.5 * log1p(p1 + b * p2) / _LN2 - 0.5 * log1p(a * p1 + p2) / _LN2
+        assisted = where(b >= 1.0 + p1, c_p1 - r1d, joint)
     else:
-        assisted = c(p1 / (1.0 + b * p2)) - r1d
-    c_ap1 = c(a * p1)
+        assisted = 0.5 * log1p(p1 / (1.0 + b * p2)) / _LN2 - r1d
     return assisted, r1d, c_p1 - c_ap1, c_ap1
 
 
@@ -183,7 +187,8 @@ def rate_wiretap(a: float, p1: float) -> float:
     """Secrecy capacity of the plain Gaussian wiretap channel, [C(p1) - C(a*p1)]+."""
     a = _require_finite_nonneg("a", a)
     p1 = _require_finite_nonneg("p1", p1)
-    return max(0.0, _rates(a, 0.0, p1, 0.0)[2])
+    c_p1, c_ap1 = _wiretap_capacities(a, p1, math.log1p)
+    return max(0.0, c_p1 - c_ap1)
 
 
 def rate_interference_assisted(

@@ -6,9 +6,13 @@ against a dense two-dimensional scan built directly from the decodable-region
 inequalities, and the closed-form Sato minimizer is checked against a plain
 grid argmin.  Mutual informations are recomputed from joint entropies of the
 full joint pmf, where the library takes differences of conditional entropies.
+Simulator pair scores are summed symbol by symbol with ``math.fsum``, where
+the library contracts joint-type counts.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from mpmath import mp
@@ -118,3 +122,17 @@ def sato_grid(a: float, b: float, p1: float, p2: float, points: int = 1001
     num = (1.0 + p1 + b * p2) * (1.0 + a * p1 + p2) - (rho + s) ** 2
     den = (1.0 - rho**2) * (1.0 + a * p1 + p2)
     return rho, 0.5 * np.log2(num / den)
+
+
+def pair_loglik_reference(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
+                          y: np.ndarray) -> np.ndarray:
+    """Sum_k log p(y_k | x1_k, x2_k) for every codeword pair of one trial, (m1, m2).
+
+    One correctly rounded ``math.fsum`` per pair; -inf wherever the pair hits a
+    zero-probability cell.
+    """
+    out = np.empty((c1f.shape[0], c2f.shape[0]))
+    for i, x1 in enumerate(c1f):
+        for j, x2 in enumerate(c2f):
+            out[i, j] = math.fsum(log_p[x1, x2, y])
+    return out
