@@ -25,6 +25,12 @@ interferer) index, and a trial's results do not depend on which chunk it is
 scored in.  A chunk holds at most ``_CHUNK_ELEMENTS`` (trial, pair) scores
 plus indicators, one trial at n = 14.
 
+The eavesdropper's pair scores are turned into H(W1 | y2) for the whole
+chunk at once: each trial's scores are shifted by their maximum and
+exponentiated in place, summed per secret bin, and normalized, and the bin
+posteriors go through the library's one entropy helper.  A trial whose y2
+is impossible under every pair keeps the flat posterior, log2(m1s) bits.
+
 Randomness comes from the counter-based Philox 4x64 generator (numpy's
 ``Philox``).  The codebook stream uses key ``(seed, 0)`` and trial ``t`` uses
 key ``(seed, t + 1)``, so serial and parallel trial execution agree
@@ -41,8 +47,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dmc import DmcWthi, ProductInput
+from .dmc import DmcWthi, ProductInput, _entropy_rows
 from .errors import DeskScaleError, DomainError
+from .gaussian import _require_finite_nonneg
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -79,9 +86,7 @@ class CodebookSpec:
         if not (1 <= int(self.n) <= _MAX_BLOCKLENGTH):
             raise DeskScaleError(f"blocklength must be in [1, {_MAX_BLOCKLENGTH}], got {self.n}")
         for name in ("r1s", "r1d_prime", "r1d_dprime", "r2", "r2_prime", "r2_dprime"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+            _require_finite_nonneg(name, getattr(self, name))
         if abs(self.r2 - (self.r2_prime + self.r2_dprime)) > 1e-12:
             raise DomainError("r2 must equal r2_prime + r2_dprime")
         if self.pairs > _MAX_PAIRS:
@@ -203,21 +208,6 @@ def _pair_scores(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray, y: np.ndar
     return score
 
 
-def _posterior_entropy_bits(ll: np.ndarray, m1s: int) -> float:
-    """H(W1 | y2) from one trial's pair log-likelihoods under uniform priors.
-
-    Overwrites ``ll`` with the unnormalized posterior weights.
-    """
-    shift = ll.max()
-    if shift == -np.inf:
-        return math.log2(m1s)  # observation impossible under every pair: flat posterior
-    w = np.exp(np.subtract(ll, shift, out=ll), out=ll)
-    per_bin = w.reshape(m1s, -1).sum(axis=1)
-    total = per_bin.sum()
-    q = per_bin[per_bin > 0.0] / total
-    return float(-np.sum(q * np.log2(q)))
-
-
 def _score_chunk(log_y1: np.ndarray, log_y2: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
                  m1s: int, y1: np.ndarray, y2: np.ndarray,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -225,17 +215,23 @@ def _score_chunk(log_y1: np.ndarray, log_y2: np.ndarray, c1f: np.ndarray, c2f: n
 
     The receiver decodes by ML over all codeword pairs, ties to the lowest
     flat (transmitter, interferer) index; ``c1f`` rows are ordered bin by bin.
+    The eavesdropper's pair scores overwrite the receiver's in ``out`` and
+    become posterior weights in place.  A trial whose y2 is impossible under
+    every pair gets the flat posterior, log2(m1s) bits.
     """
     trials = y1.shape[0]
     m1, m2 = c1f.shape[0], c2f.shape[0]
     ll = _pair_scores(log_y1, c1f, c2f, y1, out)
     w1_hat = ll.reshape(trials, -1).argmax(axis=1) // m2 // (m1 // m1s)
-    h_bits = np.zeros(trials)
-    if m1s > 1:
-        ll = _pair_scores(log_y2, c1f, c2f, y2, ll)
-        for k in range(trials):
-            h_bits[k] = _posterior_entropy_bits(ll[k], m1s)
-    return w1_hat, h_bits
+    if m1s == 1:
+        return w1_hat, np.zeros(trials)
+    w = _pair_scores(log_y2, c1f, c2f, y2, ll).reshape(trials, -1)
+    shift = w.max(axis=1)
+    seen = shift > -np.inf  # False where every pair makes y2 impossible
+    np.exp(np.subtract(w, np.where(seen, shift, 0.0)[:, None], out=w), out=w)
+    per_bin = w.reshape(trials, m1s, -1).sum(axis=2)
+    total = np.where(seen, per_bin.sum(axis=1), 1.0)
+    return w1_hat, np.where(seen, _entropy_rows(per_bin / total[:, None]), math.log2(m1s))
 
 
 def simulate(

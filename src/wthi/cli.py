@@ -123,10 +123,8 @@ class SweepConfig:
         return np.linspace(self.start, self.stop, self.points)
 
 
-_DEFAULTS_BY_MODE = {
-    "sweep-symmetric": {"start": 0.1, "stop": 14.0, "p1_max": 10.0, "p2_max": 10.0},
-    "sweep-interferer": {"start": 0.1, "stop": 50.0, "a": 0.5, "b": 10.0, "p1_max": 10.0},
-}
+# Defaults that differ from the ``SweepConfig`` ones
+_DEFAULTS_BY_MODE = {"sweep-symmetric": {"stop": 14.0}}
 
 
 def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepConfig:
@@ -348,11 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("mode", "config") and v is not None
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
     try:
         cfg = load_config(args.mode, args.config, overrides)
         _RUNNERS[cfg.mode](cfg)

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DeskScaleError, DomainError, RegimeMismatchError
-from .gaussian import RateSplit, Regime
+from .gaussian import RateSplit, Regime, _require_finite_nonneg
 
 _SIMPLEX_TOL = 1e-12
 
@@ -213,10 +213,22 @@ def mi_profile(ch: DmcWthi, inp: ProductInput) -> MutualInfoProfile:
 # ---------------------------------------------------------------------------
 
 
-def _require_rates(*vals: float) -> None:
-    for v in vals:
-        if not math.isfinite(v) or v < 0.0:
-            raise DomainError(f"rates must be finite and >= 0, got {v!r}")
+def _decodable(table: np.ndarray, r2) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver cap on r1 and eavesdropper redundancy requirement at dummy rate r2.
+
+    ``table`` holds ``MutualInfoProfile`` rows; ``r2`` is a scalar or has one
+    row of rates per table row.  The receiver decodes r1 exactly when
+    r1 <= cap(r2): min(I(X1;Y1|X2), I(X1,X2;Y1) - r2) on the closed
+    joint-decoding branch r2 <= I(X2;Y1|X1), and I(X1;Y1) on the separate
+    branch, which starts strictly above I(X2;Y1|X1).  The eavesdropper
+    decodes r1d exactly when r1d <= required(r2): min(I(X1;Y2|X2),
+    I(X1,X2;Y2) - r2) while r2 < I(X2;Y2|X1), and I(X1;Y2) from
+    I(X2;Y2|X1) on, so both of its regions are closed.
+    """
+    a1, a2, a12, a1m, b1, b2, b12, b1m = table.T[..., None]  # (n, 1) columns
+    cap = np.where(r2 <= a2, np.minimum(a1, a12 - r2), a1m)
+    required = np.where(r2 < b2, np.minimum(b1, b12 - r2), b1m)
+    return cap, required
 
 
 def in_region_receiver(prof: MutualInfoProfile, r1: float, r2: float) -> bool:
@@ -227,14 +239,9 @@ def in_region_receiver(prof: MutualInfoProfile, r1: float, r2: float) -> bool:
     r2 > I(X2;Y1|X1) strictly (the interference is too fast to decode and is
     treated as noise).
     """
-    _require_rates(r1, r2)
-    mac = (
-        r1 <= prof.i_x1_y1_given_x2
-        and r2 <= prof.i_x2_y1_given_x1
-        and r1 + r2 <= prof.i_x1x2_y1
-    )
-    separate = r1 <= prof.i_x1_y1 and r2 > prof.i_x2_y1_given_x1
-    return mac or separate
+    r1 = _require_finite_nonneg("r1", r1)
+    cap, _ = _decodable(np.asarray([astuple(prof)]), _require_finite_nonneg("r2", r2))
+    return bool(r1 <= cap.item())
 
 
 def in_region_eavesdropper(prof: MutualInfoProfile, r1d: float, r2: float) -> bool:
@@ -243,14 +250,9 @@ def in_region_eavesdropper(prof: MutualInfoProfile, r1d: float, r2: float) -> bo
     Both branches are taken closed (boundary pairs count as decodable), the
     conservative reading for the secrecy analysis.
     """
-    _require_rates(r1d, r2)
-    mac = (
-        r1d <= prof.i_x1_y2_given_x2
-        and r2 <= prof.i_x2_y2_given_x1
-        and r1d + r2 <= prof.i_x1x2_y2
-    )
-    separate = r1d <= prof.i_x1_y2 and r2 >= prof.i_x2_y2_given_x1
-    return mac or separate
+    r1d = _require_finite_nonneg("r1d", r1d)
+    _, required = _decodable(np.asarray([astuple(prof)]), _require_finite_nonneg("r2", r2))
+    return bool(r1d <= required.item())
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +264,9 @@ def _breakpoint_search(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """Best secrecy rate of each profile-table row, with its dummy and redundancy rates.
 
     At dummy rate r2 the receiver supports r1 up to cap(r2) and a redundancy
-    rate of required(r2) saturates the eavesdropper.  The candidate r2 are
-    scanned in ascending order and a later one wins only by more than 1e-15,
-    so ties break to the smallest r2.  Secrecy and redundancy rates are clamped at 0.
+    rate of required(r2) saturates the eavesdropper, both from ``_decodable``.
+    The candidate r2 are scanned in ascending order and a later one wins only
+    by more than 1e-15, so ties break to the smallest r2.  Secrecy and redundancy rates are clamped at 0.
     """
     a1, a2, a12, a1m, b1, b2, b12, b1m = table.T[..., None]  # (n, 1) columns
     # 0, the breakpoints of both forms, and the four crossings of a constant
@@ -272,8 +274,7 @@ def _breakpoint_search(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     r2 = np.concatenate([np.zeros_like(a1), a2, b2, a12 - a1, b12 - b1,
                          b12 - a1, b12 - a1m, a12 - b1, a12 - b1m], axis=1)
     r2 = np.sort(np.where(r2 >= 0.0, r2, np.inf), axis=1)  # negatives dropped last
-    cap = np.where(r2 <= a2, np.minimum(a1, a12 - r2), a1m)
-    required = np.where(r2 < b2, np.minimum(b1, b12 - r2), b1m)
+    cap, required = _decodable(table, r2)
     r1s = np.where(np.isinf(r2), -np.inf, cap - required)
     best, pick = np.full(len(table), -np.inf), np.zeros(len(table), dtype=int)
     for k in range(r2.shape[1]):
@@ -313,25 +314,20 @@ def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSpl
     return rate, RateSplit(r2=r2, r1s=rate, r1d=r1d, regime=regime)
 
 
-def simplex_grid(dim: int, points_per_coord: int) -> list[np.ndarray]:
+def simplex_grid(dim: int, points_per_coord: int) -> np.ndarray:
     """Lattice discretization of the probability simplex on ``dim`` outcomes.
 
     ``points_per_coord`` lattice points per coordinate axis (so step
-    1/(points_per_coord-1)); enumeration order is deterministic.
+    1/(points_per_coord-1)), one point per row of the returned (count, dim)
+    array; enumeration order is deterministic.
     """
     if points_per_coord < 2:
         raise DomainError("points_per_coord must be >= 2")
     m = points_per_coord - 1
-    out = []
-    for cuts in itertools.combinations(range(m + dim - 1), dim - 1):
-        prev = -1
-        counts = []
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(m + dim - 2 - prev)
-        out.append(np.asarray(counts, dtype=float) / m)
-    return out
+    # stars and bars: the counts are the gaps between the bars at -1, cuts, m + dim - 1
+    bars = [(-1, *cuts, m + dim - 1)
+            for cuts in itertools.combinations(range(m + dim - 1), dim - 1)]
+    return (np.diff(bars, axis=1) - 1) / m
 
 
 _DESK_ALPHABET = 4
@@ -370,7 +366,7 @@ def _law_rows(ch: DmcWthi, grid_per_dim: int):
     n1, n2 = (math.comb(grid_per_dim + n - 2, n - 1) for n in (ch.nx1, ch.nx2))
     _check_budget(n1 * n2, "input laws")
     w = _output_laws(ch)
-    px2s = np.asarray(simplex_grid(ch.nx2, grid_per_dim))
+    px2s = simplex_grid(ch.nx2, grid_per_dim)
     for px1 in simplex_grid(ch.nx1, grid_per_dim):
         yield px1, px2s, _profile_table(w, np.broadcast_to(px1, (n2, ch.nx1)), px2s)
 

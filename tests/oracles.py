@@ -7,12 +7,17 @@ inequalities, and the closed-form Sato minimizer is checked against a plain
 grid argmin.  Mutual informations are recomputed from joint entropies of the
 full joint pmf, where the library takes differences of conditional entropies.
 Simulator pair scores are summed symbol by symbol with ``math.fsum``, where
-the library contracts joint-type counts.
+the library contracts joint-type counts, and the eavesdropper's posterior
+entropy is summed per trial with ``math.fsum``, where the library batches a
+chunk of trials.  The decodable-rate regions are the docstring inequalities
+evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
@@ -136,3 +141,40 @@ def pair_loglik_reference(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
         for j, x2 in enumerate(c2f):
             out[i, j] = math.fsum(log_p[x1, x2, y])
     return out
+
+
+def posterior_entropy_reference(ll: np.ndarray, m1s: int) -> float:
+    """H(W1 | y2) in bits from one trial's pair log-likelihoods, uniform priors.
+
+    ``ll`` is (m1, m2) with the transmitter rows ordered bin by bin.  Per-bin
+    weights and the entropy are summed with ``math.fsum``; an observation
+    that every pair makes impossible leaves the flat posterior, log2(m1s).
+    """
+    flat = ll.ravel().tolist()
+    shift = max(flat)
+    if shift == -math.inf:
+        return math.log2(m1s)
+    weights = [math.exp(v - shift) for v in flat]
+    per_bin = len(weights) // m1s
+    bins = [math.fsum(weights[b * per_bin:(b + 1) * per_bin]) for b in range(m1s)]
+    total = math.fsum(bins)
+    return -math.fsum(q * math.log2(q) for q in (b / total for b in bins) if q > 0.0)
+
+
+def region_reference(prof: MutualInfoProfile, r1, r2, receiver: bool) -> bool:
+    """Decodability of (r1, r2) by the receiver or the eavesdropper, in exact arithmetic.
+
+    Written out from the module docstring of ``wthi.dmc``: the closed
+    joint-decoding region r1 <= I(X1;Y|X2), r2 <= I(X2;Y|X1),
+    r1 + r2 <= I(X1,X2;Y), united with the separate-decoding branch
+    r1 <= I(X1;Y), which needs r2 > I(X2;Y|X1) strictly at the receiver and
+    r2 >= I(X2;Y|X1) at the eavesdropper.  Every comparison is made on the
+    exact rational values of its arguments (``Fraction``), so no rounding
+    decides a pair.
+    """
+    fields = [Fraction(v) for v in astuple(prof)]
+    c1, c2, c12, c1m = fields[:4] if receiver else fields[4:]
+    r1, r2 = Fraction(r1), Fraction(r2)
+    mac = r1 <= c1 and r2 <= c2 and r1 + r2 <= c12
+    separate = r1 <= c1m and (r2 > c2 if receiver else r2 >= c2)
+    return mac or separate

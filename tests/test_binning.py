@@ -25,7 +25,7 @@ from channels import (
     perfect_eavesdropper_channel,
     trend_channel,
 )
-from oracles import pair_loglik_reference
+from oracles import pair_loglik_reference, posterior_entropy_reference
 
 UNIFORM = ProductInput.uniform(2, 2)
 
@@ -290,6 +290,33 @@ class TestPairScores:
             log_y1, log_y2, c1f[:, perm], c2f[:, perm], m1s, y1[:, perm], y2[:, perm])
         assert np.array_equal(w1_hat, w1_perm)
         assert np.array_equal(h_bits, h_perm)
+
+
+class TestEquivocation:
+    def test_matches_fsum_oracle(self):
+        rng = np.random.default_rng(31)
+        log_y1 = random_table((2, 3, 3), rng, sparse=False)
+        p = rng.random((2, 3, 4))
+        p[p < 0.35] = 0.0
+        p[..., 3] = 0.0  # no input pair emits y2 = 3
+        p[..., 0] += p.sum(axis=2) == 0.0
+        log_y2 = binning._log_table(p / p.sum(axis=2, keepdims=True))
+        # the entropy of a computed uniform pmf on 11 points is not log2(11) exactly
+        n, m1s, per_bin, m2, trials = 5, 11, 2, 5, 120
+        c1f = rng.integers(2, size=(m1s * per_bin, n))
+        c2f = rng.integers(3, size=(m2, n))
+        y1 = rng.integers(3, size=(trials, n))
+        y2 = rng.integers(3, size=(trials, n))
+        y2[:3, 0] = 3  # impossible under every pair: the flat posterior
+        _, h_bits = binning._score_chunk(log_y1, log_y2, c1f, c2f, m1s, y1, y2)
+        assert np.all(h_bits[:3] == math.log2(m1s))
+        lls = [pair_loglik_reference(log_y2, c1f, c2f, y) for y in y2]
+        for h, ll in zip(h_bits, lls):
+            assert abs(h - posterior_entropy_reference(ll, m1s)) <= 1e-12
+        # some possible observations rule out a whole bin, some only some pairs
+        bins_dead = [np.isneginf(ll.reshape(m1s, -1)).all(axis=1) for ll in lls[3:]]
+        assert any(dead.any() and not dead.all() for dead in bins_dead)
+        assert any(np.isneginf(ll).any() and not dead.any() for ll, dead in zip(lls[3:], bins_dead))
 
 
 class TestResultRecord:

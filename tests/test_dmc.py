@@ -1,6 +1,8 @@
 import json
 import math
 import time
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     entropy_bits,
     joint_entropy_profile,
     mutual_information_bits,
+    region_reference,
     scan_secrecy_rate,
 )
 
@@ -168,6 +171,38 @@ class TestRegions:
     def test_rejects_negative_rates(self, prof):
         with pytest.raises(DomainError):
             in_region_receiver(prof, -0.1, 0.0)
+
+    # a rate drawn uniformly or snapped onto a profile field (index 0-7); r1
+    # may also sit on the sum-rate boundary I(X1,X2;Y) - r2 of the receiver
+    # (index 8) or the eavesdropper (index 9)
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.floats(min_value=0.0, max_value=2.5), st.integers(0, 9)),
+        st.one_of(st.floats(min_value=0.0, max_value=2.5), st.integers(0, 7)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_docstring_inequalities(self, sizes, seed, sparse, point_mass, r1, r2):
+        # The predicates compare in floating point, so they may differ from the
+        # exact inequalities only where rounding decides: within 2^-50 of the
+        # boundary, where the exact answer itself flips.
+        inp = ProductInput.uniform(sizes[0], sizes[1])
+        if point_mass:
+            inp = ProductInput(inp.px1, np.eye(sizes[1])[0])
+        prof = mi_profile(random_channel(sizes, seed, sparse), inp)
+        fields = astuple(prof)
+        r2 = fields[r2] if isinstance(r2, int) else r2
+        if isinstance(r1, int):
+            r1 = fields[r1] if r1 < 8 else max(0.0, fields[2 if r1 == 8 else 6] - r2)
+        tol = Fraction(1, 2**50)
+        for predicate, receiver in ((in_region_receiver, True), (in_region_eavesdropper, False)):
+            if predicate(prof, r1, r2) != region_reference(prof, r1, r2, receiver):
+                box = {region_reference(prof, Fraction(r1) + i * tol, Fraction(r2) + j * tol,
+                                        receiver)
+                       for i in (-1, 0, 1) for j in (-1, 0, 1)}
+                assert len(box) == 2, (predicate.__name__, r1, r2, fields)
 
     @given(
         st.floats(min_value=0.0, max_value=2.0),
