@@ -28,14 +28,16 @@ is a difference of four conditional entropies:
     I(X1,X2;Y)  = H(Y)    - H(Y|X1,X2)
     I(X1;Y)     = H(Y)    - H(Y|X1)
 
-H(Y|x1,x2) is a constant of the channel.  Every grid search reads these
-profiles from one table, a row of the input-law grid at a time.
+H(Y|x1,x2) is a constant of the channel and H(Y|x2) one of p(x1).  Every
+grid search reads these profiles from one table, a row of the input-law grid
+(one p(x1)) at a time.
 
 All information quantities are in bits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -167,30 +169,34 @@ class MutualInfoProfile:
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     """Entropy in bits along the last axis, vectorized (0*log 0 = 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+        terms = p * np.log2(p)
+    terms[~(p > 0.0)] = 0.0
     return -terms.sum(axis=-1)
 
 
-def _output_laws(ch: DmcWthi) -> np.ndarray:
-    """p(y1|x1,x2) and p(y2|x1,x2) zero-padded to one alphabet: (2, nx1, nx2, ny)."""
+def _output_laws(ch: DmcWthi) -> tuple[np.ndarray, np.ndarray]:
+    """p(y1|x1,x2) and p(y2|x1,x2) padded to one alphabet (2, nx1, nx2, ny), and H(Y|x1,x2)."""
     w = np.zeros((2, ch.nx1, ch.nx2, max(ch.ny1, ch.ny2)))
     w[0, ..., : ch.ny1] = ch.receiver_marginal()
     w[1, ..., : ch.ny2] = ch.eavesdropper_marginal()
-    return w
+    return w, _entropy_rows(w)
 
 
-def _profile_table(w: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> np.ndarray:
-    """Profiles of the laws px1[k] x px2[k] as rows of ``MutualInfoProfile`` fields.
+def _profile_table(w: np.ndarray, h_w: np.ndarray, px1: np.ndarray, px2s: np.ndarray
+                   ) -> np.ndarray:
+    """Profiles of the laws px1 x px2s[k] as rows of ``MutualInfoProfile`` fields.
 
-    ``w`` comes from ``_output_laws``, ``px1`` is (n, nx1) and ``px2`` (n, nx2);
-    each field is a difference of conditional entropies, clamped at 0.
+    ``w`` and ``h_w`` come from ``_output_laws``, ``px1`` is one law (nx1,)
+    and ``px2s`` is (n, nx2).  p(y|x2) and its entropies are constants of
+    ``px1``, so only p(y|x1) and p(y) are formed per law.  Each field is a
+    difference of conditional entropies, clamped at 0.
     """
-    y_x1 = np.einsum("nj,oijy->noiy", px2, w)           # p(y|x1)
-    y_x2 = np.einsum("ni,oijy->nojy", px1, w)           # p(y|x2)
-    h_y = _entropy_rows(np.einsum("ni,noiy->noy", px1, y_x1))
-    h_y_x1 = np.einsum("ni,noi->no", px1, _entropy_rows(y_x1))
-    h_y_x2 = np.einsum("nj,noj->no", px2, _entropy_rows(y_x2))
-    h_y_x1x2 = np.einsum("ni,nj,oij->no", px1, px2, _entropy_rows(w))
+    h_x2 = _entropy_rows(np.einsum("i,oijy->ojy", px1, w))  # H(Y|x2), (output, nx2)
+    y_x1 = np.einsum("nj,oijy->noiy", px2s, w)              # p(y|x1)
+    h_y = _entropy_rows(np.einsum("i,noiy->noy", px1, y_x1))
+    h_y_x1 = np.einsum("i,noi->no", px1, _entropy_rows(y_x1))
+    h_y_x2 = np.einsum("nj,oj->no", px2s, h_x2)
+    h_y_x1x2 = np.einsum("i,nj,oij->no", px1, px2s, h_w)
     fields = np.stack(
         [h_y_x2 - h_y_x1x2, h_y_x1 - h_y_x1x2, h_y - h_y_x1x2, h_y - h_y_x1], axis=-1
     )  # (n, output, 4)
@@ -204,7 +210,7 @@ def mi_profile(ch: DmcWthi, inp: ProductInput) -> MutualInfoProfile:
             f"input sizes ({inp.px1.size}, {inp.px2.size}) do not match channel "
             f"alphabets ({ch.nx1}, {ch.nx2})"
         )
-    row = _profile_table(_output_laws(ch), inp.px1[None, :], inp.px2[None, :])[0]
+    row = _profile_table(*_output_laws(ch), inp.px1, inp.px2[None, :])[0]
     return MutualInfoProfile(*row.tolist())
 
 
@@ -365,10 +371,10 @@ def _law_rows(ch: DmcWthi, grid_per_dim: int):
         raise DomainError("grid_per_dim must be >= 2")
     n1, n2 = (math.comb(grid_per_dim + n - 2, n - 1) for n in (ch.nx1, ch.nx2))
     _check_budget(n1 * n2, "input laws")
-    w = _output_laws(ch)
+    laws = _output_laws(ch)
     px2s = simplex_grid(ch.nx2, grid_per_dim)
     for px1 in simplex_grid(ch.nx1, grid_per_dim):
-        yield px1, px2s, _profile_table(w, np.broadcast_to(px1, (n2, ch.nx1)), px2s)
+        yield px1, px2s, _profile_table(*laws, px1, px2s)
 
 
 def achievable_rate(
@@ -488,50 +494,53 @@ def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
     """Couplings q(y1, y2 | x1, x2) with the channel's marginals, binary outputs.
 
     ``params`` holds, per (x1, x2) pair, the position t in [0, 1] of
-    q(0,0|x1,x2) inside its Frechet interval.  Shape (n, 4) -> (n, 2, 2, 2, 2).
+    q(0,0|x1,x2) inside its Frechet interval.  Shape (n, 4) -> (n, 4, 2, 2),
+    the input cells in (x1, x2) order.
     """
-    m1 = ch.receiver_marginal()[..., 0]  # p(y1=0 | x1, x2), shape (2, 2)
-    m2 = ch.eavesdropper_marginal()[..., 0]
-    lo = np.maximum(0.0, m1 + m2 - 1.0).ravel()
-    hi = np.minimum(m1, m2).ravel()
-    q00 = lo[None, :] + params * (hi - lo)[None, :]  # (n, 4)
-    m1f = m1.ravel()[None, :]
-    m2f = m2.ravel()[None, :]
-    q = np.empty((params.shape[0], 4, 2, 2))
-    q[:, :, 0, 0] = q00
-    q[:, :, 0, 1] = m1f - q00
-    q[:, :, 1, 0] = m2f - q00
-    q[:, :, 1, 1] = 1.0 - m1f - m2f + q00
-    q = np.clip(q, 0.0, 1.0)
-    return q.reshape(params.shape[0], 2, 2, 2, 2)
+    m1 = ch.receiver_marginal()[..., 0].ravel()  # p(y1=0 | x1, x2)
+    m2 = ch.eavesdropper_marginal()[..., 0].ravel()
+    lo = np.maximum(0.0, m1 + m2 - 1.0)
+    q00 = lo + params * (np.minimum(m1, m2) - lo)  # (n, 4)
+    q = np.stack([q00, m1 - q00, m2 - q00, 1.0 - m1 - m2 + q00], axis=-1)
+    return np.clip(q, 0.0, 1.0).reshape(-1, 4, 2, 2)
 
 
-def _inner_objective(couplings: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> np.ndarray:
-    """I(X1,X2; Y1~ | Y2~) for every input law and every coupling.
+# Most (input law, coupling, cell) entries in one chunk of the Sato table; a
+# chunk holds at least one input law.
+_SATO_CHUNK = 2**16
 
-    ``px1`` and ``px2`` are laws of shape (..., 2) with broadcastable leading
-    axes and ``couplings`` has shape (n, 2, 2, 2, 2); the result is (..., n).
+
+def _sato_blocks(q: np.ndarray, px1: np.ndarray, px2: np.ndarray):
+    """I(X1,X2; Y1~ | Y2~) of the laws px1[k] x px2[k] under every coupling of ``q``.
+
+    With w(x) = p(x1)p(x2) on the input cells x = (x1, x2), the objective is
+    H(Y1~,Y2~) - H(Y2~) - sum_x w(x) c_q(x), and c_q(x) = H(Y1~,Y2~|x) - H(Y2~|x)
+    is a constant of the coupling: only the mixture p(y1, y2) needs entropies
+    per (law, coupling).  ``q`` is from ``_coupling_tensors``, ``px1`` and ``px2``
+    are (k, 2).  Yields (chunk, n) blocks in law order; the sums over x run in
+    cell order, so a law's values do not depend on its chunk.
     """
-    joint = (
-        px1[..., None, :, None, None, None]
-        * px2[..., None, None, :, None, None]
-        * couplings
-    )  # (..., n, x1, x2, y1, y2)
-    lead = joint.shape[:-4]
-    h_all = _entropy_rows(joint.reshape(*lead, -1))
-    h_y1y2 = _entropy_rows(joint.sum(axis=(-4, -3)).reshape(*lead, -1))
-    h_y2 = _entropy_rows(joint.sum(axis=(-4, -3, -2)))
-    h_x_y2 = _entropy_rows(joint.sum(axis=-2).reshape(*lead, -1))
-    # I = H(Y1|Y2) - H(Y1 | X1, X2, Y2)
-    return (h_y1y2 - h_y2) - (h_all - h_x_y2)
+    c = _entropy_rows(q.reshape(-1, 4, 4)) - _entropy_rows(q.sum(axis=-2))  # c_q(x), (n, 4)
+    qt = np.ascontiguousarray(np.moveaxis(q, 0, -1))[:, :, :, None, :]  # (x, y1, y2, 1, n)
+    w = (px1[:, :, None] * px2[:, None, :]).reshape(-1, 4)
+    step = max(1, _SATO_CHUNK // (4 * len(q)))
+    for s in range(0, len(w), step):
+        wk = w[s : s + step, :, None]
+        mix = sum(wk[:, x] * qt[x] for x in range(4))  # (y1, y2, chunk, n)
+        yield (_entropy_rows(np.moveaxis(mix.reshape(4, *mix.shape[2:]), 0, -1))
+               - _entropy_rows(np.moveaxis(mix[0] + mix[1], 0, -1))
+               - sum(wk[:, x] * c[:, x] for x in range(4)))
 
 
-def _grid_max(couplings: np.ndarray, inputs: list) -> np.ndarray:
-    """Max of the inner objective over the input grid, for every coupling."""
-    best = np.full(couplings.shape[0], -np.inf)
-    for px1, px2 in inputs:
-        best = np.maximum(best, _inner_objective(couplings, px1, px2))
-    return best
+def _binary_laws(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laws [t1, 1 - t1] and [t2, 1 - t2] of every pair on a ``points``-grid, t1 slower."""
+    t1, t2 = np.meshgrid(*[np.linspace(0.0, 1.0, points)] * 2, indexing="ij")
+    return tuple(np.stack([t.ravel(), 1.0 - t.ravel()], axis=-1) for t in (t1, t2))
+
+
+def _grid_max(q: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> np.ndarray:
+    """Max of the inner objective over the laws px1[k] x px2[k], for every coupling."""
+    return functools.reduce(np.maximum, (b.max(axis=0) for b in _sato_blocks(q, px1, px2)))
 
 
 def dmc_sato_bound(
@@ -545,7 +554,8 @@ def dmc_sato_bound(
     space has one free parameter per input pair, discretized with
     ``coupling_grid`` points, and the inner maximization uses ``input_grid``
     points per input coordinate, at most ``_ENUMERATION_BUDGET`` evaluations
-    in all.  See ``DmcSatoBound`` for what the reported tolerances cover.
+    in all, each read from constants of the coupling in bounded chunks
+    (``_sato_blocks``).  See ``DmcSatoBound`` for what the tolerances cover.
     """
     if (ch.nx1, ch.nx2, ch.ny1, ch.ny2) != (2, 2, 2, 2):
         raise DeskScaleError("the Sato minimax search supports binary alphabets only")
@@ -553,35 +563,25 @@ def dmc_sato_bound(
         raise DomainError("coupling_grid must be >= 2 and input_grid >= 3")
     _check_budget(coupling_grid**4 * input_grid**2, "Sato objective evaluations")
 
-    steps = np.linspace(0.0, 1.0, coupling_grid)
-    params = np.asarray(list(itertools.product(steps, repeat=4)))
+    params = np.asarray(list(itertools.product(np.linspace(0.0, 1.0, coupling_grid), repeat=4)))
     couplings = _coupling_tensors(ch, params)
-
-    t_axis = np.linspace(0.0, 1.0, input_grid)
-    inputs = [(np.asarray([t1, 1 - t1]), np.asarray([t2, 1 - t2]))
-              for t1 in t_axis for t2 in t_axis]
-
-    inner_max = _grid_max(couplings, inputs)
+    laws = _binary_laws(input_grid)
+    inner_max = _grid_max(couplings, *laws)
     best_idx = int(np.argmin(inner_max))
     value = float(inner_max[best_idx])
-    best_coupling = couplings[best_idx : best_idx + 1]
 
     # Inner-max quality at the winning coupling: refine the input grid 4x and
     # add the local variation of the refined surface as a Lipschitz cushion.
-    fine_axis = np.linspace(0.0, 1.0, 4 * (input_grid - 1) + 1)
-    fine = np.stack([fine_axis, 1 - fine_axis], axis=-1)
-    surface = _inner_objective(best_coupling, fine[:, None], fine[None, :])[..., 0]
-    fine_max = float(surface.max())
-    local_var = max(
-        float(np.max(np.abs(np.diff(surface, axis=0)))),
-        float(np.max(np.abs(np.diff(surface, axis=1)))),
-    )
-    inner_tol = max(0.0, fine_max - value) + local_var
+    m = 4 * (input_grid - 1) + 1
+    surface = np.concatenate(list(
+        _sato_blocks(couplings[best_idx : best_idx + 1], *_binary_laws(m)))).reshape(m, m)
+    local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))
+    inner_tol = max(0.0, float(surface.max()) - value) + local_var
 
     # Outer-min sensitivity: half-step perturbations of the winning coupling.
     # Rows: -half, +half on parameter 0, then on 1, 2, 3.
     half_steps = np.kron(np.eye(4), [[-1.0], [1.0]]) * (0.5 / (coupling_grid - 1))
     perturbed = np.clip(params[best_idx] + half_steps, 0.0, 1.0)
-    pert_max = _grid_max(_coupling_tensors(ch, perturbed), inputs)
+    pert_max = _grid_max(_coupling_tensors(ch, perturbed), *laws)
     coupling_tol = max(0.0, value - float(pert_max.min()))
     return DmcSatoBound(value=value, inner_tolerance=inner_tol, coupling_tolerance=coupling_tol)

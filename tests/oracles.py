@@ -5,7 +5,9 @@ arbitrary-precision logarithms, the fixed-input secrecy optimizer is checked
 against a dense two-dimensional scan built directly from the decodable-region
 inequalities, and the closed-form Sato minimizer is checked against a plain
 grid argmin.  Mutual informations are recomputed from joint entropies of the
-full joint pmf, where the library takes differences of conditional entropies.
+full joint pmf, where the library takes differences of conditional entropies
+(for the DMC Sato objective, entropies of p(y1, y2) and constants of the
+coupling).
 Simulator pair scores are summed symbol by symbol with ``math.fsum``, where
 the library contracts joint-type counts, and the eavesdropper's posterior
 entropy is summed per trial with ``math.fsum``, where the library batches a
@@ -89,6 +91,16 @@ def joint_entropy_profile(transition: np.ndarray, px1: np.ndarray, px2: np.ndarr
         h1y, h2y = h(j.sum(axis=1)), h(j.sum(axis=0))
         out += [h12 + h2y - h12y - h2, h12 + h1y - h12y - h1, h12 + hy - h12y, h1 + hy - h1y]
     return out
+
+
+def sato_inner_reference(coupling: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> float:
+    """I(X1,X2; Y1~ | Y2~) of a binary coupling q[x1][x2][y1][y2] under the law px1 x px2.
+
+    Builds the 16-cell joint pmf and takes I(X; Y1~, Y2~) - I(X; Y2~) with
+    X = (X1, X2), each from joint entropies.
+    """
+    joint = (px1[:, None, None, None] * px2[None, :, None, None] * coupling).reshape(4, 2, 2)
+    return mutual_information_bits(joint.reshape(4, 4)) - mutual_information_bits(joint.sum(axis=1))
 
 
 def scan_secrecy_rate(prof: MutualInfoProfile, n1: int = 2000, n2: int = 2000

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wthi import dmc
 from wthi.dmc import (
     DmcWthi,
     MutualInfoProfile,
@@ -42,6 +43,7 @@ from oracles import (
     joint_entropy_profile,
     mutual_information_bits,
     region_reference,
+    sato_inner_reference,
     scan_secrecy_rate,
 )
 
@@ -118,6 +120,19 @@ class TestMiProfile:
         expected = joint_entropy_profile(ch.transition, px1, px2)
         got = [getattr(prof, f) for f in prof.__dataclass_fields__]
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_grid_rows_match_joint_entropy_reference(self, sizes, seed, sparse):
+        ch = random_channel(sizes, seed, sparse)
+        for px1, px2s, table in dmc._law_rows(ch, 4):  # the grid holds the point masses
+            for px2, row in zip(px2s, table):
+                expected = joint_entropy_profile(ch.transition, px1, px2)
+                assert row.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 class TestDmcWthiValidation:
@@ -428,6 +443,44 @@ class TestDmcSatoBound:
                 for px2 in simplex_grid(2, 11)
             )
             assert rate <= cap + 1e-9
+
+
+unit_with_endpoints = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestSatoObjective:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.tuples(*[unit_with_endpoints] * 4), min_size=1, max_size=6),
+        st.lists(st.tuples(unit_with_endpoints, unit_with_endpoints), min_size=1, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_joint_entropy_reference(self, seed, params, ts):
+        # Frechet endpoints 0 and 1 put zero cells into q; t = 0 or 1 is a point mass
+        q = dmc._coupling_tensors(random_binary_channel(np.random.default_rng(seed)),
+                                  np.asarray(params))
+        t1, t2 = np.asarray(ts).T
+        px1, px2 = np.stack([t1, 1 - t1], axis=-1), np.stack([t2, 1 - t2], axis=-1)
+        got = np.concatenate(list(dmc._sato_blocks(q, px1, px2)))
+        expected = [[sato_inner_reference(qn.reshape(2, 2, 2, 2), a, b) for qn in q]
+                    for a, b in zip(px1, px2)]
+        assert got == pytest.approx(np.asarray(expected), abs=1e-12)
+
+    def test_values_do_not_depend_on_the_chunking(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        q = dmc._coupling_tensors(random_binary_channel(rng), rng.random((50, 4)))
+        px1, px2 = dmc._binary_laws(7)
+        blocks = list(dmc._sato_blocks(q, px1, px2))
+        assert len(blocks) == 1
+        whole = blocks[0]
+        for laws_per_chunk in (1, 5, 13):
+            monkeypatch.setattr(dmc, "_SATO_CHUNK", laws_per_chunk * 4 * len(q))
+            split = list(dmc._sato_blocks(q, px1, px2))
+            assert len(split) == math.ceil(len(px1) / laws_per_chunk)
+            assert np.array_equal(np.concatenate(split), whole)
+            # the same laws at other offsets inside their chunks
+            shifted = np.concatenate(list(dmc._sato_blocks(q, px1[3:], px2[3:])))
+            assert np.array_equal(shifted, whole[3:])
 
 
 class TestSimplexGrid:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import wthi
@@ -18,6 +19,22 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert SOURCES and found == []
+
+
+def test_library_imports_only_numpy_and_the_stdlib():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wthi"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports stay inside wthi
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert SOURCES and found == []
 
 
