@@ -31,10 +31,16 @@ exponentiated in place, summed per secret bin, and normalized, and the bin
 posteriors go through the library's one entropy helper.  A trial whose y2
 is impossible under every pair keeps the flat posterior, log2(m1s) bits.
 
-Randomness comes from the counter-based Philox 4x64 generator (numpy's
-``Philox``).  The codebook stream uses key ``(seed, 0)`` and trial ``t`` uses
-key ``(seed, t + 1)``, so serial and parallel trial execution agree
-bit-exactly, and a shorter run is a prefix of a longer one.
+Randomness comes from the counter-based Philox4x64-10 generator.  Seeds
+are taken mod 2^64.  The codebook stream is numpy's
+``Generator(Philox(key=(seed, 0)))``; trial ``t`` draws its five indices
+with ``integers`` and its channel uniforms with ``random`` from the stream of
+key ``(seed, t + 1)``.  The trial streams are evaluated in blocks of trials
+by a small numpy kernel, equal draw for draw to
+``Generator(Philox(key=(seed, t + 1)))`` on the installed numpy (a test
+checks this); the rare trial whose bounded-integer draw would be rejected
+is redrawn from that generator.  So serial and parallel trial execution
+agree bit-exactly, and a shorter run is a prefix of a longer one.
 
 Sizes are the rounded powers ``round(2^(n*rate))``; all entropy
 normalizations use the realized size ``m1s`` rather than the nominal rate.
@@ -57,6 +63,12 @@ _MAX_BLOCKLENGTH = 14
 _MAX_PAIRS = 1 << 20
 _CHUNK_ELEMENTS = 1 << 17  # per chunk: trials x m1 x (m2 + nx2 * n)
 _GEMM_ELEMENTS = 1 << 18   # OpenBLAS runs a product of at most this size on one thread
+_DRAW_WORDS = 1 << 16      # per draw block: trials x Philox words per trial
+
+_MASK32 = 0xFFFFFFFF
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC 2011)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
 
 
 def _size(n: int, rate: float) -> int:
@@ -136,7 +148,61 @@ class SimResult:
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_words(seed: int, start: int, count: int, counters: int) -> np.ndarray:
+    """Philox4x64-10 words of keys (seed mod 2^64, t + 1), t in [start, start + count).
+
+    Row t holds the blocks of counters 1 .. ``counters``, four words each,
+    in the order numpy's ``Philox`` returns them.  The state is kept as the
+    word pairs (v0, v2) and (v1, v3); the 64 x 64 -> 128-bit products are
+    formed from 32-bit halves in wrapping uint64 arithmetic.
+    """
+    key = np.empty((2, count, 1), dtype=np.uint64)
+    key[0] = seed & (2**64 - 1)
+    key[1, :, 0] = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    even = np.zeros((2, count, counters), dtype=np.uint64)
+    even[0] = np.arange(1, counters + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    m_lo, m_hi = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+    with np.errstate(over="ignore"):
+        for _ in range(10):
+            x_lo, x_hi = even & _MASK32, even >> 32
+            mid = x_hi * m_lo + (x_lo * m_lo >> 32)
+            mid_lo = x_lo * m_hi + (mid & _MASK32)
+            hi = x_hi * m_hi + (mid >> 32) + (mid_lo >> 32)
+            even, odd = hi[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+            key = key + _PHILOX_W
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(count, 4 * counters)
+
+
+def _trial_draws(seed: int, start: int, count: int, sizes: tuple[int, ...],
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (count, len(sizes)) and uniforms (count, n) of trials start .. start + count - 1.
+
+    Equal to ``integers(m)`` for each m of ``sizes`` and then ``random(n)``
+    from ``_stream(seed, t + 1)``.  ``integers(1)`` consumes nothing; larger
+    m take Lemire's multiply-shift (Lemire 2019) of one 32-bit draw, the
+    low and then the high half of each word; a uniform is (word >> 11) * 2^-53.
+    A trial whose multiply-shift would be rejected, probability below m / 2^32
+    per draw, is redrawn from its generator.
+    """
+    ms = [m for m in sizes if m > 1]
+    ints = (len(ms) + 1) // 2  # words holding the 32-bit draws
+    words = _philox_words(seed, start, count, -(-(ints + n) // 4))
+    halves = np.stack((words[:, :ints] & _MASK32, words[:, :ints] >> 32), axis=2)
+    scaled = halves.reshape(count, -1)[:, :len(ms)] * np.array(ms, dtype=np.uint64)
+    draws = np.zeros((count, len(sizes)), dtype=np.int64)
+    draws[:, [m > 1 for m in sizes]] = scaled >> 32
+    u = (words[:, ints:ints + n] >> 11) * 2.0**-53
+    thresholds = np.array([(2**32 - m) % m for m in ms], dtype=np.uint64)
+    for k in np.flatnonzero((scaled & _MASK32 < thresholds).any(axis=1)):
+        rng = _stream(seed, start + int(k) + 1)
+        draws[k] = [rng.integers(m) for m in sizes]
+        u[k] = rng.random(n)
+    return draws, u
 
 
 def build_codebooks(
@@ -283,25 +349,23 @@ def simulate_detailed(
     chunk = max(1, _CHUNK_ELEMENTS // (m1 * (m2 + ch.nx2 * spec.n)))
     buf = np.empty(min(chunk, trials) * m1 * m2)
 
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
-        w1 = np.empty(size, dtype=np.int64)
-        idx1 = np.empty(size, dtype=np.int64)
-        idx2 = np.empty(size, dtype=np.int64)
-        u = np.empty((size, spec.n))
-        for k in range(size):
-            rng = _stream(seed, start + k + 1)
-            w1[k] = rng.integers(m1s)
-            idx1[k] = (w1[k] * m1p + rng.integers(m1p)) * m1pp + rng.integers(m1pp)
-            idx2[k] = rng.integers(m2p) * m2pp + rng.integers(m2pp)
-            u[k] = rng.random(spec.n)
-        row_cdf = cdf[c1f[idx1], c2f[idx2]]  # (size, n, ny1*ny2)
-        out = np.minimum((row_cdf <= u[:, :, None]).sum(axis=2), row_cdf.shape[2] - 1)
+    block = max(1, _DRAW_WORDS // (spec.n + 6))  # a trial's draws take at most n + 6 words
+    for first in range(0, trials, block):
+        draws, uniforms = _trial_draws(seed, first, min(block, trials - first), spec.sizes, spec.n)
+        w1 = draws[:, 0]
+        idx1 = (w1 * m1p + draws[:, 1]) * m1pp + draws[:, 2]
+        idx2 = draws[:, 3] * m2pp + draws[:, 4]
+        for lo in range(0, len(draws), chunk):
+            start, size = first + lo, min(chunk, len(draws) - lo)
+            part = slice(lo, lo + size)
+            row_cdf = cdf[c1f[idx1[part]], c2f[idx2[part]]]  # (size, n, ny1*ny2)
+            u = uniforms[part, :, None]
+            out = np.minimum((row_cdf <= u).sum(axis=2), row_cdf.shape[2] - 1)
 
-        w1_hat, h_bits[start:start + size] = _score_chunk(
-            log_y1, log_y2, c1f, c2f, m1s, out // ch.ny2, out % ch.ny2,
-            buf[:size * m1 * m2].reshape(size, m1, m2))
-        errors[start:start + size] = w1_hat != w1
+            w1_hat, h_bits[start:start + size] = _score_chunk(
+                log_y1, log_y2, c1f, c2f, m1s, out // ch.ny2, out % ch.ny2,
+                buf[:size * m1 * m2].reshape(size, m1, m2))
+            errors[start:start + size] = w1_hat != w1[part]
 
     ratio = float(np.mean(h_bits) / h_max) if h_max > 0.0 else 1.0
     result = SimResult(

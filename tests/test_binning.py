@@ -1,6 +1,8 @@
 import itertools
 import math
+import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from channels import (
     perfect_eavesdropper_channel,
     trend_channel,
 )
-from oracles import pair_loglik_reference, posterior_entropy_reference
+from oracles import pair_loglik_reference, posterior_entropy_reference, trial_draws_reference
 
 UNIFORM = ProductInput.uniform(2, 2)
 
@@ -40,6 +42,22 @@ HEAVY_SPEC = CodebookSpec(
     n=14, r1s=0.703, r1d_prime=0.0, r1d_dprime=0.0, r2=0.52, r2_prime=1 / 14,
     r2_dprime=0.52 - 1 / 14,
 )
+# n = 6 at the same rates, sizes (19, 1, 1, 1, 6)
+SHORT_SPEC = replace(HEAVY_SPEC, n=6)
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """Stream keys of the generators ``binning._stream`` builds, in call order."""
+    keys = []
+    stream = binning._stream
+
+    def counting(seed, key):
+        keys.append(key)
+        return stream(seed, key)
+
+    monkeypatch.setattr(binning, "_stream", counting)
+    return keys
 
 
 def random_table(sizes: tuple, rng: np.random.Generator, sparse: bool) -> np.ndarray:
@@ -188,9 +206,88 @@ class TestSimulate:
         assert np.array_equal(h_short, h_long[:short])
         assert np.array_equal(e_short, e_long[:short])
 
+    def test_prefix_is_bit_exact_across_draw_blocks(self, monkeypatch):
+        ch = trend_channel()
+        blocks = []
+        trial_draws = binning._trial_draws
+
+        def recording(seed, start, count, *args):
+            blocks.append((start, count))
+            return trial_draws(seed, start, count, *args)
+
+        monkeypatch.setattr(binning, "_trial_draws", recording)
+        _, h_long, e_long = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 9, 12000)
+        block = blocks[0][1]
+        assert len(blocks) >= 2 and block < 12000 // 2
+        for short in (block - 1, block + block // 3 + 1):
+            _, h_short, e_short = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 9, short)
+            assert np.array_equal(h_short, h_long[:short])
+            assert np.array_equal(e_short, e_long[:short])
+
+    def test_seeds_are_taken_mod_2_64_without_collisions(self):
+        ch = blind_eavesdropper_channel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            minus = [build_codebooks(ch, UNIFORM, BLIND_SPEC, s).c1 for s in (-1, -2)]
+            wrapped = build_codebooks(ch, UNIFORM, BLIND_SPEC, 2**64 - 1).c1
+            high = [simulate_detailed(trend_channel(), UNIFORM, SHORT_SPEC, s, 40)[1]
+                    for s in (2**63 + 1, 2**63 + 2)]
+        assert not np.array_equal(minus[0], minus[1])
+        assert np.array_equal(minus[0], wrapped)
+        assert not np.array_equal(high[0], high[1])
+
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(DomainError):
             simulate(blind_eavesdropper_channel(), UNIFORM, BLIND_SPEC, 0, 0)
+
+
+class TestTrialDraws:
+    @given(
+        st.one_of(st.sampled_from([0, 2**63 - 1, 2**63, 2**64 - 1, -1]),
+                  st.integers(min_value=-2**63, max_value=2**64 - 1)),
+        st.one_of(st.integers(min_value=0, max_value=1 << 18),
+                  st.integers(min_value=2**32 - 64, max_value=2**32 + 64),
+                  st.integers(min_value=0, max_value=2**62)),
+        st.integers(min_value=1, max_value=40),
+        st.lists(st.one_of(st.just(1), st.integers(min_value=2, max_value=300),
+                           st.integers(min_value=990_000, max_value=1_010_000)),
+                 min_size=5, max_size=5).map(tuple),
+        st.integers(min_value=1, max_value=14),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_trial_generators(self, seed, start, count, sizes, n):
+        draws, u = binning._trial_draws(seed, start, count, sizes, n)
+        want_draws, want_u, _ = trial_draws_reference(seed, start, count, sizes, n)
+        assert np.array_equal(draws, want_draws)
+        assert np.array_equal(u, want_u)
+
+    def test_rejected_trials_are_redrawn_from_their_generators(self, stream_keys):
+        # 2^32 mod m is close to m here, so a draw is rejected with probability about 2.3e-4
+        sizes, seed, start = (10**6, 1, 10**6, 999_999, 10**6), 2**63 + 5, 2**16 - 7
+        draws, u = binning._trial_draws(seed, start, 4000, sizes, 3)
+        want_draws, want_u, rejected = trial_draws_reference(seed, start, 4000, sizes, 3)
+        assert rejected.any()
+        assert stream_keys == [start + int(k) + 1 for k in np.flatnonzero(rejected)]
+        assert np.array_equal(draws, want_draws)
+        assert np.array_equal(u, want_u)
+
+    def test_one_generator_for_the_codebook_plus_one_per_rejected_trial(self, stream_keys):
+        simulate_detailed(trend_channel(), UNIFORM, SHORT_SPEC, 3, 400)
+        _, _, rejected = trial_draws_reference(3, 0, 400, SHORT_SPEC.sizes, SHORT_SPEC.n)
+        assert stream_keys == [0] + [int(k) + 1 for k in np.flatnonzero(rejected)]
+
+    def test_simulation_uses_each_trials_own_draws(self, monkeypatch):
+        # draw blocks of a few trials, so scoring chunks end at block boundaries,
+        # against the per-trial generators in one block
+        ch = trend_channel()
+        monkeypatch.setattr(binning, "_DRAW_WORDS", 100)
+        _, h_blocks, e_blocks = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 4, 1000)
+        monkeypatch.setattr(binning, "_DRAW_WORDS", 1 << 30)
+        monkeypatch.setattr(binning, "_trial_draws",
+                            lambda *args: trial_draws_reference(*args)[:2])
+        _, h_ref, e_ref = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 4, 1000)
+        assert np.array_equal(h_blocks, h_ref)
+        assert np.array_equal(e_blocks, e_ref)
 
 
 class TestPairScores:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,23 @@ class TestDmcAndSimulate:
         assert doc["trials"] == 50
         assert "runtime_ms" in doc
         assert doc["spec"]["n"] == 12
+
+    def test_simulate_negative_seed(self, tmp_path, channel_file):
+        # seeds are taken mod 2^64: -1 is 2^64 - 1, and neither is rounded
+        docs = []
+        for seed in ("-1", str(2**64 - 1)):
+            out = tmp_path / f"sim{seed}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli([
+                    "simulate", "--channel", str(channel_file), "--n", "6",
+                    "--r1s", "0.5", "--r2-dprime", "0.5",
+                    "--trials", "20", "--seed", seed, "--out", str(out),
+                ]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0]["seed"] == -1
+        assert docs[0]["p_e"] == docs[1]["p_e"] == 0.0
+        assert docs[0]["equivocation_ratio"] == docs[1]["equivocation_ratio"]
 
     def test_missing_channel_file_is_validation_error(self, tmp_path):
         assert run_cli(["dmc", "--channel", str(tmp_path / "nope.json")]) == 2
