@@ -8,7 +8,8 @@ sweep-interferer  sweep the interferer power cap; columns p2_max, achievable,
                   bound_main, bound_sato, bound_z
 point             achievable rate at an explicit (a, b, p1, p2)
 power-opt         closed-form optimal powers and the rate they achieve
-bounds            the three secrecy-capacity upper bounds and the best of them
+bounds            the three secrecy-capacity upper bounds, the best of them and
+                  the Sato minimizer
 dmc               binning achievable rate of a finite-alphabet channel file
 simulate          Monte Carlo run of the binning code on a channel file
 
@@ -16,9 +17,10 @@ Configuration precedence: built-in defaults, then the ``--config`` JSON file,
 which may set only the fields of its subcommand's flags and ``out``, then
 explicit command-line flags.  Sweep outputs are CSV with ``#`` comment
 lines carrying the tool version, units and the full resolved configuration;
-single-point outputs are JSON that echoes the inputs.  Floats in CSV are
-printed with 12 significant digits, so outputs are byte-reproducible for a
-fixed configuration and version.
+single-point outputs are JSON that echoes it under ``config``.  The writers
+add the configuration and pick the destination, so each runner only
+computes.  Floats in CSV are printed with 12 significant digits, so outputs
+are byte-reproducible for a fixed configuration and version.
 
 Exit codes: 0 success, 2 validation error, 1 runtime error.
 """
@@ -45,19 +47,6 @@ from .power import optimal_power
 
 _GAINS = ("a", "b", "p1_max", "p2_max")
 _RANGE = ("start", "stop", "points", "spacing")
-# The ``SweepConfig`` fields each subcommand reads: its flags, and the keys its
-# config file may set besides ``out``.
-_FIELDS = {
-    "sweep-symmetric": ("p1_max", "p2_max", *_RANGE),
-    "sweep-interferer": ("a", "b", "p1_max", *_RANGE),
-    "point": (*_GAINS, "p1", "p2"),
-    "power-opt": _GAINS,
-    "bounds": _GAINS,
-    "dmc": ("channel", "grid"),
-    "simulate": ("channel", "seed", "trials", "n", "r1s",
-                 "r1d_prime", "r1d_dprime", "r2_prime", "r2_dprime"),
-}
-_MODES = tuple(_FIELDS)
 # argparse options of the flags that do not take a float
 _FLAG_OPTIONS = {
     "points": {"type": int},
@@ -100,9 +89,10 @@ class SweepConfig:
     r2_dprime: float = 0.0
 
     def validate(self) -> None:
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.mode.startswith("sweep"):
+        if self.mode not in _SUBCOMMANDS:
+            raise ConfigError(f"mode must be one of {tuple(_SUBCOMMANDS)}, got {self.mode!r}")
+        fields = _SUBCOMMANDS[self.mode][1]
+        if "start" in fields:
             if not self.start < self.stop:
                 raise ConfigError(f"range start must be < stop, got [{self.start}, {self.stop}]")
             if self.points < 2:
@@ -111,7 +101,7 @@ class SweepConfig:
                 raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
             if self.spacing == "log" and self.start <= 0.0:
                 raise ConfigError("log spacing requires start > 0")
-        if self.mode in ("dmc", "simulate"):
+        if "channel" in fields:
             if not self.channel:
                 raise ConfigError(f"mode {self.mode!r} requires a channel file")
             if not Path(self.channel).exists():
@@ -123,14 +113,10 @@ class SweepConfig:
         return np.linspace(self.start, self.stop, self.points)
 
 
-# Defaults that differ from the ``SweepConfig`` ones
-_DEFAULTS_BY_MODE = {"sweep-symmetric": {"stop": 14.0}}
-
-
 def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepConfig:
     """Defaults, then config file fields, then explicit flags."""
-    values: dict = {"mode": mode}
-    values.update(_DEFAULTS_BY_MODE.get(mode, {}))
+    _, fields, defaults = _SUBCOMMANDS.get(mode, (None, (), {}))
+    values: dict = {"mode": mode, **defaults}
     if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
@@ -141,7 +127,7 @@ def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepCon
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        unknown = set(doc) - {"out", *_FIELDS.get(mode, ())}
+        unknown = set(doc) - {"out", *fields}
         if unknown:
             raise ConfigError(f"config fields that {mode} does not read: {sorted(unknown)}")
         values.update(doc)
@@ -155,8 +141,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_csv(path: str | None, cfg: SweepConfig, header: list[str],
-              rows: list[list[float]]) -> str:
+def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> str:
     lines = [
         f"# wthi {__version__}",
         "# units: bits per channel use",
@@ -164,11 +149,12 @@ def write_csv(path: str | None, cfg: SweepConfig, header: list[str],
         ",".join(header),
     ]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return _write("\n".join(lines) + "\n", path)
+    return _write("\n".join(lines) + "\n", cfg.out)
 
 
-def write_json(path: str | None, payload: dict) -> str:
-    return _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+def write_json(cfg: SweepConfig, payload: dict) -> str:
+    doc = {**payload, "config": _json_config(cfg)}
+    return _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
 
 
 def _write(text: str, path: str | None) -> str:
@@ -188,31 +174,24 @@ def _json_config(cfg: SweepConfig) -> dict:
     return {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out"}
 
 
-def run_sweep_symmetric(cfg: SweepConfig) -> str:
-    rows = []
-    for a in cfg.axis():
-        ch = GaussianWthi(float(a), float(a), cfg.p1_max, cfg.p2_max)
+def _policy_rates(chans):
+    """Each channel with the rate of its closed-form power allocation, one at a time."""
+    for ch in chans:
         alloc, _ = optimal_power(ch)
-        rate, _ = rate_achievable(ch, alloc)
-        rows.append([float(a), rate, rate_wiretap(float(a), cfg.p1_max)])
-    return write_csv(cfg.out, cfg, ["a", "rate_with_interferer", "rate_wiretap"], rows)
+        yield ch, rate_achievable(ch, alloc)[0]
+
+
+def run_sweep_symmetric(cfg: SweepConfig) -> str:
+    chans = (GaussianWthi(a, a, cfg.p1_max, cfg.p2_max) for a in cfg.axis().tolist())
+    rows = [[ch.a, rate, rate_wiretap(ch.a, cfg.p1_max)] for ch, rate in _policy_rates(chans)]
+    return write_csv(cfg, ["a", "rate_with_interferer", "rate_wiretap"], rows)
 
 
 def run_sweep_interferer(cfg: SweepConfig) -> str:
-    rows = []
-    for p2m in cfg.axis():
-        ch = GaussianWthi(cfg.a, cfg.b, cfg.p1_max, float(p2m))
-        alloc, _ = optimal_power(ch)
-        rate, _ = rate_achievable(ch, alloc)
-        rows.append([
-            float(p2m),
-            rate,
-            bound_main_channel(ch),
-            bound_sato(ch),
-            bound_z_channel(ch),
-        ])
-    header = ["p2_max", "achievable", "bound_main", "bound_sato", "bound_z"]
-    return write_csv(cfg.out, cfg, header, rows)
+    chans = (GaussianWthi(cfg.a, cfg.b, cfg.p1_max, p2m) for p2m in cfg.axis().tolist())
+    rows = [[ch.p2_max, rate, bound_main_channel(ch), bound_sato(ch), bound_z_channel(ch)]
+            for ch, rate in _policy_rates(chans)]
+    return write_csv(cfg, ["p2_max", "achievable", "bound_main", "bound_sato", "bound_z"], rows)
 
 
 def _split_dict(split) -> dict:
@@ -224,8 +203,7 @@ def run_point(cfg: SweepConfig) -> str:
     p2 = cfg.p2 if cfg.p2 is not None else cfg.p2_max
     ch = GaussianWthi(cfg.a, cfg.b, cfg.p1_max, cfg.p2_max)
     rate, split = rate_achievable(ch, PowerAllocation(p1, p2))
-    return write_json(cfg.out, {
-        "config": _json_config(cfg),
+    return write_json(cfg, {
         "p1": p1,
         "p2": p2,
         "rate": rate,
@@ -238,15 +216,12 @@ def run_power_opt(cfg: SweepConfig) -> str:
     ch = GaussianWthi(cfg.a, cfg.b, cfg.p1_max, cfg.p2_max)
     alloc, inter = optimal_power(ch)
     rate, split = rate_achievable(ch, alloc)
-    return write_json(cfg.out, {
-        "config": _json_config(cfg),
+    return write_json(cfg, {
         "p1": alloc.p1,
         "p2": alloc.p2,
         "rate": rate,
         "split": _split_dict(split),
-        "p1_star": inter.p1_star,
-        "p2_star": inter.p2_star,
-        "delta": inter.delta,
+        **dataclasses.asdict(inter),
     })
 
 
@@ -254,19 +229,13 @@ def run_bounds(cfg: SweepConfig) -> str:
     ch = GaussianWthi(cfg.a, cfg.b, cfg.p1_max, cfg.p2_max)
     best, kind = bound_best(ch)
     ev = sato_minimize(ch, ch.full_power())
-    return write_json(cfg.out, {
-        "config": _json_config(cfg),
+    return write_json(cfg, {
         "bound_main": bound_main_channel(ch),
-        "bound_sato": bound_sato(ch),
+        "bound_sato": ev.value,
         "bound_z": bound_z_channel(ch),
         "best": best,
         "best_kind": kind.value,
-        "sato": {
-            "rho_star": ev.rho_star,
-            "discriminant": ev.discriminant,
-            "value": ev.value,
-            "degenerate": ev.degenerate,
-        },
+        "sato": dataclasses.asdict(ev),
     })
 
 
@@ -282,8 +251,7 @@ def _load_channel(cfg: SweepConfig) -> DmcWthi:
 def run_dmc(cfg: SweepConfig) -> str:
     ch = _load_channel(cfg)
     rate, inp, split = achievable_rate(ch, cfg.grid)
-    return write_json(cfg.out, {
-        "config": _json_config(cfg),
+    return write_json(cfg, {
         "rate": rate,
         "px1": inp.px1.tolist(),
         "px2": inp.px2.tolist(),
@@ -310,19 +278,21 @@ def run_simulate(cfg: SweepConfig) -> str:
     t0 = time.perf_counter()
     result = simulate(ch, inp, spec, cfg.seed, cfg.trials)
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    record = result_record(spec, cfg.seed, cfg.trials, result, runtime_ms)
-    record["config"] = _json_config(cfg)
-    return write_json(cfg.out, record)
+    return write_json(cfg, result_record(spec, cfg.seed, cfg.trials, result, runtime_ms))
 
 
-_RUNNERS = {
-    "sweep-symmetric": run_sweep_symmetric,
-    "sweep-interferer": run_sweep_interferer,
-    "point": run_point,
-    "power-opt": run_power_opt,
-    "bounds": run_bounds,
-    "dmc": run_dmc,
-    "simulate": run_simulate,
+# Per subcommand: its runner, the ``SweepConfig`` fields it reads (its flags,
+# and the keys its config file may set besides ``out``), and its defaults that
+# differ from the ``SweepConfig`` ones.
+_SUBCOMMANDS = {
+    "sweep-symmetric": (run_sweep_symmetric, ("p1_max", "p2_max", *_RANGE), {"stop": 14.0}),
+    "sweep-interferer": (run_sweep_interferer, ("a", "b", "p1_max", *_RANGE), {}),
+    "point": (run_point, (*_GAINS, "p1", "p2"), {}),
+    "power-opt": (run_power_opt, _GAINS, {}),
+    "bounds": (run_bounds, _GAINS, {}),
+    "dmc": (run_dmc, ("channel", "grid"), {}),
+    "simulate": (run_simulate, ("channel", "seed", "trials", "n", "r1s",
+                                "r1d_prime", "r1d_dprime", "r2_prime", "r2_dprime"), {}),
 }
 
 
@@ -334,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wthi {__version__}")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
+    for mode, (_, fields, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out", help="output path (stdout when omitted)")
-        for name in _FIELDS[mode]:
+        for name in fields:
             p.add_argument("--" + name.replace("_", "-"), dest=name,
                            **_FLAG_OPTIONS.get(name, {"type": float}))
     return parser
@@ -349,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
     try:
         cfg = load_config(args.mode, args.config, overrides)
-        _RUNNERS[cfg.mode](cfg)
+        _SUBCOMMANDS[cfg.mode][0](cfg)
     except (ConfigError, DomainError, DeskScaleError, RegimeMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

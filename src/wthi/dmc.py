@@ -30,7 +30,9 @@ is a difference of four conditional entropies:
 
 H(Y|x1,x2) is a constant of the channel and H(Y|x2) one of p(x1).  Every
 grid search reads these profiles from one table, a row of the input-law grid
-(one p(x1)) at a time.
+(one p(x1)) at a time.  The output marginals p(y1|x1,x2) and p(y2|x1,x2) sum
+the other output in canonical (sorted) order, so cells that sum the same
+terms are the same double.
 
 All information quantities are in bits.
 """
@@ -94,12 +96,12 @@ class DmcWthi:
         object.__setattr__(self, "transition", t)
 
     def receiver_marginal(self) -> np.ndarray:
-        """p(y1 | x1, x2), shape (nx1, nx2, ny1)."""
-        return self.transition.sum(axis=3)
+        """p(y1 | x1, x2), shape (nx1, nx2, ny1), summed in canonical order."""
+        return np.sort(self.transition, axis=3).sum(axis=3)
 
     def eavesdropper_marginal(self) -> np.ndarray:
-        """p(y2 | x1, x2), shape (nx1, nx2, ny2)."""
-        return self.transition.sum(axis=2)
+        """p(y2 | x1, x2), shape (nx1, nx2, ny2), summed in canonical order."""
+        return np.sort(self.transition, axis=2).sum(axis=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DmcWthi":
@@ -508,6 +510,13 @@ def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
 # Most (input law, coupling, cell) entries in one chunk of the Sato table; a
 # chunk holds at least one input law.
 _SATO_CHUNK = 2**16
+# Most couplings ``dmc_sato_bound`` builds at once: one input law fills a chunk.
+_COUPLING_SLICE = _SATO_CHUNK // 4
+
+
+def _coupling_params(grid: int, index) -> np.ndarray:
+    """Rows ``index`` of the ``grid``-point parameter grid in [0, 1]^4, last parameter fastest."""
+    return np.linspace(0.0, 1.0, grid)[np.stack(np.unravel_index(index, (grid,) * 4), axis=-1)]
 
 
 def _sato_blocks(q: np.ndarray, px1: np.ndarray, px2: np.ndarray):
@@ -555,7 +564,8 @@ def dmc_sato_bound(
     ``coupling_grid`` points, and the inner maximization uses ``input_grid``
     points per input coordinate, at most ``_ENUMERATION_BUDGET`` evaluations
     in all, each read from constants of the coupling in bounded chunks
-    (``_sato_blocks``).  See ``DmcSatoBound`` for what the tolerances cover.
+    (``_sato_blocks``), with the couplings built ``_COUPLING_SLICE`` at a time.
+    See ``DmcSatoBound`` for what the tolerances cover.
     """
     if (ch.nx1, ch.nx2, ch.ny1, ch.ny2) != (2, 2, 2, 2):
         raise DeskScaleError("the Sato minimax search supports binary alphabets only")
@@ -563,25 +573,27 @@ def dmc_sato_bound(
         raise DomainError("coupling_grid must be >= 2 and input_grid >= 3")
     _check_budget(coupling_grid**4 * input_grid**2, "Sato objective evaluations")
 
-    params = np.asarray(list(itertools.product(np.linspace(0.0, 1.0, coupling_grid), repeat=4)))
-    couplings = _coupling_tensors(ch, params)
     laws = _binary_laws(input_grid)
-    inner_max = _grid_max(couplings, *laws)
+    indices = np.arange(coupling_grid**4)
+    inner_max = np.concatenate([
+        _grid_max(_coupling_tensors(ch, _coupling_params(coupling_grid, idx)), *laws)
+        for idx in np.split(indices, range(_COUPLING_SLICE, len(indices), _COUPLING_SLICE))])
     best_idx = int(np.argmin(inner_max))
     value = float(inner_max[best_idx])
+    best = _coupling_params(coupling_grid, best_idx)
 
     # Inner-max quality at the winning coupling: refine the input grid 4x and
     # add the local variation of the refined surface as a Lipschitz cushion.
     m = 4 * (input_grid - 1) + 1
     surface = np.concatenate(list(
-        _sato_blocks(couplings[best_idx : best_idx + 1], *_binary_laws(m)))).reshape(m, m)
+        _sato_blocks(_coupling_tensors(ch, best[None]), *_binary_laws(m)))).reshape(m, m)
     local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))
     inner_tol = max(0.0, float(surface.max()) - value) + local_var
 
     # Outer-min sensitivity: half-step perturbations of the winning coupling.
     # Rows: -half, +half on parameter 0, then on 1, 2, 3.
     half_steps = np.kron(np.eye(4), [[-1.0], [1.0]]) * (0.5 / (coupling_grid - 1))
-    perturbed = np.clip(params[best_idx] + half_steps, 0.0, 1.0)
+    perturbed = np.clip(best + half_steps, 0.0, 1.0)
     pert_max = _grid_max(_coupling_tensors(ch, perturbed), *laws)
     coupling_tol = max(0.0, value - float(pert_max.min()))
     return DmcSatoBound(value=value, inner_tolerance=inner_tol, coupling_tolerance=coupling_tol)

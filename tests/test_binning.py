@@ -415,6 +415,12 @@ class TestEquivocation:
         assert any(dead.any() and not dead.all() for dead in bins_dead)
         assert any(np.isneginf(ll).any() and not dead.any() for ll, dead in zip(lls[3:], bins_dead))
 
+    def test_trend_channel_eavesdropper_table_has_two_values(self):
+        # p(y2 | x1, x2) depends on x1 xor x2 only, and each scored value costs
+        # one count pass, so equal cells must be equal doubles
+        table = binning._log_table(trend_channel().eavesdropper_marginal())
+        assert np.unique(table).size == 2
+
 
 class TestResultRecord:
     def test_fields(self):

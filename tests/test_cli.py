@@ -1,9 +1,13 @@
+import argparse
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wthi import cli
 from wthi.bounds import bound_main_channel, bound_sato, bound_z_channel
 from wthi.cli import main
 from wthi.dmc import achievable_rate
@@ -15,6 +19,13 @@ from channels import noiseless_blind_channel
 
 def run_cli(args):
     return main(args)
+
+
+@pytest.fixture()
+def channel_file(tmp_path):
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps(noiseless_blind_channel().to_dict()))
+    return path
 
 
 def parse_csv(path):
@@ -117,12 +128,6 @@ class TestPointQueries:
 
 
 class TestDmcAndSimulate:
-    @pytest.fixture()
-    def channel_file(self, tmp_path):
-        path = tmp_path / "blind.json"
-        path.write_text(json.dumps(noiseless_blind_channel().to_dict()))
-        return path
-
     def test_dmc_blind_channel(self, tmp_path, channel_file):
         out = tmp_path / "dmc.json"
         assert run_cli(["dmc", "--channel", str(channel_file), "--grid", "9",
@@ -223,3 +228,102 @@ class TestConfigHandling:
             run_cli(args)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The resolved configuration every output echoes: each ``SweepConfig`` field but ``out``.
+CONFIG_KEYS = {"mode", "a", "b", "p1_max", "p2_max", "p1", "p2", "start", "stop", "points",
+               "spacing", "grid", "seed", "trials", "channel", "n", "r1s", "r1d_prime",
+               "r1d_dprime", "r2_prime", "r2_dprime"}
+SPLIT_KEYS = {"r1", "r1d", "r1s", "r2", "regime"}
+
+
+class TestOutputContract:
+    """The keys, headers and error lines that scripts reading the CLI rely on."""
+
+    def run_json(self, capsys, args):
+        assert run_cli(args) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        assert set(doc["config"]) == CONFIG_KEYS
+        return doc
+
+    def test_point_keys(self, capsys):
+        for extra in ([], ["--p1", "3", "--p2", "0.5"]):
+            doc = self.run_json(capsys, ["point", "--a", "2", "--b", "0.1", *extra])
+            assert set(doc) == {"config", "p1", "p2", "rate", "rate_wiretap", "split"}
+            assert set(doc["split"]) == SPLIT_KEYS
+
+    def test_power_opt_keys(self, capsys):
+        doc = self.run_json(capsys, ["power-opt", "--a", "2", "--b", "0.1", "--p2-max", "1"])
+        assert set(doc) == {"config", "p1", "p2", "rate", "split", "p1_star", "p2_star", "delta"}
+        assert set(doc["split"]) == SPLIT_KEYS
+        assert doc["p1_star"] is None and doc["p2_star"] > 0.0
+
+    @pytest.mark.parametrize("gains", [["--a", "0.5", "--b", "10"],
+                                       ["--a", "0", "--b", "0", "--p1-max", "0", "--p2-max", "0"]])
+    def test_bounds_keys(self, capsys, gains):
+        doc = self.run_json(capsys, ["bounds", *gains])
+        assert set(doc) == {"config", "bound_main", "bound_sato", "bound_z", "best",
+                            "best_kind", "sato"}
+        assert set(doc["sato"]) == {"rho_star", "discriminant", "value", "degenerate"}
+        assert doc["sato"]["value"] == doc["bound_sato"]
+
+    def test_dmc_keys(self, capsys, channel_file):
+        doc = self.run_json(capsys, ["dmc", "--channel", str(channel_file), "--grid", "5"])
+        assert set(doc) == {"config", "rate", "px1", "px2", "split"}
+        assert set(doc["split"]) == SPLIT_KEYS
+
+    def test_simulate_keys(self, capsys, channel_file):
+        doc = self.run_json(capsys, ["simulate", "--channel", str(channel_file), "--n", "4",
+                                     "--r1s", "0.5", "--trials", "3"])
+        assert set(doc) == {"config", "spec", "seed", "trials", "p_e", "equivocation_ratio",
+                            "runtime_ms", "rng"}
+        assert set(doc["spec"]) == {"n", "r1s", "r1d_prime", "r1d_dprime", "r2", "r2_prime",
+                                    "r2_dprime"}
+
+    @pytest.mark.parametrize("mode, header, changes", [
+        ("sweep-symmetric", "a,rate_with_interferer,rate_wiretap", {"stop": 14.0}),
+        ("sweep-interferer", "p2_max,achievable,bound_main,bound_sato,bound_z", {}),
+    ])
+    def test_sweep_header_lines(self, capsys, mode, header, changes):
+        assert run_cli([mode, "--points", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        config = {"mode": mode, "a": 0.5, "b": 10.0, "p1_max": 10.0, "p2_max": 10.0,
+                  "p1": None, "p2": None, "start": 0.1, "stop": 50.0, "points": 3,
+                  "spacing": "linear", "grid": 21, "seed": 0, "trials": 200,
+                  "channel": None, "n": 10, "r1s": 0.25, "r1d_prime": 0.0,
+                  "r1d_dprime": 0.0, "r2_prime": 0.0, "r2_dprime": 0.0, **changes}
+        assert lines[:4] == [
+            f"# wthi {cli.__version__}",
+            "# units: bits per channel use",
+            f"# config: {json.dumps(config, sort_keys=True)}",
+            header,
+        ]
+        assert len(lines) == 7 and not any(line.startswith("#") for line in lines[4:])
+
+    @pytest.mark.parametrize("args, message", [
+        (["bounds", "--a", "-1"], "a must be finite and >= 0, got -1.0"),
+        (["dmc", "--channel", "{tmp}/nope.json"], "channel file does not exist: {tmp}/nope.json"),
+        (["simulate", "--channel", "{tmp}/nope.json"],
+         "channel file does not exist: {tmp}/nope.json"),
+        (["sweep-symmetric", "--start", "5", "--stop", "1"],
+         "range start must be < stop, got [5.0, 1.0]"),
+        (["sweep-interferer", "--points", "1"], "points must be >= 2, got 1"),
+    ])
+    def test_validation_errors(self, capsys, tmp_path, args, message):
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert run_cli(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
+def test_docs_list_the_parser_subcommands():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    section = cli.__doc__.split("-----------\n", 1)[1].split("\n\n", 1)[0]
+    in_docstring = [line.split()[0] for line in section.splitlines() if not line[0].isspace()]
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    in_readme = re.findall(r"^\| `([a-z-]+)`", readme.read_text(encoding="utf-8"), re.MULTILINE)
+    assert in_docstring == in_readme == list(action.choices)

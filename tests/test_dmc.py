@@ -158,6 +158,18 @@ class TestDmcWthiValidation:
             DmcWthi.from_dict({"nx1": 2, "transition": []})
 
 
+class TestMarginals:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_do_not_depend_on_the_order_of_the_summed_outputs(self, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.random((3, 2, 5, 6)) * 10.0 ** rng.integers(-3, 1, (3, 2, 5, 6))
+        ch = DmcWthi(3, 2, 5, 6, t / t.sum(axis=(2, 3), keepdims=True))
+        by_y2 = DmcWthi(3, 2, 5, 6, ch.transition[..., rng.permutation(6)])
+        by_y1 = DmcWthi(3, 2, 5, 6, ch.transition[:, :, rng.permutation(5)])
+        assert np.array_equal(by_y2.receiver_marginal(), ch.receiver_marginal())
+        assert np.array_equal(by_y1.eavesdropper_marginal(), ch.eavesdropper_marginal())
+
+
 class TestRegions:
     @pytest.fixture()
     def prof(self):

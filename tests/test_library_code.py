@@ -38,6 +38,23 @@ def test_library_imports_only_numpy_and_the_stdlib():
     assert SOURCES and found == []
 
 
+def test_no_unused_imports():
+    # an imported name no code reads is dead; this also keeps the benchmark's
+    # traced names (looked up as module attributes) from living on as imports only
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+        found += [f"{path.name}:{node.lineno} {name}" for node in imports
+                  for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                  if name not in read]
+    assert SOURCES and found == []
+
+
 def traced_attributes() -> list[tuple[str, str]]:
     """The (module, attribute) pairs of ``TRACED`` in bench/workloads.py, read with ast.
 
