@@ -72,6 +72,8 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).
 
 
 def _size(n: int, rate: float) -> int:
+    if n * rate > _MAX_PAIRS.bit_length():  # 2^(n*rate) > 2 * _MAX_PAIRS, or a float overflow
+        raise DeskScaleError(f"codebook size 2^{n * rate:g} exceeds the budget {_MAX_PAIRS}")
     return max(1, round(2.0 ** (n * rate)))
 
 

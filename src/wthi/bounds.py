@@ -121,9 +121,9 @@ def bound_sato(ch: GaussianWthi) -> float:
 def bound_z_channel(ch: GaussianWthi) -> float:
     """One-sided-channel bound: wiretap term plus an entropy-power-inequality term."""
     a, p1, p2 = ch.a, ch.p1_max, ch.p2_max
-    epi_term = 0.5 * math.log(
-        2.0 * (1.0 + a * p1) * (1.0 + p2) / (2.0 + a * p1 + p2)
-    ) / _LN2
+    # (1/2)log2[2uv/(u+v)] with u = 1 + a*p1, v = 1 + p2, as -(1/2)log2 of the mean of
+    # 1/u and 1/v, which lies in (0, 1]: no product that can overflow
+    epi_term = -0.5 * math.log(0.5 / (1.0 + a * p1) + 0.5 / (1.0 + p2)) / _LN2
     return rate_wiretap(a, p1) + epi_term
 
 

@@ -154,7 +154,11 @@ def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> s
 
 def write_json(cfg: SweepConfig, payload: dict) -> str:
     doc = {**payload, "config": _json_config(cfg)}
-    return _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    try:  # RFC 8259 JSON has no inf or nan
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{cfg.mode} result is not finite, so it has no JSON form") from exc
+    return _write(text + "\n", cfg.out)
 
 
 def _write(text: str, path: str | None) -> str:

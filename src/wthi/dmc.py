@@ -32,7 +32,9 @@ H(Y|x1,x2) is a constant of the channel and H(Y|x2) one of p(x1).  Every
 grid search reads these profiles from one table, a row of the input-law grid
 (one p(x1)) at a time.  The output marginals p(y1|x1,x2) and p(y2|x1,x2) sum
 the other output in canonical (sorted) order, so cells that sum the same
-terms are the same double.
+terms are the same double.  The Sato objective uses the chain rule
+I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) - I(X1,X2;Y2): every coupling keeps the
+channel's Y2 marginal, so the second term is computed once per input law.
 
 All information quantities are in bits.
 """
@@ -52,6 +54,7 @@ from .errors import DeskScaleError, DomainError, RegimeMismatchError
 from .gaussian import RateSplit, Regime, _require_finite_nonneg
 
 _SIMPLEX_TOL = 1e-12
+_SIZES = ("nx1", "nx2", "ny1", "ny2")  # the alphabet sizes of ``DmcWthi``, in field order
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +79,7 @@ class DmcWthi:
     transition: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("nx1", "nx2", "ny1", "ny2"):
+        for name in _SIZES:
             if int(getattr(self, name)) < 1:
                 raise DomainError(f"{name} must be >= 1")
         t = np.asarray(self.transition, dtype=float)
@@ -105,16 +108,10 @@ class DmcWthi:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DmcWthi":
-        missing = {"nx1", "nx2", "ny1", "ny2", "transition"} - set(doc)
+        missing = {*_SIZES, "transition"} - set(doc)
         if missing:
             raise DomainError(f"channel document missing fields: {sorted(missing)}")
-        return cls(
-            nx1=int(doc["nx1"]),
-            nx2=int(doc["nx2"]),
-            ny1=int(doc["ny1"]),
-            ny2=int(doc["ny2"]),
-            transition=np.asarray(doc["transition"], dtype=float),
-        )
+        return cls(*(int(doc[k]) for k in _SIZES), np.asarray(doc["transition"], dtype=float))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DmcWthi":
@@ -122,13 +119,7 @@ class DmcWthi:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "nx1": self.nx1,
-            "nx2": self.nx2,
-            "ny1": self.ny1,
-            "ny2": self.ny2,
-            "transition": self.transition.tolist(),
-        }
+        return {**{k: getattr(self, k) for k in _SIZES}, "transition": self.transition.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,26 +510,35 @@ def _coupling_params(grid: int, index) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid)[np.stack(np.unravel_index(index, (grid,) * 4), axis=-1)]
 
 
-def _sato_blocks(q: np.ndarray, px1: np.ndarray, px2: np.ndarray):
-    """I(X1,X2; Y1~ | Y2~) of the laws px1[k] x px2[k] under every coupling of ``q``.
+def _sato_laws(ch: DmcWthi, px1: np.ndarray, px2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weights w(x) = p(x1)p(x2), (k, 4), of the laws px1[k] x px2[k], and I(X1,X2;Y2).
 
-    With w(x) = p(x1)p(x2) on the input cells x = (x1, x2), the objective is
-    H(Y1~,Y2~) - H(Y2~) - sum_x w(x) c_q(x), and c_q(x) = H(Y1~,Y2~|x) - H(Y2~|x)
-    is a constant of the coupling: only the mixture p(y1, y2) needs entropies
-    per (law, coupling).  ``q`` is from ``_coupling_tensors``, ``px1`` and ``px2``
-    are (k, 2).  Yields (chunk, n) blocks in law order; the sums over x run in
-    cell order, so a law's values do not depend on its chunk.
+    The sums over x run in cell order, without BLAS, as in ``_sato_blocks``.
     """
-    c = _entropy_rows(q.reshape(-1, 4, 4)) - _entropy_rows(q.sum(axis=-2))  # c_q(x), (n, 4)
-    qt = np.ascontiguousarray(np.moveaxis(q, 0, -1))[:, :, :, None, :]  # (x, y1, y2, 1, n)
     w = (px1[:, :, None] * px2[:, None, :]).reshape(-1, 4)
+    m2 = ch.eavesdropper_marginal().reshape(4, -1)  # p(y2|x) in cell order
+    h = _entropy_rows(m2)
+    return w, (_entropy_rows(sum(w[:, x, None] * m2[x] for x in range(4)))
+               - sum(w[:, x] * h[x] for x in range(4)))
+
+
+def _sato_blocks(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
+    """I(X1,X2; Y1~ | Y2~) of the laws of ``_sato_laws`` under every coupling of ``q``.
+
+    By the chain rule this is H(Y1~,Y2~) - sum_x w(x) H(Y1~,Y2~|x) - I(X1,X2;Y2),
+    and H(Y1~,Y2~|x) is a constant of the coupling: only the mixture p(y1, y2)
+    needs entropies per (law, coupling).  ``q`` is from ``_coupling_tensors``.
+    Yields (chunk, n) blocks in law order; the sums over x run in cell order,
+    so a law's values do not depend on its chunk.
+    """
+    c = _entropy_rows(q.reshape(-1, 4, 4))  # H(Y1~,Y2~|x), (n, 4)
+    qt = np.ascontiguousarray(np.moveaxis(q, 0, -1))[:, :, :, None, :]  # (x, y1, y2, 1, n)
     step = max(1, _SATO_CHUNK // (4 * len(q)))
     for s in range(0, len(w), step):
         wk = w[s : s + step, :, None]
         mix = sum(wk[:, x] * qt[x] for x in range(4))  # (y1, y2, chunk, n)
         yield (_entropy_rows(np.moveaxis(mix.reshape(4, *mix.shape[2:]), 0, -1))
-               - _entropy_rows(np.moveaxis(mix[0] + mix[1], 0, -1))
-               - sum(wk[:, x] * c[:, x] for x in range(4)))
+               - sum(wk[:, x] * c[:, x] for x in range(4)) - i_y2[s : s + step, None])
 
 
 def _binary_laws(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -547,9 +547,9 @@ def _binary_laws(points: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.stack([t.ravel(), 1.0 - t.ravel()], axis=-1) for t in (t1, t2))
 
 
-def _grid_max(q: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> np.ndarray:
-    """Max of the inner objective over the laws px1[k] x px2[k], for every coupling."""
-    return functools.reduce(np.maximum, (b.max(axis=0) for b in _sato_blocks(q, px1, px2)))
+def _grid_max(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> np.ndarray:
+    """Max of the inner objective over the laws of ``_sato_laws``, for every coupling."""
+    return functools.reduce(np.maximum, (b.max(axis=0) for b in _sato_blocks(q, w, i_y2)))
 
 
 def dmc_sato_bound(
@@ -573,7 +573,7 @@ def dmc_sato_bound(
         raise DomainError("coupling_grid must be >= 2 and input_grid >= 3")
     _check_budget(coupling_grid**4 * input_grid**2, "Sato objective evaluations")
 
-    laws = _binary_laws(input_grid)
+    laws = _sato_laws(ch, *_binary_laws(input_grid))
     indices = np.arange(coupling_grid**4)
     inner_max = np.concatenate([
         _grid_max(_coupling_tensors(ch, _coupling_params(coupling_grid, idx)), *laws)
@@ -585,8 +585,8 @@ def dmc_sato_bound(
     # Inner-max quality at the winning coupling: refine the input grid 4x and
     # add the local variation of the refined surface as a Lipschitz cushion.
     m = 4 * (input_grid - 1) + 1
-    surface = np.concatenate(list(
-        _sato_blocks(_coupling_tensors(ch, best[None]), *_binary_laws(m)))).reshape(m, m)
+    q_best, fine_laws = _coupling_tensors(ch, best[None]), _sato_laws(ch, *_binary_laws(m))
+    surface = np.concatenate(list(_sato_blocks(q_best, *fine_laws))).reshape(m, m)
     local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))
     inner_tol = max(0.0, float(surface.max()) - value) + local_var
 

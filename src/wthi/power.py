@@ -3,13 +3,17 @@
 The secrecy rate of the interferer-assisted scheme is piecewise smooth in the
 power pair (p1, p2), and the partial derivatives have closed-form signs, so
 the maximizing allocation over the box [0, p1_max] x [0, p2_max] is given by
-a small case analysis on the gains (a, b).  ``grid_oracle_detailed`` provides
-an independent exhaustive check of that case analysis.
+a small case analysis: it compares the gains (a, b) with 1 and 1/a, and the
+power caps with the levels of ``_branch_points``.  It prescribes one entry of
+``_menu``, and on a branch boundary the whole menu is compared through the
+rate.  ``grid_oracle_detailed`` provides an independent exhaustive check,
+with the same levels as extra grid lines.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +44,10 @@ class PolicyIntermediates:
     delta: float | None
 
 
-def _delta(ch: GaussianWthi) -> float | None:
-    # Constant coefficient of the quadratic d/dp2 == 0 at p1 = p1_max,
-    # divided by b:  [a - b + a(1-b) p1_max] / b.
-    if ch.b <= 0.0:
-        return None
-    return (ch.a / ch.b) * (1.0 + ch.p1_max) - (1.0 + ch.a * ch.p1_max)
-
-
-def _p2_star(ch: GaussianWthi) -> float | None:
-    a, b = ch.a, ch.b
-    d = _delta(ch)
+def _p2_star(a: float, b: float, d: float | None) -> float | None:
     if d is None or a * b >= 1.0:
         return None
-    disc = (a - 1.0) ** 2 + (1.0 - a * b) * d
+    disc = (a - 1.0) * (a - 1.0) + (1.0 - a * b) * d
     if disc < 0.0:
         return None
     root = ((a - 1.0) + math.sqrt(disc)) / (1.0 - a * b)
@@ -64,105 +58,111 @@ def _p2_star(ch: GaussianWthi) -> float | None:
 
 def intermediates(ch: GaussianWthi) -> PolicyIntermediates:
     """Candidate points used by the policy's case analysis."""
-    p1_star = ch.b - 1.0 if ch.b >= 1.0 else None
-    return PolicyIntermediates(p1_star=p1_star, p2_star=_p2_star(ch), delta=_delta(ch))
+    a, b = ch.a, ch.b
+    # Constant coefficient of the quadratic d/dp2 == 0 at p1 = p1_max,
+    # divided by b:  [a - b + a(1-b) p1_max] / b.
+    d = (a / b) * (1.0 + ch.p1_max) - (1.0 + a * ch.p1_max) if b > 0.0 else None
+    return PolicyIntermediates(b - 1.0 if b >= 1.0 else None, _p2_star(a, b, d), d)
 
 
 def _near(x: float, y: float) -> bool:
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return False
-    return abs(x - y) <= _BOUNDARY_RTOL * max(1.0, abs(x), abs(y))
+    # False when x or y is not finite: then |x - y| is inf or nan
+    d = abs(x - y)
+    return d <= _BOUNDARY_RTOL * max(1.0, abs(x), abs(y)) and d < math.inf
 
 
-def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[PowerAllocation, bool]:
+def _ratio(num: float, den: float) -> float:
+    """num/den, or +inf where the denominator is not positive."""
+    return num / den if den > 0.0 else math.inf
+
+
+def _branch_points(ch: GaussianWthi) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The power levels where the policy changes branch: (p1 levels, p2 levels).
+
+    p1: b - 1 (decode-and-cancel), (b-1)/(1-ab), (b-a)/(a(1-b)).  p2: a - 1,
+    (a-1)/(1-ab), (1-a)/(ab-1).  A ratio is +inf where its denominator is not
+    positive, which routes each such case to the correct limiting branch.
+    """
+    a, b = ch.a, ch.b
+    ab = a * b
+    return ((b - 1.0, _ratio(b - 1.0, 1.0 - ab), _ratio(b - a, a * (1.0 - b))),
+            (a - 1.0, _ratio(a - 1.0, 1.0 - ab), _ratio(1.0 - a, ab - 1.0)))
+
+
+# Keys of ``_menu``, in the order a boundary compares its allocations.
+_SILENT, _TRANSMIT, _FULL, _CANCEL, _STATIONARY = range(5)
+
+
+def _menu(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[tuple[float, float] | None, ...]:
+    """Every (p1, p2) the case analysis can prescribe, by key; ``None`` where inapplicable."""
+    pb1, pb2 = ch.p1_max, ch.p2_max
+    p1s, p2s = inter.p1_star, inter.p2_star
+    return ((0.0, 0.0), (pb1, 0.0), (pb1, pb2),
+            None if p1s is None else (min(pb1, p1s), pb2),
+            None if p2s is None else (pb1, min(pb2, p2s)))
+
+
+def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[int, bool]:
     """Closed-form case analysis on the gains and power caps.
 
-    Returns the prescribed allocation plus a flag saying the channel sits on
-    (or numerically at) a branch boundary, in which case the caller compares
-    the small candidate menu through the rate function.  Thresholds that
-    involve a division by zero are taken as +inf, which routes each such case
-    to the correct limiting branch.
+    Returns the ``_menu`` key of the prescribed allocation plus a flag saying
+    that a comparison the analysis evaluated sits on (or numerically at) a
+    branch boundary, where the caller compares the whole menu.
     """
     a, b = ch.a, ch.b
     pb1, pb2 = ch.p1_max, ch.p2_max
-    p2s = inter.p2_star  # None only means "unbounded" (b = 0) on branches that use it
-
-    def cap2(x: float | None) -> float:
-        return pb2 if x is None else min(pb2, x)
-
-    boundary = False
+    (cancel1, joint1, harm1), (silent2, noise2, cancel2) = _branch_points(ch)
+    # p2_star is None only where it means "unbounded" (b = 0) on its branches
+    stationary = _FULL if inter.p2_star is None else _STATIONARY
+    boundary = a >= 1.0 and _near(a, 1.0)
 
     def gt(x: float, y: float) -> bool:
         nonlocal boundary
-        if _near(x, y):
-            boundary = True
+        boundary = boundary or _near(x, y)
         return x > y
 
     def ge(x: float, y: float) -> bool:
         nonlocal boundary
-        if _near(x, y):
-            boundary = True
+        boundary = boundary or _near(x, y)
         return x >= y
 
-    def ratio(num: float, den: float) -> float:
-        return num / den if den > 0.0 else math.inf
-
+    inv_a = _ratio(1.0, a)
     if a >= 1.0:
-        if _near(a, 1.0):
-            boundary = True
-        if gt(b, 1.0) and gt(pb2, a - 1.0):
-            alloc = PowerAllocation(min(pb1, b - 1.0), pb2)
-        elif not ge(b, ratio(1.0, a)) and gt(pb2, ratio(a - 1.0, 1.0 - a * b)):
-            alloc = PowerAllocation(pb1, cap2(p2s))
-        else:
-            alloc = PowerAllocation(0.0, 0.0)
-        return alloc, boundary
+        if gt(b, 1.0) and gt(pb2, silent2):
+            return _CANCEL, boundary
+        if not ge(b, inv_a) and gt(pb2, noise2):
+            return stationary, boundary
+        return _SILENT, boundary
 
-    inv_a = ratio(1.0, a)
-    if ge(b, inv_a) and ge(pb1, b - 1.0) and ge(pb2, ratio(1.0 - a, a * b - 1.0)):
-        alloc = PowerAllocation(b - 1.0, pb2)
-    elif not ge(b, 1.0) and ge(pb1, ratio(b - a, a * (1.0 - b))):
-        alloc = PowerAllocation(pb1, cap2(p2s))
-    elif (ge(b, 1.0) and not gt(b, inv_a) and gt(pb1, ratio(b - 1.0, 1.0 - a * b))) or (
-        gt(b, a) and not ge(b, 1.0) and not ge(pb1, ratio(b - a, a * (1.0 - b)))
+    if ge(b, inv_a) and ge(pb1, cancel1) and ge(pb2, cancel2):
+        return _CANCEL, boundary
+    if not ge(b, 1.0) and ge(pb1, harm1):
+        return stationary, boundary
+    if (ge(b, 1.0) and not gt(b, inv_a) and gt(pb1, joint1)) or (
+        gt(b, a) and not ge(b, 1.0) and not ge(pb1, harm1)
     ):
-        alloc = PowerAllocation(pb1, 0.0)
-    else:
-        alloc = PowerAllocation(pb1, pb2)
-    return alloc, boundary
-
-
-def _candidate_menu(ch: GaussianWthi, inter: PolicyIntermediates) -> list[PowerAllocation]:
-    pb1, pb2 = ch.p1_max, ch.p2_max
-    cands = [
-        PowerAllocation(0.0, 0.0),
-        PowerAllocation(pb1, 0.0),
-        PowerAllocation(pb1, pb2),
-    ]
-    if inter.p1_star is not None:
-        cands.append(PowerAllocation(min(pb1, max(0.0, inter.p1_star)), pb2))
-    if inter.p2_star is not None:
-        cands.append(PowerAllocation(pb1, min(pb2, max(0.0, inter.p2_star))))
-    return cands
+        return _TRANSMIT, boundary
+    return _FULL, boundary
 
 
 def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediates]:
     """Rate-maximizing power pair from the closed-form case analysis.
 
     In the interior of a branch the prescription is returned as-is.  On a
-    branch boundary the adjacent candidate allocations are evaluated through
+    branch boundary every allocation of the menu is evaluated through
     ``rate_achievable`` and the best is returned (the rate is continuous, so
     boundary assignment cannot lose rate); ties break toward lower total
     power, then lower p1.
     """
     inter = intermediates(ch)
-    alloc, on_boundary = _prescribed(ch, inter)
+    key, on_boundary = _prescribed(ch, inter)
+    menu = _menu(ch, inter)
+    best = PowerAllocation(*menu[key])
     if not on_boundary:
-        return alloc, inter
+        return best, inter
 
-    best = alloc
-    best_rate, _ = rate_achievable(ch, alloc)
-    for cand in _candidate_menu(ch, inter):
+    best_rate, _ = rate_achievable(ch, best)
+    for cand in (PowerAllocation(*pair) for pair in menu if pair is not None):
         r, _ = rate_achievable(ch, cand)
         better = r > best_rate + 1e-15
         tied = abs(r - best_rate) <= 1e-15
@@ -184,9 +184,9 @@ class GridOracleResult:
     eps_grid: float  # max rate variation between adjacent cells of the refined window
 
 
-def _axis(limit: float, n: int, extras: list[float]) -> np.ndarray:
+def _axis(limit: float, n: int, extras: tuple[float | None, ...]) -> np.ndarray:
     pts = list(np.linspace(0.0, limit, n))
-    pts.extend(x for x in extras if math.isfinite(x) and 0.0 < x < limit)
+    pts.extend(x for x in extras if x is not None and 0.0 < x < limit)
     return np.unique(np.asarray(pts, dtype=float))
 
 
@@ -202,33 +202,26 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     """
     if n1 < 2 or n2 < 2:
         raise DomainError("grid counts must be >= 2")
-    a, b = ch.a, ch.b
-    inter = intermediates(ch)
-    extras1 = [x for x in (inter.p1_star,) if x is not None]
-    extras2 = [x for x in (inter.p2_star, a - 1.0) if x is not None]
-    if a * b < 1.0:
-        extras1.append((b - 1.0) / (1.0 - a * b))
-        extras2.append((a - 1.0) / (1.0 - a * b))
-    if a > 0.0 and b < 1.0:
-        extras1.append((b - a) / (a * (1.0 - b)))
-    if a * b > 1.0:
-        extras2.append((1.0 - a) / (a * b - 1.0))
+    p1_levels, p2_levels = _branch_points(ch)
+    ax1 = _axis(ch.p1_max, n1, p1_levels)
+    ax2 = _axis(ch.p2_max, n2, (*p2_levels, intermediates(ch).p2_star))
+    # A capacity that overflows a float, possible only where this sum overflows,
+    # leaves an inf or nan in the rate or eps_grid, which raises below.
+    huge = not math.isfinite((1.0 + ch.a) * ch.p1_max + (1.0 + ch.b) * ch.p2_max)
+    with np.errstate(over="ignore", invalid="ignore") if huge else nullcontext():
+        rates = _rate_achievable_grid(ch, ax1, ax2)
+        i, j = np.unravel_index(int(np.argmax(rates)), rates.shape)
 
-    ax1 = _axis(ch.p1_max, n1, extras1)
-    ax2 = _axis(ch.p2_max, n2, extras2)
-    rates = _rate_achievable_grid(ch, ax1, ax2)
-    i, j = np.unravel_index(int(np.argmax(rates)), rates.shape)
+        # One local refinement pass around the coarse argmax.
+        lo1, hi1 = ax1[max(i - 1, 0)], ax1[min(i + 1, ax1.size - 1)]
+        lo2, hi2 = ax2[max(j - 1, 0)], ax2[min(j + 1, ax2.size - 1)]
+        f1 = np.linspace(lo1, hi1, 21) if hi1 > lo1 else np.asarray([lo1])
+        f2 = np.linspace(lo2, hi2, 21) if hi2 > lo2 else np.asarray([lo2])
+        fine = _rate_achievable_grid(ch, f1, f2)
+        fi, fj = np.unravel_index(int(np.argmax(fine)), fine.shape)
 
-    # One local refinement pass around the coarse argmax.
-    lo1, hi1 = ax1[max(i - 1, 0)], ax1[min(i + 1, ax1.size - 1)]
-    lo2, hi2 = ax2[max(j - 1, 0)], ax2[min(j + 1, ax2.size - 1)]
-    f1 = np.linspace(lo1, hi1, 21) if hi1 > lo1 else np.asarray([lo1])
-    f2 = np.linspace(lo2, hi2, 21) if hi2 > lo2 else np.asarray([lo2])
-    fine = _rate_achievable_grid(ch, f1, f2)
-    fi, fj = np.unravel_index(int(np.argmax(fine)), fine.shape)
-
-    eps = max((float(np.max(np.abs(np.diff(fine, axis=k)))) for k in (0, 1)
-               if fine.shape[k] > 1), default=0.0)
+        eps = max((float(np.max(np.abs(np.diff(fine, axis=k)))) for k in (0, 1)
+                   if fine.shape[k] > 1), default=0.0)
 
     if fine[fi, fj] > rates[i, j]:
         best = PowerAllocation(float(f1[fi]), float(f2[fj]))
@@ -236,7 +229,7 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     else:
         best = PowerAllocation(float(ax1[i]), float(ax2[j]))
         rate = float(rates[i, j])
-    if not math.isfinite(rate):
+    if not (math.isfinite(rate) and math.isfinite(eps)):
         raise DomainError(f"the rate overflows on the power grid of {ch}")
     return GridOracleResult(alloc=best, rate=rate, eps_grid=eps)
 

@@ -94,6 +94,15 @@ class TestCodebookSpec:
                 r2=0.8, r2_prime=0.0, r2_dprime=0.8,
             )
 
+    @pytest.mark.parametrize("r1s", [2.15, 200.0, 1e300])
+    def test_oversized_codebook_rejected_before_its_size_is_formed(self, r1s):
+        # 2 ** (n * r1s) overflows a float from r1s = 102.4 on; no such size fits the budget
+        with pytest.raises(DeskScaleError):
+            CodebookSpec(
+                n=10, r1s=r1s, r1d_prime=0.0, r1d_dprime=0.0,
+                r2=0.0, r2_prime=0.0, r2_dprime=0.0,
+            )
+
     def test_blocklength_guard(self):
         with pytest.raises(DeskScaleError):
             CodebookSpec(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from wthi.bounds import (
     BoundKind,
@@ -135,6 +136,17 @@ class TestZChannelBound:
 
     def test_zero_everything(self):
         assert bound_z_channel(GaussianWthi(0.0, 0.0, 0.0, 0.0)) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("a, p1, p2", [(0.0, 0.0, 1.7e308), (1.0, 1e300, 1e300),
+                                           (1e300, 1e300, 1.7e308)])
+    def test_epi_term_finite_where_its_product_overflows(self, a, p1, p2):
+        # 2(1 + a*p1)(1 + p2) overflows a float; the bound is finite and matches mpmath
+        with mp.workdps(30):
+            u, v = 1 + mp.mpf(a) * mp.mpf(p1), 1 + mp.mpf(p2)
+            epi = mp.log(2 * u * v / (u + v), 2) / 2
+            expected = float(max(0, mp.log((1 + mp.mpf(p1)) / u, 2) / 2) + epi)
+        assert bound_z_channel(GaussianWthi(a, 0.5, p1, p2)) == pytest.approx(expected,
+                                                                              rel=1e-14)
 
     def test_epi_term_nonnegative(self):
         rng = np.random.default_rng(19)

@@ -310,13 +310,18 @@ class TestOutputContract:
         (["sweep-symmetric", "--start", "5", "--stop", "1"],
          "range start must be < stop, got [5.0, 1.0]"),
         (["sweep-interferer", "--points", "1"], "points must be >= 2, got 1"),
+        (["power-opt", "--a", "5", "--b", "5e-324", "--out", "{tmp}/out.json"],
+         "power-opt result is not finite, so it has no JSON form"),
+        (["simulate", "--channel", "{tmp}/blind.json", "--r1s", "200"],
+         "codebook size 2^2000 exceeds the budget 1048576"),
     ])
-    def test_validation_errors(self, capsys, tmp_path, args, message):
+    def test_validation_errors(self, capsys, tmp_path, channel_file, args, message):
         args = [arg.format(tmp=tmp_path) for arg in args]
         assert run_cli(args) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert not (tmp_path / "out.json").exists()
 
 
 def test_docs_list_the_parser_subcommands():

@@ -469,29 +469,38 @@ class TestSatoObjective:
     @settings(max_examples=100, deadline=None)
     def test_matches_joint_entropy_reference(self, seed, params, ts):
         # Frechet endpoints 0 and 1 put zero cells into q; t = 0 or 1 is a point mass
-        q = dmc._coupling_tensors(random_binary_channel(np.random.default_rng(seed)),
-                                  np.asarray(params))
+        ch = random_binary_channel(np.random.default_rng(seed))
+        q = dmc._coupling_tensors(ch, np.asarray(params))
         t1, t2 = np.asarray(ts).T
         px1, px2 = np.stack([t1, 1 - t1], axis=-1), np.stack([t2, 1 - t2], axis=-1)
-        got = np.concatenate(list(dmc._sato_blocks(q, px1, px2)))
+        got = np.concatenate(list(dmc._sato_blocks(q, *dmc._sato_laws(ch, px1, px2))))
         expected = [[sato_inner_reference(qn.reshape(2, 2, 2, 2), a, b) for qn in q]
                     for a, b in zip(px1, px2)]
         assert got == pytest.approx(np.asarray(expected), abs=1e-12)
 
+    def test_law_constant_is_the_eavesdropper_information(self):
+        # the chain-rule term I(X1,X2;Y2) is the profile's i_x1x2_y2
+        ch = random_binary_channel(np.random.default_rng(4))
+        px1, px2 = dmc._binary_laws(5)
+        _, i_y2 = dmc._sato_laws(ch, px1, px2)
+        expected = [mi_profile(ch, ProductInput(a, b)).i_x1x2_y2 for a, b in zip(px1, px2)]
+        assert i_y2 == pytest.approx(expected, abs=1e-15)
+
     def test_values_do_not_depend_on_the_chunking(self, monkeypatch):
         rng = np.random.default_rng(9)
-        q = dmc._coupling_tensors(random_binary_channel(rng), rng.random((50, 4)))
-        px1, px2 = dmc._binary_laws(7)
-        blocks = list(dmc._sato_blocks(q, px1, px2))
+        ch = random_binary_channel(rng)
+        q = dmc._coupling_tensors(ch, rng.random((50, 4)))
+        w, i_y2 = dmc._sato_laws(ch, *dmc._binary_laws(7))
+        blocks = list(dmc._sato_blocks(q, w, i_y2))
         assert len(blocks) == 1
         whole = blocks[0]
         for laws_per_chunk in (1, 5, 13):
             monkeypatch.setattr(dmc, "_SATO_CHUNK", laws_per_chunk * 4 * len(q))
-            split = list(dmc._sato_blocks(q, px1, px2))
-            assert len(split) == math.ceil(len(px1) / laws_per_chunk)
+            split = list(dmc._sato_blocks(q, w, i_y2))
+            assert len(split) == math.ceil(len(w) / laws_per_chunk)
             assert np.array_equal(np.concatenate(split), whole)
             # the same laws at other offsets inside their chunks
-            shifted = np.concatenate(list(dmc._sato_blocks(q, px1[3:], px2[3:])))
+            shifted = np.concatenate(list(dmc._sato_blocks(q, w[3:], i_y2[3:])))
             assert np.array_equal(shifted, whole[3:])
 
 

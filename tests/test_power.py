@@ -1,8 +1,13 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wthi.bounds import bound_main_channel, bound_z_channel
 from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import (
@@ -154,6 +159,57 @@ class TestGridOracle:
     def test_rejects_tiny_grids(self):
         with pytest.raises(DomainError):
             grid_oracle_detailed(GaussianWthi(1.0, 1.0, 1.0, 1.0), 1, 50)
+
+    def test_underflowing_branch_point_denominator(self):
+        # a*(1 - b) underflows to 0, so the level (b-a)/(a(1-b)) is +inf, not a division
+        ch = GaussianWthi(5e-324, 0.5, 10.0, 10.0)
+        res = grid_oracle_detailed(ch, 20, 20)
+        alloc, _ = optimal_power(ch)
+        assert res.alloc == alloc == PowerAllocation(10.0, 0.0)
+        assert res.rate == rate_achievable(ch, alloc)[0] == pytest.approx(half_log2(11))
+
+
+# Gains and powers from zero through subnormal, unit and huge to near the float maximum
+EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308)
+
+
+class TestClosedDomain:
+    def test_extreme_grid_raises_only_domain_error(self):
+        # every channel of EXTREMES^4: each operation returns finite numbers or
+        # raises DomainError, and emits no warning
+        operations = {
+            "optimal_power": lambda ch: optimal_power(ch)[0],
+            "grid_oracle_detailed": lambda ch: grid_oracle_detailed(ch, 8, 8),
+            "rate_achievable": lambda ch: rate_achievable(ch, ch.full_power())[0],
+            "bound_main_channel": bound_main_channel,
+            "bound_z_channel": bound_z_channel,
+        }
+        outputs = {name: 0 for name in operations}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for gains in itertools.product(EXTREMES, repeat=4):
+                ch = GaussianWthi(*gains)
+                for name, op in operations.items():
+                    try:
+                        out = op(ch)
+                    except DomainError:
+                        continue
+                    if isinstance(out, PowerAllocation):
+                        out = (out.p1, out.p2)
+                    elif not isinstance(out, float):
+                        out = (out.alloc.p1, out.alloc.p2, out.rate, out.eps_grid)
+                    assert all(map(math.isfinite, np.atleast_1d(out))), (name, gains, out)
+                    outputs[name] += 1
+        assert [str(w.message) for w in caught] == []
+        # most channels have an answer; every bound_main_channel call does
+        assert min(outputs.values()) > 9000 and outputs["bound_main_channel"] == 10**4
+
+    @pytest.mark.parametrize("gains", [(1e300, 5e-324, 0.0, 0.0), (1.7e308, 5e-324, 2.0, 1.0)])
+    def test_squared_gain_overflow(self, gains):
+        # (a - 1)^2 overflows: the stationary point is +inf or inapplicable, not an error
+        alloc, inter = optimal_power(GaussianWthi(*gains))
+        assert math.isfinite(alloc.p1) and math.isfinite(alloc.p2)
+        assert inter.p2_star is None or inter.p2_star >= 0.0
 
 
 class TestAsymptoticRate:
