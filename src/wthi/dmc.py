@@ -54,7 +54,6 @@ from .errors import DeskScaleError, DomainError, RegimeMismatchError
 from .gaussian import RateSplit, Regime, _require_finite_nonneg
 
 _SIMPLEX_TOL = 1e-12
-_SIZES = ("nx1", "nx2", "ny1", "ny2")  # the alphabet sizes of ``DmcWthi``, in field order
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ class DmcWthi:
     transition: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in _SIZES:
+        for name in ("nx1", "nx2", "ny1", "ny2"):
             if int(getattr(self, name)) < 1:
                 raise DomainError(f"{name} must be >= 1")
         t = np.asarray(self.transition, dtype=float)
@@ -108,10 +107,16 @@ class DmcWthi:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DmcWthi":
-        missing = {*_SIZES, "transition"} - set(doc)
+        missing = {"nx1", "nx2", "ny1", "ny2", "transition"} - set(doc)
         if missing:
             raise DomainError(f"channel document missing fields: {sorted(missing)}")
-        return cls(*(int(doc[k]) for k in _SIZES), np.asarray(doc["transition"], dtype=float))
+        return cls(
+            nx1=int(doc["nx1"]),
+            nx2=int(doc["nx2"]),
+            ny1=int(doc["ny1"]),
+            ny2=int(doc["ny2"]),
+            transition=np.asarray(doc["transition"], dtype=float),
+        )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DmcWthi":
@@ -119,7 +124,13 @@ class DmcWthi:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {**{k: getattr(self, k) for k in _SIZES}, "transition": self.transition.tolist()}
+        return {
+            "nx1": self.nx1,
+            "nx2": self.nx2,
+            "ny1": self.ny1,
+            "ny2": self.ny2,
+            "transition": self.transition.tolist(),
+        }
 
 
 @dataclass(frozen=True, eq=False)

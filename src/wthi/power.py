@@ -13,7 +13,6 @@ with the same levels as extra grid lines.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +83,8 @@ def _branch_points(ch: GaussianWthi) -> tuple[tuple[float, ...], tuple[float, ..
     positive, which routes each such case to the correct limiting branch.
     """
     a, b = ch.a, ch.b
-    ab = a * b
-    return ((b - 1.0, _ratio(b - 1.0, 1.0 - ab), _ratio(b - a, a * (1.0 - b))),
-            (a - 1.0, _ratio(a - 1.0, 1.0 - ab), _ratio(1.0 - a, ab - 1.0)))
+    return ((b - 1.0, _ratio(b - 1.0, 1.0 - a * b), _ratio(b - a, a * (1.0 - b))),
+            (a - 1.0, _ratio(a - 1.0, 1.0 - a * b), _ratio(1.0 - a, a * b - 1.0)))
 
 
 # Keys of ``_menu``, in the order a boundary compares its allocations.
@@ -96,10 +94,9 @@ _SILENT, _TRANSMIT, _FULL, _CANCEL, _STATIONARY = range(5)
 def _menu(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[tuple[float, float] | None, ...]:
     """Every (p1, p2) the case analysis can prescribe, by key; ``None`` where inapplicable."""
     pb1, pb2 = ch.p1_max, ch.p2_max
-    p1s, p2s = inter.p1_star, inter.p2_star
     return ((0.0, 0.0), (pb1, 0.0), (pb1, pb2),
-            None if p1s is None else (min(pb1, p1s), pb2),
-            None if p2s is None else (pb1, min(pb2, p2s)))
+            None if inter.p1_star is None else (min(pb1, inter.p1_star), pb2),
+            None if inter.p2_star is None else (pb1, min(pb2, inter.p2_star)))
 
 
 def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[int, bool]:
@@ -116,30 +113,25 @@ def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[int, bool
     stationary = _FULL if inter.p2_star is None else _STATIONARY
     boundary = a >= 1.0 and _near(a, 1.0)
 
-    def gt(x: float, y: float) -> bool:
+    def gt(x: float, y: float) -> bool:  # x >= y is ``not gt(y, x)``: no operand is nan
         nonlocal boundary
         boundary = boundary or _near(x, y)
         return x > y
-
-    def ge(x: float, y: float) -> bool:
-        nonlocal boundary
-        boundary = boundary or _near(x, y)
-        return x >= y
 
     inv_a = _ratio(1.0, a)
     if a >= 1.0:
         if gt(b, 1.0) and gt(pb2, silent2):
             return _CANCEL, boundary
-        if not ge(b, inv_a) and gt(pb2, noise2):
+        if gt(inv_a, b) and gt(pb2, noise2):
             return stationary, boundary
         return _SILENT, boundary
 
-    if ge(b, inv_a) and ge(pb1, cancel1) and ge(pb2, cancel2):
+    if not gt(inv_a, b) and not gt(cancel1, pb1) and not gt(cancel2, pb2):
         return _CANCEL, boundary
-    if not ge(b, 1.0) and ge(pb1, harm1):
+    if gt(1.0, b) and not gt(harm1, pb1):
         return stationary, boundary
-    if (ge(b, 1.0) and not gt(b, inv_a) and gt(pb1, joint1)) or (
-        gt(b, a) and not ge(b, 1.0) and not ge(pb1, harm1)
+    if (not gt(1.0, b) and not gt(b, inv_a) and gt(pb1, joint1)) or (
+        gt(b, a) and gt(1.0, b) and gt(harm1, pb1)
     ):
         return _TRANSMIT, boundary
     return _FULL, boundary
@@ -185,9 +177,8 @@ class GridOracleResult:
 
 
 def _axis(limit: float, n: int, extras: tuple[float | None, ...]) -> np.ndarray:
-    pts = list(np.linspace(0.0, limit, n))
-    pts.extend(x for x in extras if x is not None and 0.0 < x < limit)
-    return np.unique(np.asarray(pts, dtype=float))
+    pts = [x for x in extras if x is not None and 0.0 < x < limit]
+    return np.unique(np.concatenate([np.linspace(0.0, limit, n), pts]))
 
 
 def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult:
@@ -205,10 +196,7 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     p1_levels, p2_levels = _branch_points(ch)
     ax1 = _axis(ch.p1_max, n1, p1_levels)
     ax2 = _axis(ch.p2_max, n2, (*p2_levels, intermediates(ch).p2_star))
-    # A capacity that overflows a float, possible only where this sum overflows,
-    # leaves an inf or nan in the rate or eps_grid, which raises below.
-    huge = not math.isfinite((1.0 + ch.a) * ch.p1_max + (1.0 + ch.b) * ch.p2_max)
-    with np.errstate(over="ignore", invalid="ignore") if huge else nullcontext():
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         rates = _rate_achievable_grid(ch, ax1, ax2)
         i, j = np.unravel_index(int(np.argmax(rates)), rates.shape)
 
