@@ -30,7 +30,6 @@ from .bounds import (
     bound_sato,
     bound_z_channel,
     sato_minimize,
-    sato_objective,
 )
 from .dmc import (
     DmcSatoBound,
@@ -40,8 +39,6 @@ from .dmc import (
     achievable_rate,
     achievable_rate_fixed_input,
     dmc_sato_bound,
-    in_region_eavesdropper,
-    in_region_receiver,
     mi_profile,
     strong_regime_rate,
     very_strong_eavesdropping,
@@ -55,7 +52,6 @@ from .gaussian import (
     Regime,
     awgn_capacity,
     rate_achievable,
-    rate_interference_assisted,
     rate_wiretap,
 )
 from .power import (
@@ -96,16 +92,12 @@ __all__ = [
     "build_codebooks",
     "dmc_sato_bound",
     "grid_oracle_detailed",
-    "in_region_eavesdropper",
-    "in_region_receiver",
     "mi_profile",
     "optimal_power",
     "rate_achievable",
-    "rate_interference_assisted",
     "rate_wiretap",
     "result_record",
     "sato_minimize",
-    "sato_objective",
     "simulate",
     "simulate_detailed",
     "strong_regime_rate",

@@ -21,7 +21,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .gaussian import GaussianWthi, PowerAllocation, _check_pairing, awgn_capacity, rate_wiretap
 
 _LN2 = math.log(2.0)
@@ -54,31 +53,12 @@ def bound_main_channel(ch: GaussianWthi) -> float:
     return awgn_capacity(ch.p1_max)
 
 
-def sato_objective(ch: GaussianWthi, alloc: PowerAllocation, rho: float) -> float:
-    """Genie-aided conditional mutual information at noise correlation rho, in bits.
-
-    f(p1, p2, rho) = (1/2) log2 of
-        [(1+p1+b*p2)(1+a*p1+p2) - (rho + sqrt(a)p1 + sqrt(b)p2)^2]
-        / [(1-rho^2)(1+a*p1+p2)].
-    Requires |rho| < 1.
-    """
-    rho = float(rho)
-    if not math.isfinite(rho) or abs(rho) >= 1.0:
-        raise DomainError(f"rho must satisfy |rho| < 1, got {rho!r}")
-    _check_pairing(ch, alloc)
-    a, b = ch.a, ch.b
-    p1, p2 = alloc.p1, alloc.p2
-    s = math.sqrt(a) * p1 + math.sqrt(b) * p2
-    num = (1.0 + p1 + b * p2) * (1.0 + a * p1 + p2) - (rho + s) ** 2
-    den = (1.0 - rho * rho) * (1.0 + a * p1 + p2)
-    if num <= 0.0 or den <= 0.0:
-        raise DomainError(f"log argument not positive at rho={rho}")
-    return 0.5 * math.log(num / den) / _LN2
-
-
 def sato_minimize(ch: GaussianWthi, alloc: PowerAllocation) -> SatoEvaluation:
     """Closed-form minimizer of the Sato objective over rho in (-1, 1).
 
+    The objective, the genie-aided conditional mutual information at noise
+    correlation rho, is (1/2) log2 of
+        [(1+p1+b*p2)(1+a*p1+p2) - (rho + s)^2] / [(1-rho^2)(1+a*p1+p2)].
     The stationarity condition is the quadratic
         s*rho^2 - q*rho + s = 0,   q = (1+a)p1 + (1+b)p2 + (sqrt(ab)-1)^2 p1 p2,
     with s = sqrt(a)p1 + sqrt(b)p2; its root inside the unit interval is

@@ -20,7 +20,8 @@ lines carrying the tool version, units and the full resolved configuration;
 single-point outputs are JSON that echoes it under ``config``.  The writers
 add the configuration and pick the destination, so each runner only
 computes.  Floats in CSV are printed with 12 significant digits, so outputs
-are byte-reproducible for a fixed configuration and version.
+are byte-reproducible for a fixed configuration and version.  A result with
+an infinite or NaN value has neither form, so it is a validation error.
 
 Exit codes: 0 success, 2 validation error, 1 runtime error.
 """
@@ -142,6 +143,8 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> str:
+    if not np.isfinite(rows).all():
+        raise DomainError(f"{cfg.mode} result is not finite, so it has no CSV form")
     lines = [
         f"# wthi {__version__}",
         "# units: bits per channel use",

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DeskScaleError, DomainError, RegimeMismatchError
-from .gaussian import RateSplit, Regime, _require_finite_nonneg
+from .gaussian import RateSplit, Regime
 
 _SIMPLEX_TOL = 1e-12
 
@@ -239,30 +239,6 @@ def _decodable(table: np.ndarray, r2) -> tuple[np.ndarray, np.ndarray]:
     cap = np.where(r2 <= a2, np.minimum(a1, a12 - r2), a1m)
     required = np.where(r2 < b2, np.minimum(b1, b12 - r2), b1m)
     return cap, required
-
-
-def in_region_receiver(prof: MutualInfoProfile, r1: float, r2: float) -> bool:
-    """True iff the receiver can decode the message at rates (r1, r2).
-
-    Joint-decoding branch (closed): r1 <= I(X1;Y1|X2), r2 <= I(X2;Y1|X1) and
-    r1 + r2 <= I(X1,X2;Y1).  Separate-decoding branch: r1 <= I(X1;Y1) with
-    r2 > I(X2;Y1|X1) strictly (the interference is too fast to decode and is
-    treated as noise).
-    """
-    r1 = _require_finite_nonneg("r1", r1)
-    cap, _ = _decodable(np.asarray([astuple(prof)]), _require_finite_nonneg("r2", r2))
-    return bool(r1 <= cap.item())
-
-
-def in_region_eavesdropper(prof: MutualInfoProfile, r1d: float, r2: float) -> bool:
-    """True iff the eavesdropper can decode the redundancy pair (r1d, r2).
-
-    Both branches are taken closed (boundary pairs count as decodable), the
-    conservative reading for the secrecy analysis.
-    """
-    r1d = _require_finite_nonneg("r1d", r1d)
-    _, required = _decodable(np.asarray([astuple(prof)]), _require_finite_nonneg("r2", r2))
-    return bool(r1d <= required.item())
 
 
 # ---------------------------------------------------------------------------

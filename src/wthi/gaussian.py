@@ -67,16 +67,16 @@ class GaussianWthi:
         return PowerAllocation(self.p1_max, self.p2_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerAllocation:
     """Transmit powers actually used: 0 <= p1, p2 (paired channel caps apply)."""
 
     p1: float
     p2: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", _require_finite_nonneg("p1", self.p1))
-        object.__setattr__(self, "p2", _require_finite_nonneg("p2", self.p2))
+    def __init__(self, p1: float, p2: float) -> None:
+        object.__setattr__(self, "p1", _require_finite_nonneg("p1", p1))
+        object.__setattr__(self, "p2", _require_finite_nonneg("p2", p2))
 
 
 def _check_pairing(ch: GaussianWthi, alloc: PowerAllocation) -> None:
@@ -163,26 +163,6 @@ def _rates(a, b, p1, p2):
     return assisted, r1d, c_p1 - c_ap1, c_ap1
 
 
-def _pair_rates(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, float, float, float]:
-    rates = _rates(ch.a, ch.b, alloc.p1, alloc.p2)
-    if not math.isfinite(sum(rates)):
-        raise DomainError(f"a capacity overflows at {ch} and {alloc}")
-    return rates
-
-
-def _assisted_split(ch: GaussianWthi, alloc: PowerAllocation, raw: float, r1d: float
-                    ) -> tuple[float, RateSplit]:
-    if raw < 0.0:
-        return 0.0, _SILENT_SPLIT
-    if ch.b >= 1.0 + alloc.p1:
-        regime = Regime.DECODE_CANCEL
-    elif ch.b >= 1.0:
-        regime = Regime.JOINT_DECODE
-    else:
-        regime = Regime.TREAT_AS_NOISE
-    return raw, RateSplit(r2=awgn_capacity(alloc.p2), r1s=raw, r1d=r1d, regime=regime)
-
-
 def rate_wiretap(a: float, p1: float) -> float:
     """Secrecy capacity of the plain Gaussian wiretap channel, [C(p1) - C(a*p1)]+."""
     a = _require_finite_nonneg("a", a)
@@ -191,39 +171,34 @@ def rate_wiretap(a: float, p1: float) -> float:
     return max(0.0, c_p1 - c_ap1)
 
 
-def rate_interference_assisted(
-    ch: GaussianWthi, alloc: PowerAllocation
-) -> tuple[float, RateSplit]:
-    """Secrecy rate of the interferer-assisted scheme at a fixed power pair.
-
-    The interferer transmits dummy codewords at r2 = C(p2), and the receiver
-    decodes and cancels the interference (b >= 1 + p1), decodes it jointly
-    (1 <= b < 1 + p1) or treats it as noise (b < 1), as the split's regime
-    records.  A negative raw value means the scheme cannot operate; the rate
-    is clamped to zero and an all-zero ``SILENT`` split is returned.  A
-    capacity that overflows a float raises ``DomainError``.
-    """
-    _check_pairing(ch, alloc)
-    raw, r1d, _, _ = _pair_rates(ch, alloc)
-    return _assisted_split(ch, alloc, raw, r1d)
-
-
 def rate_achievable(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, RateSplit]:
     """Best of the interferer-assisted and the plain wiretap scheme at a fixed
     power pair; ties go to the wiretap scheme (interferer silent).
 
-    When the winning value is zero the all-zero ``SILENT`` split is returned
-    (no secret bit is carried, so no operating point is meaningful).  Under
-    very strong eavesdropping (a >= 1 and a >= 1 + p2) neither scheme has a
-    positive rate, so that value is exactly zero.
+    In the assisted scheme the interferer transmits dummy codewords at
+    r2 = C(p2), and the receiver decodes and cancels the interference
+    (b >= 1 + p1), decodes it jointly (1 <= b < 1 + p1) or treats it as noise
+    (b < 1), as the split's regime records.  When the winning value is zero
+    the all-zero ``SILENT`` split is returned (no secret bit is carried, so no
+    operating point is meaningful).  Under very strong eavesdropping (a >= 1
+    and a >= 1 + p2) neither scheme has a positive rate, so that value is
+    exactly zero.  A capacity that overflows a float raises ``DomainError``.
     """
     _check_pairing(ch, alloc)
     if ch.a >= 1.0 and ch.a >= 1.0 + alloc.p2:
         return 0.0, _SILENT_SPLIT
-    raw, r1d, wiretap, c_ap1 = _pair_rates(ch, alloc)
+    assisted, r1d, wiretap, c_ap1 = _rates(ch.a, ch.b, alloc.p1, alloc.p2)
+    if not math.isfinite(assisted + r1d + wiretap + c_ap1):
+        raise DomainError(f"a capacity overflows at {ch} and {alloc}")
     v2 = max(0.0, wiretap)
-    if v2 < raw:
-        return _assisted_split(ch, alloc, raw, r1d)
+    if v2 < assisted:
+        if ch.b >= 1.0 + alloc.p1:
+            regime = Regime.DECODE_CANCEL
+        elif ch.b >= 1.0:
+            regime = Regime.JOINT_DECODE
+        else:
+            regime = Regime.TREAT_AS_NOISE
+        return assisted, RateSplit(r2=awgn_capacity(alloc.p2), r1s=assisted, r1d=r1d, regime=regime)
     if v2 > 0.0:
         return v2, RateSplit(r2=0.0, r1s=v2, r1d=c_ap1, regime=Regime.NO_INTERFERER)
     return 0.0, _SILENT_SPLIT

@@ -36,6 +36,9 @@ class PolicyIntermediates:
         real root; every policy branch that uses it falls in that range).
     delta: constant term (divided by b) of the stationarity quadratic in p2;
         may be negative.
+
+    A value that overflows or is NaN is ``None`` too; the policy then takes the
+    stationary point as unbounded, which the full-power allocation covers.
     """
 
     p1_star: float | None
@@ -61,6 +64,7 @@ def intermediates(ch: GaussianWthi) -> PolicyIntermediates:
     # Constant coefficient of the quadratic d/dp2 == 0 at p1 = p1_max,
     # divided by b:  [a - b + a(1-b) p1_max] / b.
     d = (a / b) * (1.0 + ch.p1_max) - (1.0 + a * ch.p1_max) if b > 0.0 else None
+    d = d if d is not None and math.isfinite(d) else None
     return PolicyIntermediates(b - 1.0 if b >= 1.0 else None, _p2_star(a, b, d), d)
 
 
@@ -109,7 +113,7 @@ def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[int, bool
     a, b = ch.a, ch.b
     pb1, pb2 = ch.p1_max, ch.p2_max
     (cancel1, joint1, harm1), (silent2, noise2, cancel2) = _branch_points(ch)
-    # p2_star is None only where it means "unbounded" (b = 0) on its branches
+    # p2_star is None only where it means "unbounded" (b = 0, overflow) on its branches
     stationary = _FULL if inter.p2_star is None else _STATIONARY
     boundary = a >= 1.0 and _near(a, 1.0)
 

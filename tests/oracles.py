@@ -3,11 +3,11 @@
 These deliberately avoid the code paths they check: rates are recomputed with
 arbitrary-precision logarithms, the fixed-input secrecy optimizer is checked
 against a dense two-dimensional scan built directly from the decodable-region
-inequalities, and the closed-form Sato minimizer is checked against a plain
-grid argmin.  Mutual informations are recomputed from joint entropies of the
-full joint pmf, where the library takes differences of conditional entropies
-(for the DMC Sato objective, entropies of p(y1, y2) and constants of the
-coupling).
+inequalities, and the closed-form Sato minimizer is checked against the Sato
+objective itself, evaluated at one correlation or on a plain rho grid.
+Mutual informations are recomputed from joint entropies of the full joint
+pmf, where the library takes differences of conditional entropies (for the
+DMC Sato objective, entropies of p(y1, y2) and constants of the coupling).
 Simulator trial draws come from one numpy ``Generator(Philox)`` per trial, as
 the simulator drew them before its streams were evaluated in batches.
 Simulator pair scores are summed symbol by symbol with ``math.fsum``, where
@@ -27,6 +27,8 @@ import numpy as np
 from mpmath import mp
 
 from wthi.dmc import MutualInfoProfile
+from wthi.errors import DomainError
+from wthi.gaussian import GaussianWthi, PowerAllocation
 
 mp.dps = 50
 
@@ -133,14 +135,30 @@ def scan_secrecy_rate(prof: MutualInfoProfile, n1: int = 2000, n2: int = 2000
     return float(r1s.max()), resolution
 
 
+def _sato(a: float, b: float, p1: float, p2: float, rho):
+    """Genie-aided conditional mutual information at noise correlation rho, in bits:
+    (1/2) log2 of [(1+p1+b*p2)(1+a*p1+p2) - (rho + s)^2] / [(1-rho^2)(1+a*p1+p2)]
+    with s = sqrt(a)*p1 + sqrt(b)*p2.
+    """
+    s = np.sqrt(a) * p1 + np.sqrt(b) * p2
+    num = (1.0 + p1 + b * p2) * (1.0 + a * p1 + p2) - (rho + s) ** 2
+    den = (1.0 - rho**2) * (1.0 + a * p1 + p2)
+    return 0.5 * np.log2(num / den)
+
+
+def sato_objective(ch: GaussianWthi, alloc: PowerAllocation, rho: float) -> float:
+    """The Sato objective that ``sato_minimize`` minimizes, at one rho with |rho| < 1."""
+    rho = float(rho)
+    if not math.isfinite(rho) or abs(rho) >= 1.0:
+        raise DomainError(f"rho must satisfy |rho| < 1, got {rho!r}")
+    return float(_sato(ch.a, ch.b, alloc.p1, alloc.p2, rho))
+
+
 def sato_grid(a: float, b: float, p1: float, p2: float, points: int = 1001
               ) -> tuple[np.ndarray, np.ndarray]:
     """The Sato objective on a rho grid over the open interval (-1, 1)."""
     rho = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, points)
-    s = np.sqrt(a) * p1 + np.sqrt(b) * p2
-    num = (1.0 + p1 + b * p2) * (1.0 + a * p1 + p2) - (rho + s) ** 2
-    den = (1.0 - rho**2) * (1.0 + a * p1 + p2)
-    return rho, 0.5 * np.log2(num / den)
+    return rho, _sato(a, b, p1, p2, rho)
 
 
 def trial_draws_reference(seed: int, start: int, count: int, sizes: tuple[int, ...],

@@ -11,13 +11,12 @@ from wthi.bounds import (
     bound_sato,
     bound_z_channel,
     sato_minimize,
-    sato_objective,
 )
 from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import optimal_power
 
-from oracles import half_log2, sato_grid
+from oracles import half_log2, sato_grid, sato_objective
 
 
 def random_draw(rng):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -11,6 +12,7 @@ from wthi import cli
 from wthi.bounds import bound_main_channel, bound_sato, bound_z_channel
 from wthi.cli import main
 from wthi.dmc import achievable_rate
+from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
 from wthi.power import optimal_power
 
@@ -310,8 +312,8 @@ class TestOutputContract:
         (["sweep-symmetric", "--start", "5", "--stop", "1"],
          "range start must be < stop, got [5.0, 1.0]"),
         (["sweep-interferer", "--points", "1"], "points must be >= 2, got 1"),
-        (["power-opt", "--a", "5", "--b", "5e-324", "--out", "{tmp}/out.json"],
-         "power-opt result is not finite, so it has no JSON form"),
+        (["point", "--p1", "20", "--out", "{tmp}/out.json"],
+         "allocation (20.0, 10.0) exceeds power constraints (10.0, 10.0)"),
         (["simulate", "--channel", "{tmp}/blind.json", "--r1s", "200"],
          "codebook size 2^2000 exceeds the budget 1048576"),
     ])
@@ -322,6 +324,26 @@ class TestOutputContract:
         assert out == ""
         assert err == f"error: {message.format(tmp=tmp_path)}\n"
         assert not (tmp_path / "out.json").exists()
+
+    def test_power_opt_writes_overflowing_intermediates_as_null(self, tmp_path):
+        # a/b overflows: the stationary point is unbounded, so it is inapplicable
+        out = tmp_path / "out.json"
+        assert run_cli(["power-opt", "--a", "5", "--b", "5e-324", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["p2_star"] is None and doc["delta"] is None
+
+    def test_json_refuses_a_non_finite_result(self, tmp_path):
+        cfg = cli.load_config("point", None, {"out": str(tmp_path / "out.json")})
+        with pytest.raises(DomainError):
+            cli.write_json(cfg, {"x": math.nan})
+        assert not (tmp_path / "out.json").exists()
+
+    def test_csv_refuses_a_non_finite_cell(self, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_cli(["sweep-interferer", "--p1-max", "1e300", "--start", "1e299",
+                        "--stop", "1e300", "--points", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 def test_docs_list_the_parser_subcommands():

@@ -17,8 +17,6 @@ from wthi.dmc import (
     achievable_rate,
     achievable_rate_fixed_input,
     dmc_sato_bound,
-    in_region_eavesdropper,
-    in_region_receiver,
     mi_profile,
     simplex_grid,
     strong_regime_rate,
@@ -170,34 +168,31 @@ class TestMarginals:
         assert np.array_equal(by_y1.eavesdropper_marginal(), ch.eavesdropper_marginal())
 
 
+def decodable(prof: MutualInfoProfile, r1: float, r2: float) -> tuple[bool, bool]:
+    """Whether the receiver decodes r1, and the eavesdropper r1 as r1d, at dummy rate r2."""
+    cap, required = dmc._decodable(np.asarray([astuple(prof)]), r2)
+    return bool(r1 <= cap.item()), bool(r1 <= required.item())
+
+
 class TestRegions:
     @pytest.fixture()
     def prof(self):
         return mi_profile(random_binary_channel(np.random.default_rng(5)), UNIFORM)
 
     def test_origin_inside_both(self, prof):
-        assert in_region_receiver(prof, 0.0, 0.0)
-        assert in_region_eavesdropper(prof, 0.0, 0.0)
+        assert decodable(prof, 0.0, 0.0) == (True, True)
 
     def test_rate_above_everything_outside(self, prof):
         r1_big = prof.i_x1_y1_given_x2 + 1.0
-        assert not in_region_receiver(prof, r1_big, 0.0)
-        assert not in_region_eavesdropper(prof, prof.i_x1_y2_given_x2 + 1.0, 0.0)
+        assert not decodable(prof, r1_big, 0.0)[0]
+        assert not decodable(prof, prof.i_x1_y2_given_x2 + 1.0, 0.0)[1]
 
     def test_separate_decoding_branches(self, prof):
         # receiver: r2 strictly above its conditional capacity for the helper
-        assert in_region_receiver(
-            prof, prof.i_x1_y1, prof.i_x2_y1_given_x1 + 0.1
-        )
+        assert decodable(prof, prof.i_x1_y1, prof.i_x2_y1_given_x1 + 0.1)[0]
         # eavesdropper regions are closed: the boundary pair is decodable
-        assert in_region_eavesdropper(
-            prof, prof.i_x1_y2, prof.i_x2_y2_given_x1 + 0.1
-        )
-        assert in_region_eavesdropper(prof, prof.i_x1_y2_given_x2, 0.0)
-
-    def test_rejects_negative_rates(self, prof):
-        with pytest.raises(DomainError):
-            in_region_receiver(prof, -0.1, 0.0)
+        assert decodable(prof, prof.i_x1_y2, prof.i_x2_y2_given_x1 + 0.1)[1]
+        assert decodable(prof, prof.i_x1_y2_given_x2, 0.0)[1]
 
     # a rate drawn uniformly or snapped onto a profile field (index 0-7); r1
     # may also sit on the sum-rate boundary I(X1,X2;Y) - r2 of the receiver
@@ -212,7 +207,7 @@ class TestRegions:
     )
     @settings(max_examples=400, deadline=None)
     def test_matches_docstring_inequalities(self, sizes, seed, sparse, point_mass, r1, r2):
-        # The predicates compare in floating point, so they may differ from the
+        # The regions compare in floating point, so they may differ from the
         # exact inequalities only where rounding decides: within 2^-50 of the
         # boundary, where the exact answer itself flips.
         inp = ProductInput.uniform(sizes[0], sizes[1])
@@ -224,12 +219,12 @@ class TestRegions:
         if isinstance(r1, int):
             r1 = fields[r1] if r1 < 8 else max(0.0, fields[2 if r1 == 8 else 6] - r2)
         tol = Fraction(1, 2**50)
-        for predicate, receiver in ((in_region_receiver, True), (in_region_eavesdropper, False)):
-            if predicate(prof, r1, r2) != region_reference(prof, r1, r2, receiver):
+        for inside, receiver in zip(decodable(prof, r1, r2), (True, False)):
+            if inside != region_reference(prof, r1, r2, receiver):
                 box = {region_reference(prof, Fraction(r1) + i * tol, Fraction(r2) + j * tol,
                                         receiver)
                        for i in (-1, 0, 1) for j in (-1, 0, 1)}
-                assert len(box) == 2, (predicate.__name__, r1, r2, fields)
+                assert len(box) == 2, (receiver, r1, r2, fields)
 
     @given(
         st.floats(min_value=0.0, max_value=2.0),
@@ -240,10 +235,8 @@ class TestRegions:
     @settings(max_examples=150, deadline=None)
     def test_union_downward_closed(self, r1, r2, f1, f2):
         prof = mi_profile(random_binary_channel(np.random.default_rng(17)), UNIFORM)
-        if in_region_receiver(prof, r1, r2):
-            assert in_region_receiver(prof, r1 * f1, r2 * f2)
-        if in_region_eavesdropper(prof, r1, r2):
-            assert in_region_eavesdropper(prof, r1 * f1, r2 * f2)
+        for inside, shrunk in zip(decodable(prof, r1, r2), decodable(prof, r1 * f1, r2 * f2)):
+            assert shrunk or not inside
 
 
 def random_channel(sizes: tuple, seed: int, sparse: bool) -> DmcWthi:

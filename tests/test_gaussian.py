@@ -11,9 +11,9 @@ from wthi.gaussian import (
     PowerAllocation,
     Regime,
     _rate_achievable_grid,
+    _rates,
     awgn_capacity,
     rate_achievable,
-    rate_interference_assisted,
     rate_wiretap,
 )
 
@@ -76,7 +76,7 @@ class TestRateWiretap:
 class TestInterferenceAssisted:
     def test_decode_cancel_branch(self):
         ch = GaussianWthi(0.5, 12.0, 10.0, 10.0)
-        rate, split = rate_interference_assisted(ch, PowerAllocation(10.0, 10.0))
+        rate, split = rate_achievable(ch, PowerAllocation(10.0, 10.0))
         assert rate == pytest.approx(half_log2(121, 16), abs=1e-12)
         assert split.regime is Regime.DECODE_CANCEL
         assert split.r2 == pytest.approx(awgn_capacity(10.0))
@@ -84,15 +84,21 @@ class TestInterferenceAssisted:
 
     def test_zero_transmit_power(self):
         ch = GaussianWthi(1.7, 0.3, 5.0, 40.0)
-        rate, _ = rate_interference_assisted(ch, PowerAllocation(0.0, 17.0))
+        rate, _ = rate_achievable(ch, PowerAllocation(0.0, 17.0))
         assert rate == 0.0
 
     def test_treat_as_noise_with_blind_eavesdropper(self):
-        ch = GaussianWthi(0.0, 0.5, 10.0, 10.0)
-        rate, split = rate_interference_assisted(ch, PowerAllocation(10.0, 10.0))
-        assert rate == pytest.approx(half_log2(8, 3), abs=1e-12)
+        # the assisted piece alone: with a = 0 the wiretap scheme wins the rate
+        assisted, r1d, _, _ = _rates(0.0, 0.5, 10.0, 10.0)
+        assert assisted == pytest.approx(half_log2(8, 3), abs=1e-12)
+        assert r1d == 0.0
+
+    def test_treat_as_noise_regime(self):
+        ch = GaussianWthi(0.5, 0.1, 10.0, 10.0)
+        rate, split = rate_achievable(ch, ch.full_power())
+        assert rate == pytest.approx(rate_achievable_reference(0.5, 0.1, 10.0, 10.0), abs=1e-12)
+        assert rate == pytest.approx(1.02220, abs=1e-5)
         assert split.regime is Regime.TREAT_AS_NOISE
-        assert split.r1d == 0.0
 
     @given(gains, powers, powers)
     @settings(max_examples=100, deadline=None)
@@ -100,22 +106,16 @@ class TestInterferenceAssisted:
         # b = 1 + p1 separates decode-cancel from joint decoding.
         seam = 1.0 + p1
         delta = 1e-10 * max(1.0, seam)
-        lo = GaussianWthi(a, seam - delta, p1 + 1.0, p2 + 1.0)
-        hi = GaussianWthi(a, seam + delta, p1 + 1.0, p2 + 1.0)
-        alloc = PowerAllocation(p1, p2)
-        r_lo, _ = rate_interference_assisted(lo, alloc)
-        r_hi, _ = rate_interference_assisted(hi, alloc)
+        r_lo = _rates(a, seam - delta, p1, p2)[0]
+        r_hi = _rates(a, seam + delta, p1, p2)[0]
         assert abs(r_lo - r_hi) < 1e-9
 
     @given(gains, powers, powers)
     @settings(max_examples=100, deadline=None)
     def test_continuous_across_treat_as_noise_seam(self, a, p1, p2):
         delta = 1e-10
-        lo = GaussianWthi(a, 1.0 - delta, p1 + 1.0, p2 + 1.0)
-        hi = GaussianWthi(a, 1.0 + delta, p1 + 1.0, p2 + 1.0)
-        alloc = PowerAllocation(p1, p2)
-        r_lo, _ = rate_interference_assisted(lo, alloc)
-        r_hi, _ = rate_interference_assisted(hi, alloc)
+        r_lo = _rates(a, 1.0 - delta, p1, p2)[0]
+        r_hi = _rates(a, 1.0 + delta, p1, p2)[0]
         assert abs(r_lo - r_hi) < 1e-9
 
 
@@ -202,9 +202,8 @@ class TestRateAchievable:
     def test_capacity_overflow_raises(self):
         # a*p1 overflows a float while a < 1 + p2, so the rate is not trivially 0
         ch = GaussianWthi(10.0, 0.5, 1e308, 100.0)
-        for rate in (rate_achievable, rate_interference_assisted):
-            with pytest.raises(DomainError):
-                rate(ch, ch.full_power())
+        with pytest.raises(DomainError):
+            rate_achievable(ch, ch.full_power())
 
     @given(closed_domain_grids())
     @settings(max_examples=200, deadline=None)

@@ -86,3 +86,13 @@ def test_benchmark_traced_attributes_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert len(pairs) > 20 and missing == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name removed from the package but left in __all__ breaks `from wthi import *`
+    tree = ast.parse(Path(wthi.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert wthi.__all__ == sorted(set(wthi.__all__))
+    assert set(wthi.__all__) == imported
+    assert all(hasattr(wthi, name) for name in wthi.__all__)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wthi.bounds import bound_main_channel, bound_z_channel
 from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import (
+    PolicyIntermediates,
     asymptotic_rate,
     grid_oracle_detailed,
     intermediates,
@@ -179,6 +181,7 @@ class TestClosedDomain:
         # raises DomainError, and emits no warning
         operations = {
             "optimal_power": lambda ch: optimal_power(ch)[0],
+            "intermediates": intermediates,
             "grid_oracle_detailed": lambda ch: grid_oracle_detailed(ch, 8, 8),
             "rate_achievable": lambda ch: rate_achievable(ch, ch.full_power())[0],
             "bound_main_channel": bound_main_channel,
@@ -196,6 +199,8 @@ class TestClosedDomain:
                         continue
                     if isinstance(out, PowerAllocation):
                         out = (out.p1, out.p2)
+                    elif isinstance(out, PolicyIntermediates):  # None marks inapplicable
+                        out = [x for x in astuple(out) if x is not None]
                     elif not isinstance(out, float):
                         out = (out.alloc.p1, out.alloc.p2, out.rate, out.eps_grid)
                     assert all(map(math.isfinite, np.atleast_1d(out))), (name, gains, out)
@@ -206,10 +211,10 @@ class TestClosedDomain:
 
     @pytest.mark.parametrize("gains", [(1e300, 5e-324, 0.0, 0.0), (1.7e308, 5e-324, 2.0, 1.0)])
     def test_squared_gain_overflow(self, gains):
-        # (a - 1)^2 overflows: the stationary point is +inf or inapplicable, not an error
+        # (a - 1)^2 and a/b overflow: the stationary point is unbounded, so inapplicable
         alloc, inter = optimal_power(GaussianWthi(*gains))
         assert math.isfinite(alloc.p1) and math.isfinite(alloc.p2)
-        assert inter.p2_star is None or inter.p2_star >= 0.0
+        assert inter.p2_star is None and inter.delta is None
 
 
 class TestAsymptoticRate:
