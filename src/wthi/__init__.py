@@ -20,7 +20,6 @@ from .binning import (
     build_codebooks,
     result_record,
     simulate,
-    simulate_detailed,
 )
 from .bounds import (
     BoundKind,
@@ -99,7 +98,6 @@ __all__ = [
     "result_record",
     "sato_minimize",
     "simulate",
-    "simulate_detailed",
     "strong_regime_rate",
     "very_strong_eavesdropping",
     "weak_regime_rate",

@@ -109,10 +109,6 @@ class CodebookSpec:
             )
 
     @property
-    def r1(self) -> float:
-        return self.r1s + self.r1d_prime + self.r1d_dprime
-
-    @property
     def sizes(self) -> tuple[int, int, int, int, int]:
         """(m1s, m1p, m1pp, m2p, m2pp): realized bin/sub-bin/codebook sizes."""
         n = self.n
@@ -378,14 +374,12 @@ def simulate_detailed(
     return result, h_bits, errors
 
 
-def result_record(
-    spec: CodebookSpec, seed: int, trials: int, result: SimResult, runtime_ms: float
-) -> dict:
+def result_record(spec: CodebookSpec, seed: int, result: SimResult, runtime_ms: float) -> dict:
     """JSON-ready record of one simulation run, with RNG provenance."""
     return {
         "spec": asdict(spec),
         "seed": seed,
-        "trials": trials,
+        "trials": result.trials,
         "p_e": result.p_e,
         "equivocation_ratio": result.equivocation_ratio,
         "runtime_ms": runtime_ms,

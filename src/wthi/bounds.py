@@ -21,9 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .gaussian import GaussianWthi, PowerAllocation, _check_pairing, awgn_capacity, rate_wiretap
-
-_LN2 = math.log(2.0)
+from .gaussian import _LN2, GaussianWthi, PowerAllocation, _check_pairing, awgn_capacity, rate_wiretap
 
 
 class BoundKind(enum.Enum):
@@ -109,13 +107,9 @@ def bound_z_channel(ch: GaussianWthi) -> float:
 
 def bound_best(ch: GaussianWthi) -> tuple[float, BoundKind]:
     """Smallest of the three bounds; ties prefer Sato, then Z-channel, then main."""
-    candidates = (
+    return min(
         (bound_sato(ch), BoundKind.SATO),
         (bound_z_channel(ch), BoundKind.Z_CHANNEL),
         (bound_main_channel(ch), BoundKind.MAIN),
+        key=lambda candidate: candidate[0],
     )
-    best_value, best_kind = candidates[0]
-    for value, kind in candidates[1:]:
-        if value < best_value:
-            best_value, best_kind = value, kind
-    return best_value, best_kind

@@ -138,10 +138,6 @@ def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepCon
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> str:
     if not np.isfinite(rows).all():
         raise DomainError(f"{cfg.mode} result is not finite, so it has no CSV form")
@@ -151,7 +147,7 @@ def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> s
         f"# config: {json.dumps(_json_config(cfg), sort_keys=True)}",
         ",".join(header),
     ]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(f"{v:.12g}" for v in row) for row in rows)
     return _write("\n".join(lines) + "\n", cfg.out)
 
 
@@ -268,24 +264,20 @@ def run_dmc(cfg: SweepConfig) -> str:
 
 def run_simulate(cfg: SweepConfig) -> str:
     ch = _load_channel(cfg)
-    r2 = cfg.r2_prime + cfg.r2_dprime
-    try:
-        spec = CodebookSpec(
-            n=cfg.n,
-            r1s=cfg.r1s,
-            r1d_prime=cfg.r1d_prime,
-            r1d_dprime=cfg.r1d_dprime,
-            r2=r2,
-            r2_prime=cfg.r2_prime,
-            r2_dprime=cfg.r2_dprime,
-        )
-    except (DomainError, DeskScaleError) as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = CodebookSpec(
+        n=cfg.n,
+        r1s=cfg.r1s,
+        r1d_prime=cfg.r1d_prime,
+        r1d_dprime=cfg.r1d_dprime,
+        r2=cfg.r2_prime + cfg.r2_dprime,
+        r2_prime=cfg.r2_prime,
+        r2_dprime=cfg.r2_dprime,
+    )
     inp = ProductInput.uniform(ch.nx1, ch.nx2)
     t0 = time.perf_counter()
     result = simulate(ch, inp, spec, cfg.seed, cfg.trials)
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    return write_json(cfg, result_record(spec, cfg.seed, cfg.trials, result, runtime_ms))
+    return write_json(cfg, result_record(spec, cfg.seed, result, runtime_ms))
 
 
 # Per subcommand: its runner, the ``SweepConfig`` fields it reads (its flags,

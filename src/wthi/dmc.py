@@ -123,15 +123,6 @@ class DmcWthi:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        return {
-            "nx1": self.nx1,
-            "nx2": self.nx2,
-            "ny1": self.ny1,
-            "ny2": self.ny2,
-            "transition": self.transition.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ProductInput:
@@ -323,14 +314,6 @@ _DESK_ALPHABET = 4
 _ENUMERATION_BUDGET = 4_000_000
 
 
-def _check_desk_scale(ch: DmcWthi) -> None:
-    if max(ch.nx1, ch.nx2, ch.ny1, ch.ny2) > _DESK_ALPHABET:
-        raise DeskScaleError(
-            f"alphabets {(ch.nx1, ch.nx2, ch.ny1, ch.ny2)} exceed the desk-scale "
-            f"limit of {_DESK_ALPHABET}"
-        )
-
-
 def _check_budget(count: int, what: str) -> None:
     if count > _ENUMERATION_BUDGET:
         raise DeskScaleError(
@@ -346,7 +329,11 @@ def _law_rows(ch: DmcWthi, grid_per_dim: int):
     every ``px2`` of ``px2s``, and ``table[k]`` the ``MutualInfoProfile``
     fields of the law ``(px1, px2s[k])``.
     """
-    _check_desk_scale(ch)
+    if max(ch.nx1, ch.nx2, ch.ny1, ch.ny2) > _DESK_ALPHABET:
+        raise DeskScaleError(
+            f"alphabets {(ch.nx1, ch.nx2, ch.ny1, ch.ny2)} exceed the desk-scale "
+            f"limit of {_DESK_ALPHABET}"
+        )
     if grid_per_dim < 2:
         raise DomainError("grid_per_dim must be >= 2")
     n1, n2 = (math.comb(grid_per_dim + n - 2, n - 1) for n in (ch.nx1, ch.nx2))

@@ -38,7 +38,7 @@ def awgn_capacity(x: float) -> float:
     return 0.5 * math.log1p(x) / _LN2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianWthi:
     """Channel gains and power constraints.
 
@@ -52,9 +52,11 @@ class GaussianWthi:
     p1_max: float
     p2_max: float
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "p1_max", "p2_max"):
-            object.__setattr__(self, name, _require_finite_nonneg(name, getattr(self, name)))
+    def __init__(self, a: float, b: float, p1_max: float, p2_max: float) -> None:
+        object.__setattr__(self, "a", _require_finite_nonneg("a", a))
+        object.__setattr__(self, "b", _require_finite_nonneg("b", b))
+        object.__setattr__(self, "p1_max", _require_finite_nonneg("p1_max", p1_max))
+        object.__setattr__(self, "p2_max", _require_finite_nonneg("p2_max", p2_max))
 
     def degraded(self) -> bool:
         """True iff the eavesdropper output is a noisy function of the receiver output.

@@ -5,8 +5,8 @@ power pair (p1, p2), and the partial derivatives have closed-form signs, so
 the maximizing allocation over the box [0, p1_max] x [0, p2_max] is given by
 a small case analysis: it compares the gains (a, b) with 1 and 1/a, and the
 power caps with the levels of ``_branch_points``.  It prescribes one entry of
-``_menu``, and on a branch boundary the whole menu is compared through the
-rate.  ``grid_oracle_detailed`` provides an independent exhaustive check,
+``_menu``, and on a branch boundary each distinct menu entry is rated once.
+``grid_oracle_detailed`` provides an independent exhaustive check,
 with the same levels as extra grid lines.
 """
 
@@ -145,10 +145,10 @@ def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediate
     """Rate-maximizing power pair from the closed-form case analysis.
 
     In the interior of a branch the prescription is returned as-is.  On a
-    branch boundary every allocation of the menu is evaluated through
-    ``rate_achievable`` and the best is returned (the rate is continuous, so
-    boundary assignment cannot lose rate); ties break toward lower total
-    power, then lower p1.
+    branch boundary each distinct allocation of the menu, the prescribed one
+    first, is evaluated once through ``rate_achievable`` and the best is
+    returned (the rate is continuous, so boundary assignment cannot lose
+    rate); ties break toward lower total power, then lower p1.
     """
     inter = intermediates(ch)
     key, on_boundary = _prescribed(ch, inter)
@@ -157,8 +157,9 @@ def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediate
     if not on_boundary:
         return best, inter
 
-    best_rate, _ = rate_achievable(ch, best)
-    for cand in (PowerAllocation(*pair) for pair in menu if pair is not None):
+    best_rate = -math.inf
+    for pair in filter(None, dict.fromkeys((menu[key], *menu))):  # None marks inapplicable
+        cand = PowerAllocation(*pair)
         r, _ = rate_achievable(ch, cand)
         better = r > best_rate + 1e-15
         tied = abs(r - best_rate) <= 1e-15

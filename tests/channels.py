@@ -12,6 +12,12 @@ def bsc(eps: float) -> np.ndarray:
     return np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
 
 
+def channel_document(ch: DmcWthi) -> dict:
+    """The JSON document of a channel file, as ``DmcWthi.from_dict`` reads it."""
+    return {"nx1": ch.nx1, "nx2": ch.nx2, "ny1": ch.ny1, "ny2": ch.ny2,
+            "transition": ch.transition.tolist()}
+
+
 def random_binary_channel(rng: np.random.Generator) -> DmcWthi:
     t = rng.random((2, 2, 2, 2))
     t /= t.sum(axis=(2, 3), keepdims=True)

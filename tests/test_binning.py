@@ -78,7 +78,7 @@ class TestCodebookSpec:
         m1s, m1p, m1pp, m2p, m2pp = spec.sizes
         assert (m1s, m1p, m1pp) == (2, 1, 2)
         assert m1s * m1p * m1pp == 4
-        assert spec.r1 == pytest.approx(1.0)
+        assert spec.r1s + spec.r1d_prime + spec.r1d_dprime == pytest.approx(1.0)
 
     def test_rate_decomposition_validated(self):
         with pytest.raises(DomainError):
@@ -434,7 +434,7 @@ class TestEquivocation:
 class TestResultRecord:
     def test_fields(self):
         res = simulate(blind_eavesdropper_channel(), UNIFORM, BLIND_SPEC, 2, 10)
-        record = result_record(BLIND_SPEC, 2, 10, res, 12.5)
+        record = result_record(BLIND_SPEC, 2, res, 12.5)
         assert record["seed"] == 2
         assert record["trials"] == 10
         assert record["p_e"] == res.p_e

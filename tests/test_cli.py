@@ -16,7 +16,7 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
 from wthi.power import optimal_power
 
-from channels import noiseless_blind_channel
+from channels import channel_document, noiseless_blind_channel
 
 
 def run_cli(args):
@@ -26,7 +26,7 @@ def run_cli(args):
 @pytest.fixture()
 def channel_file(tmp_path):
     path = tmp_path / "blind.json"
-    path.write_text(json.dumps(noiseless_blind_channel().to_dict()))
+    path.write_text(json.dumps(channel_document(noiseless_blind_channel())))
     return path
 
 

@@ -28,6 +28,7 @@ from wthi.gaussian import Regime
 
 from channels import (
     blind_eavesdropper_channel,
+    channel_document,
     degraded_instance,
     identical_outputs_channel,
     noiseless_blind_channel,
@@ -147,7 +148,7 @@ class TestDmcWthiValidation:
     def test_json_round_trip(self, tmp_path):
         ch = blind_eavesdropper_channel()
         path = tmp_path / "channel.json"
-        path.write_text(json.dumps(ch.to_dict()))
+        path.write_text(json.dumps(channel_document(ch)))
         loaded = DmcWthi.from_json(path)
         assert np.allclose(loaded.transition, ch.transition)
 

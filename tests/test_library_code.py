@@ -96,3 +96,9 @@ def test_all_lists_exactly_the_imported_names():
     assert wthi.__all__ == sorted(set(wthi.__all__))
     assert set(wthi.__all__) == imported
     assert all(hasattr(wthi, name) for name in wthi.__all__)
+
+
+def test_source_stays_below_the_roadmap_ceiling():
+    # the library's line budget: growth past it has to be paid for with removals
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SOURCES)
+    assert lines < 2067, lines

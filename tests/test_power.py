@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wthi import power
 from wthi.bounds import bound_main_channel, bound_z_channel
 from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
@@ -110,6 +111,21 @@ class TestOptimalPower:
                 rate, _ = rate_achievable(ch, alloc)
                 expect_positive = (a < 1) or (b > 1) or (a > 1 and b < 1 / a)
                 assert (rate > 1e-9) == expect_positive, (a, b, rate)
+
+    def test_boundary_rates_each_distinct_allocation_once(self, monkeypatch):
+        # a = 1 is a branch boundary; with p2_max = 0 the transmit-only and the
+        # full-power entries of the menu are the same pair (10, 0)
+        ch = GaussianWthi(1.0, 2.0, 10.0, 0.0)
+        rated = []
+
+        def counting_rate(ch, alloc):
+            rated.append((alloc.p1, alloc.p2))
+            return rate_achievable(ch, alloc)
+
+        monkeypatch.setattr(power, "rate_achievable", counting_rate)
+        alloc, _ = optimal_power(ch)
+        assert rated == [(0.0, 0.0), (10.0, 0.0), (1.0, 0.0)]  # the prescribed one first
+        assert alloc == PowerAllocation(0.0, 0.0)
 
 
 class TestIntermediates:
