@@ -28,13 +28,15 @@ is a difference of four conditional entropies:
     I(X1,X2;Y)  = H(Y)    - H(Y|X1,X2)
     I(X1;Y)     = H(Y)    - H(Y|X1)
 
-H(Y|x1,x2) is a constant of the channel and H(Y|x2) one of p(x1).  Every
-grid search reads these profiles from one table, a row of the input-law grid
-(one p(x1)) at a time.  The output marginals p(y1|x1,x2) and p(y2|x1,x2) sum
-the other output in canonical (sorted) order, so cells that sum the same
-terms are the same double.  The Sato objective uses the chain rule
-I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) - I(X1,X2;Y2): every coupling keeps the
-channel's Y2 marginal, so the second term is computed once per input law.
+H(Y|x1,x2) is a constant of the channel, H(Y|x2) one of p(x1) and H(Y|x1)
+one of p(x2).  Every grid search reads these profiles from one table, in
+blocks of whole rows of the input-law grid (a row is one p(x1) with every
+p(x2)); p(y|x1) and H(Y|x1) are formed once per search.  The output
+marginals p(y1|x1,x2) and p(y2|x1,x2) sum the other output in canonical
+(sorted) order, so cells that sum the same terms are the same double.  The
+Sato objective uses the chain rule I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) -
+I(X1,X2;Y2): every coupling keeps the channel's Y2 marginal, so the second
+term is computed once per input law.
 
 All information quantities are in bits.
 """
@@ -169,32 +171,39 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def _output_laws(ch: DmcWthi) -> tuple[np.ndarray, np.ndarray]:
-    """p(y1|x1,x2) and p(y2|x1,x2) padded to one alphabet (2, nx1, nx2, ny), and H(Y|x1,x2)."""
+def _output_laws(ch: DmcWthi, px2s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Constants of a search over p(x1) against the laws ``px2s`` (n, nx2).
+
+    Returns ``w`` = p(y1|x1,x2) and p(y2|x1,x2) padded to one alphabet
+    (2, nx1, nx2, ny), H(Y|x1,x2), p(y|x1) per law of ``px2s``
+    (n, 2, nx1, ny) and its entropies H(Y|x1) (n, 2, nx1), in the order
+    ``_profile_table`` takes them.
+    """
     w = np.zeros((2, ch.nx1, ch.nx2, max(ch.ny1, ch.ny2)))
     w[0, ..., : ch.ny1] = ch.receiver_marginal()
     w[1, ..., : ch.ny2] = ch.eavesdropper_marginal()
-    return w, _entropy_rows(w)
+    y_x1 = np.einsum("nj,oijy->noiy", px2s, w)
+    return w, _entropy_rows(w), y_x1, _entropy_rows(y_x1)
 
 
-def _profile_table(w: np.ndarray, h_w: np.ndarray, px1: np.ndarray, px2s: np.ndarray
-                   ) -> np.ndarray:
-    """Profiles of the laws px1 x px2s[k] as rows of ``MutualInfoProfile`` fields.
+def _profile_table(w: np.ndarray, h_w: np.ndarray, y_x1: np.ndarray, h_x1: np.ndarray,
+                   px1s: np.ndarray, px2s: np.ndarray) -> np.ndarray:
+    """Profiles of the laws px1s[i] x px2s[k] as rows of ``MutualInfoProfile`` fields.
 
-    ``w`` and ``h_w`` come from ``_output_laws``, ``px1`` is one law (nx1,)
-    and ``px2s`` is (n, nx2).  p(y|x2) and its entropies are constants of
-    ``px1``, so only p(y|x1) and p(y) are formed per law.  Each field is a
-    difference of conditional entropies, clamped at 0.
+    The first four arguments come from ``_output_laws`` for ``px2s``;
+    ``px1s`` is a block of laws (m, nx1).  Rows run px1 slow, px2 fast.
+    p(y|x1) and H(Y|x1) are constants of ``px2s`` and p(y|x2) and H(Y|x2) of
+    ``px1s``, so only p(y) is formed per law.  Each field is a difference of
+    conditional entropies, clamped at 0.
     """
-    h_x2 = _entropy_rows(np.einsum("i,oijy->ojy", px1, w))  # H(Y|x2), (output, nx2)
-    y_x1 = np.einsum("nj,oijy->noiy", px2s, w)              # p(y|x1)
-    h_y = _entropy_rows(np.einsum("i,noiy->noy", px1, y_x1))
-    h_y_x1 = np.einsum("i,noi->no", px1, _entropy_rows(y_x1))
-    h_y_x2 = np.einsum("nj,oj->no", px2s, h_x2)
-    h_y_x1x2 = np.einsum("i,nj,oij->no", px1, px2s, h_w)
+    h_x2 = _entropy_rows(np.einsum("mi,oijy->mojy", px1s, w))  # H(Y|x2), (m, output, nx2)
+    h_y = _entropy_rows(np.einsum("mi,noiy->mnoy", px1s, y_x1))
+    h_y_x1 = np.einsum("mi,noi->mno", px1s, h_x1)
+    h_y_x2 = np.einsum("nj,moj->mno", px2s, h_x2)
+    h_y_x1x2 = np.einsum("mi,nj,oij->mno", px1s, px2s, h_w)
     fields = np.stack(
         [h_y_x2 - h_y_x1x2, h_y_x1 - h_y_x1x2, h_y - h_y_x1x2, h_y - h_y_x1], axis=-1
-    )  # (n, output, 4)
+    )  # (m, n, output, 4)
     return np.maximum(fields, 0.0).reshape(-1, 8)
 
 
@@ -205,7 +214,8 @@ def mi_profile(ch: DmcWthi, inp: ProductInput) -> MutualInfoProfile:
             f"input sizes ({inp.px1.size}, {inp.px2.size}) do not match channel "
             f"alphabets ({ch.nx1}, {ch.nx2})"
         )
-    row = _profile_table(*_output_laws(ch), inp.px1, inp.px2[None, :])[0]
+    px2s = inp.px2[None, :]
+    row = _profile_table(*_output_laws(ch, px2s), inp.px1[None, :], px2s)[0]
     return MutualInfoProfile(*row.tolist())
 
 
@@ -322,12 +332,20 @@ def _check_budget(count: int, what: str) -> None:
         )
 
 
-def _law_rows(ch: DmcWthi, grid_per_dim: int):
-    """Profile table of the product-law grid, one row of the grid at a time.
+# Most input laws in one block of the profile table; a block holds at least
+# one p(x1) row of the grid.
+_LAW_BLOCK = 2**12
 
-    Yields ``(px1, px2s, table)`` in ``simplex_grid`` order: one ``px1`` with
-    every ``px2`` of ``px2s``, and ``table[k]`` the ``MutualInfoProfile``
-    fields of the law ``(px1, px2s[k])``.
+
+def _law_rows(ch: DmcWthi, grid_per_dim: int):
+    """Profile table of the product-law grid, in blocks of whole p(x1) rows.
+
+    Yields ``(px1s, px2s, table)`` in ``simplex_grid`` order: the laws
+    px1s[i] x px2s[k] for every pair, px1 slow and px2 fast, at most
+    ``_LAW_BLOCK`` of them unless one row alone is longer, with
+    ``table[i * len(px2s) + k]`` the ``MutualInfoProfile`` fields of the
+    law ``(px1s[i], px2s[k])``.  p(y|x1) and H(Y|x1) are computed once per
+    search, and a row's values do not depend on its block.
     """
     if max(ch.nx1, ch.nx2, ch.ny1, ch.ny2) > _DESK_ALPHABET:
         raise DeskScaleError(
@@ -338,10 +356,13 @@ def _law_rows(ch: DmcWthi, grid_per_dim: int):
         raise DomainError("grid_per_dim must be >= 2")
     n1, n2 = (math.comb(grid_per_dim + n - 2, n - 1) for n in (ch.nx1, ch.nx2))
     _check_budget(n1 * n2, "input laws")
-    laws = _output_laws(ch)
     px2s = simplex_grid(ch.nx2, grid_per_dim)
-    for px1 in simplex_grid(ch.nx1, grid_per_dim):
-        yield px1, px2s, _profile_table(*laws, px1, px2s)
+    laws = _output_laws(ch, px2s)
+    px1_grid = simplex_grid(ch.nx1, grid_per_dim)
+    step = max(1, _LAW_BLOCK // n2)
+    for s in range(0, n1, step):
+        px1s = px1_grid[s : s + step]
+        yield px1s, px2s, _profile_table(*laws, px1s, px2s)
 
 
 def achievable_rate(
@@ -350,24 +371,32 @@ def achievable_rate(
     """Achievable secrecy rate maximized over a grid of product input laws.
 
     Each input simplex is discretized with ``grid_per_dim`` points per free
-    coordinate.  Every pair is scored by ``_breakpoint_search``, a row of the
-    law grid at a time, and only the winner's split is built, by
-    ``achievable_rate_fixed_input``.  Iteration order is deterministic and a
-    later law wins only by more than 1e-15, so ties keep the first
-    (lexicographically smallest) grid point.  Desk scale only: alphabets of
-    size at most 4 and at most ``_ENUMERATION_BUDGET`` laws.
+    coordinate.  Every pair is scored by ``_breakpoint_search``, a block of
+    the law grid at a time (``_law_rows``), and only the winner's split is
+    built, by ``achievable_rate_fixed_input``.  Iteration order is
+    deterministic and a later law wins only by more than 1e-15, so ties keep
+    the first (lexicographically smallest) grid point.  A winner exceeds
+    every earlier rate, so each block is scanned in order only at its strict
+    running records.  Desk scale only: alphabets of size at most 4 and at
+    most ``_ENUMERATION_BUDGET`` laws.
     """
     if grid_per_dim < 3:
         raise DomainError("grid_per_dim must be >= 3")
     best_rate, best = -math.inf, None
-    for px1, px2s, table in _law_rows(ch, grid_per_dim):
+    for px1s, px2s, table in _law_rows(ch, grid_per_dim):
         rates = _breakpoint_search(table)[0]
-        for k in np.flatnonzero(rates > best_rate + 1e-15):  # the only laws that can win
+        earlier = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
+        for k in np.flatnonzero(rates > earlier):  # the only laws that can win
             if rates[k] > best_rate + 1e-15:
-                best_rate, best = float(rates[k]), (px1, px2s[k], table[k])
+                best_rate, best = float(rates[k]), (*_law_at(px1s, px2s, k), table[k])
     px1, px2, row = best
     rate, split = achievable_rate_fixed_input(MutualInfoProfile(*row.tolist()))
     return rate, ProductInput(px1, px2), split
+
+
+def _law_at(px1s: np.ndarray, px2s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law (px1, px2) of row ``k`` of a ``_law_rows`` block."""
+    return px1s[k // len(px2s)], px2s[k % len(px2s)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +406,10 @@ def achievable_rate(
 _REGIME_SLACK = 1e-9
 
 
-def _require_regime(name: str, fails: np.ndarray, px1: np.ndarray, px2s: np.ndarray) -> None:
-    """Raise at the first law of the row where the regime condition fails."""
+def _require_regime(name: str, fails: np.ndarray, px1s: np.ndarray, px2s: np.ndarray) -> None:
+    """Raise at the first law of the block where the regime condition fails."""
     if fails.any():
-        px2 = px2s[int(np.argmax(fails))]
+        px1, px2 = _law_at(px1s, px2s, int(np.argmax(fails)))
         raise RegimeMismatchError(
             f"{name}-regime condition fails at px1={px1.tolist()}, px2={px2.tolist()}"
         )
@@ -396,10 +425,10 @@ def weak_regime_rate(ch: DmcWthi, grid_per_dim: int = 21) -> float:
     delta1 = I(X1;Y1|X2) - I(X1;Y2|X2) and delta2 = I(X1;Y1) - I(X1;Y2).
     """
     best = -math.inf
-    for px1, px2s, table in _law_rows(ch, grid_per_dim):
+    for px1s, px2s, table in _law_rows(ch, grid_per_dim):
         a1, a2, _, a1m, b1, b2, _, b1m = table.T
         fails = (a1 < b1 - _REGIME_SLACK) | (b2 < a2 - _REGIME_SLACK)
-        _require_regime("weak", fails, px1, px2s)
+        _require_regime("weak", fails, px1s, px2s)
         best = max(best, float(np.max(np.maximum(a1 - b1, a1m - b1m))))
     return best
 
@@ -412,10 +441,10 @@ def strong_regime_rate(ch: DmcWthi, grid_per_dim: int = 21) -> float:
     min(I(X1,X2;Y1) - I(X1,X2;Y2), I(X1;Y1|X2) - I(X1;Y2)).
     """
     best = 0.0
-    for px1, px2s, table in _law_rows(ch, grid_per_dim):
+    for px1s, px2s, table in _law_rows(ch, grid_per_dim):
         a1, a2, a12, _, b1, b2, b12, b1m = table.T
         fails = (a1 > b1 + _REGIME_SLACK) | (b2 > a2 + _REGIME_SLACK)
-        _require_regime("strong", fails, px1, px2s)
+        _require_regime("strong", fails, px1s, px2s)
         best = max(best, float(np.max(np.minimum(a12 - b12, a1 - b1m))))
     return best
 

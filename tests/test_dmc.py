@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import time
 from dataclasses import astuple
 from fractions import Fraction
@@ -28,6 +30,7 @@ from wthi.gaussian import Regime
 
 from channels import (
     blind_eavesdropper_channel,
+    bsc,
     channel_document,
     degraded_instance,
     identical_outputs_channel,
@@ -128,10 +131,12 @@ class TestMiProfile:
     @settings(max_examples=30, deadline=None)
     def test_grid_rows_match_joint_entropy_reference(self, sizes, seed, sparse):
         ch = random_channel(sizes, seed, sparse)
-        for px1, px2s, table in dmc._law_rows(ch, 4):  # the grid holds the point masses
-            for px2, row in zip(px2s, table):
+        for px1s, px2s, table in dmc._law_rows(ch, 4):  # the grid holds the point masses
+            assert len(table) == len(px1s) * len(px2s)
+            for (px1, px2), row in zip(itertools.product(px1s, px2s), table):  # px2 fastest
                 expected = joint_entropy_profile(ch.transition, px1, px2)
                 assert row.tolist() == pytest.approx(expected, abs=1e-12)
+                assert row.tolist() == list(astuple(mi_profile(ch, ProductInput(px1, px2))))
 
 
 class TestDmcWthiValidation:
@@ -376,6 +381,134 @@ class TestAchievableRate:
             weak_regime_rate(ch, 200)
         with pytest.raises(DeskScaleError, match="budget"):
             dmc_sato_bound(random_binary_channel(np.random.default_rng(4)), 9, 250)
+
+
+def gated_channel() -> DmcWthi:
+    """y1 = x1 when x2 = 0 and an erasure when x2 = 1; y2 a fair coin.
+
+    The secrecy rate p(x2=0) h(p(x1=0)) rises along each p(x1) row of the
+    grid, and the row maximum rises over the first half of the rows, so
+    many laws of the grid are running records.
+    """
+    t = np.zeros((2, 2, 3, 2))
+    for x1 in range(2):
+        t[x1, 0, x1] = 0.5
+        t[x1, 1, 2] = 0.5
+    return DmcWthi(2, 2, 3, 2, t)
+
+
+def leaky_eavesdropper_channel() -> DmcWthi:
+    """y1 = BSC(0.2)(x1); y2 = x1 when x2 = 0 and a fair coin when x2 = 1.
+
+    The weak-regime condition holds at every point-mass p(x1) and fails
+    once p(x2=0) is large enough, so its first failure in grid order is in
+    the second p(x1) row and past the first p(x2).
+    """
+    t = np.zeros((2, 2, 2, 2))
+    for x1 in range(2):
+        t[x1, 0] = np.outer(bsc(0.2)[x1], np.eye(2)[x1])
+        t[x1, 1] = np.outer(bsc(0.2)[x1], [0.5, 0.5])
+    return DmcWthi(2, 2, 2, 2, t)
+
+
+def weak_condition_fails(prof: MutualInfoProfile) -> bool:
+    """The weak-regime condition of ``weak_regime_rate`` fails at one law."""
+    slack = dmc._REGIME_SLACK
+    return (prof.i_x1_y1_given_x2 < prof.i_x1_y2_given_x2 - slack
+            or prof.i_x2_y2_given_x1 < prof.i_x2_y1_given_x1 - slack)
+
+
+def running_records(rates: np.ndarray) -> int:
+    """Number of laws whose rate exceeds every earlier rate in grid order."""
+    earlier = np.maximum.accumulate(np.concatenate([[-np.inf], rates[:-1]]))
+    return int(np.sum(rates > earlier))
+
+
+def grid_outcomes(ch: DmcWthi, grid: int) -> list:
+    """The four grid searches of ``ch``; a regime mismatch gives its message."""
+    out = [search(ch, grid)]
+    for fn in (weak_regime_rate, strong_regime_rate, very_strong_eavesdropping):
+        try:
+            out.append(fn(ch, grid))
+        except RegimeMismatchError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestLawBlocks:
+    @pytest.mark.parametrize("ch, grid", [
+        (gated_channel(), 21),
+        (random_channel((3, 3, 3, 2), 4, False), 7),
+        (random_channel((4, 3, 2, 4), 5, True), 5),
+        (weak_instance(), 9),
+        (strong_instance(), 9),
+        (very_strong_instance(), 9),
+    ])
+    def test_values_do_not_depend_on_the_blocking(self, monkeypatch, ch, grid):
+        n1, n2 = len(simplex_grid(ch.nx1, grid)), len(simplex_grid(ch.nx2, grid))
+        found = {}
+        for rows in (1, 3, n1):
+            monkeypatch.setattr(dmc, "_LAW_BLOCK", rows * n2)
+            blocks = list(dmc._law_rows(ch, grid))
+            assert len(blocks) == math.ceil(n1 / rows)
+            assert all(len(px1s) == rows for px1s, _, _ in blocks[:-1])
+            table = np.concatenate([table for _, _, table in blocks])
+            found[rows] = table, grid_outcomes(ch, grid)
+        whole, outcomes = found[n1]
+        for rows in (1, 3):
+            assert np.array_equal(found[rows][0], whole)
+            assert found[rows][1] == outcomes
+
+    def test_rising_rates_make_many_records_in_a_block(self):
+        rates = dmc._breakpoint_search(
+            np.concatenate([table for _, _, table in dmc._law_rows(gated_channel(), 21)]))[0]
+        assert running_records(rates) > 2 * 21
+        rate, px1, px2, _ = search(gated_channel(), 21)
+        assert (rate, px1, px2) == (1.0, [0.5, 0.5], [1.0, 0.0])
+
+    @pytest.mark.parametrize("rows", [1, 3, 20])
+    def test_record_scan_keeps_the_sequential_tie_rule(self, monkeypatch, rows):
+        # rates that climb by 0.6e-15 a law in grid order: every law is a
+        # running record, but only every other one beats the best by 1e-15
+        ch, grid = gated_channel(), 20
+        px1s, px2s = simplex_grid(ch.nx1, grid), simplex_grid(ch.nx2, grid)
+        climb = 0.6e-15 * np.arange(len(px1s) * len(px2s))
+        scored, real = [0], dmc._breakpoint_search
+
+        def climbing(table):
+            start = scored[0]
+            if start == len(climb):  # the winner's split, after the grid
+                return real(table)
+            scored[0] += len(table)
+            _, r2s, r1ds = real(table)
+            return climb[start : start + len(table)], r2s, r1ds
+
+        monkeypatch.setattr(dmc, "_breakpoint_search", climbing)
+        monkeypatch.setattr(dmc, "_LAW_BLOCK", rows * len(px2s))
+        best, expected = -math.inf, None
+        for k, rate in enumerate(climb):
+            if rate > best + 1e-15:
+                best, expected = rate, k
+        assert expected == len(climb) - 2
+        _, inp, _ = achievable_rate(ch, grid)
+        assert inp.px1.tolist() == px1s[expected // len(px2s)].tolist()
+        assert inp.px2.tolist() == px2s[expected % len(px2s)].tolist()
+
+    @pytest.mark.parametrize("grid", [5, 7, 21])
+    def test_regime_mismatch_names_the_first_failing_law(self, monkeypatch, grid):
+        ch = leaky_eavesdropper_channel()
+        px1s, px2s = simplex_grid(ch.nx1, grid), simplex_grid(ch.nx2, grid)
+        first = next(
+            (i, k) for i, k in itertools.product(range(len(px1s)), range(len(px2s)))
+            if weak_condition_fails(mi_profile(ch, ProductInput(px1s[i], px2s[k]))))
+        assert first[0] >= 1 and first[1] >= 1
+        # two rows a block: the failing law is in the second row of its block
+        monkeypatch.setattr(dmc, "_LAW_BLOCK", 2 * len(px2s))
+        assert first[0] % 2 == 1
+        expected = (f"weak-regime condition fails at px1={px1s[first[0]].tolist()}, "
+                    f"px2={px2s[first[1]].tolist()}")
+        with pytest.raises(RegimeMismatchError, match=f"^{re.escape(expected)}$"):
+            weak_regime_rate(ch, grid)
 
 
 class TestRegimeSpecialCases:
