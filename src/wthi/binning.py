@@ -49,11 +49,11 @@ normalizations use the realized size ``m1s`` rather than the nominal rate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dmc import DmcWthi, ProductInput, _entropy_rows
+from .dmc import DmcWthi, ProductInput, _check_input_sizes, _entropy_rows
 from .errors import DeskScaleError, DomainError
 from .gaussian import _require_finite_nonneg
 
@@ -140,9 +140,13 @@ class Codebooks:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Summary of a simulator run, then its read-only per-trial arrays (outside ``==``)."""
+
     p_e: float
     equivocation_ratio: float
     trials: int
+    h_bits: np.ndarray = field(compare=False, repr=False)  # H(W1 | Y2 = y2) in bits
+    errors: np.ndarray = field(compare=False, repr=False)  # decoding-error flags
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -207,8 +211,7 @@ def build_codebooks(
     ch: DmcWthi, inp: ProductInput, spec: CodebookSpec, seed: int
 ) -> Codebooks:
     """Draw both codebooks i.i.d. from the input laws; deterministic in ``seed``."""
-    if inp.px1.size != ch.nx1 or inp.px2.size != ch.nx2:
-        raise DomainError("input distribution sizes do not match the channel alphabets")
+    _check_input_sizes(ch, inp)
     m1s, m1p, m1pp, m2p, m2pp = spec.sizes
     rng = _stream(seed, 0)
     c1 = rng.choice(ch.nx1, size=(m1s, m1p, m1pp, spec.n), p=inp.px1).astype(np.int8)
@@ -305,7 +308,7 @@ def simulate(
     seed: int,
     trials: int,
 ) -> SimResult:
-    """Monte Carlo error probability and exact average equivocation ratio.
+    """Monte Carlo error probability and exact equivocation, with the per-trial arrays.
 
     Per trial: the secret message and all dithering indices are drawn
     uniformly, the channel emits (y1, y2) symbol by symbol, the receiver
@@ -315,18 +318,6 @@ def simulate(
     H(W1 | Y2 = y2) normalized by log2(m1s), so it lies in [0, 1]; a
     degenerate spec with a single secret message reports 1.0.
     """
-    result, _, _ = simulate_detailed(ch, inp, spec, seed, trials)
-    return result
-
-
-def simulate_detailed(
-    ch: DmcWthi,
-    inp: ProductInput,
-    spec: CodebookSpec,
-    seed: int,
-    trials: int,
-) -> tuple[SimResult, np.ndarray, np.ndarray]:
-    """Like ``simulate`` but also returns per-trial entropies and error flags."""
     if trials <= 0:
         raise DomainError(f"trials must be > 0, got {trials}")
     books = build_codebooks(ch, inp, spec, seed)
@@ -366,12 +357,18 @@ def simulate_detailed(
             errors[start:start + size] = w1_hat != w1[part]
 
     ratio = float(np.mean(h_bits) / h_max) if h_max > 0.0 else 1.0
-    result = SimResult(
-        p_e=float(np.mean(errors)),
-        equivocation_ratio=ratio,
-        trials=trials,
-    )
-    return result, h_bits, errors
+    h_bits.setflags(write=False)
+    errors.setflags(write=False)
+    return SimResult(float(np.mean(errors)), ratio, trials, h_bits, errors)
+
+
+def simulate_detailed(ch: DmcWthi, inp: ProductInput, spec: CodebookSpec, seed: int,
+                      trials: int) -> tuple[SimResult, np.ndarray, np.ndarray]:
+    """``simulate`` as (result, h_bits, errors): kept only because bench/workloads.py
+    and bench/test_checks.py call and trace it; ROADMAP item 2's bench revision deletes it.
+    """
+    res = simulate(ch, inp, spec, seed, trials)
+    return res, res.h_bits, res.errors
 
 
 def result_record(spec: CodebookSpec, seed: int, result: SimResult, runtime_ms: float) -> dict:

@@ -43,16 +43,18 @@ from .binning import CodebookSpec, result_record, simulate
 from .bounds import bound_best, bound_main_channel, bound_sato, bound_z_channel, sato_minimize
 from .dmc import DmcWthi, ProductInput, achievable_rate
 from .errors import DeskScaleError, DomainError, RegimeMismatchError
-from .gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
+from .gaussian import GaussianWthi, PowerAllocation, _is_integral, rate_achievable, rate_wiretap
 from .power import optimal_power
 
 _GAINS = ("a", "b", "p1_max", "p2_max")
 _RANGE = ("start", "stop", "points", "spacing")
-# argparse options of the flags that do not take a float
+_RATES = ("r1s", "r1d_prime", "r1d_dprime", "r2_prime", "r2_dprime")
+# argparse options of the flags that do not take a float; config values get the same types
 _FLAG_OPTIONS = {
     "points": {"type": int},
     "spacing": {"choices": ("linear", "log")},
     "channel": {"help": "channel JSON file"},
+    "out": {"help": "output path (stdout when omitted)"},
     "grid": {"type": int, "help": "input-distribution grid density"},
     "seed": {"type": int},
     "trials": {"type": int},
@@ -115,7 +117,7 @@ class SweepConfig:
 
 
 def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepConfig:
-    """Defaults, then config file fields, then explicit flags."""
+    """Defaults, then config file fields read with their flags' types, then explicit flags."""
     _, fields, defaults = _SUBCOMMANDS.get(mode, (None, (), {}))
     values: dict = {"mode": mode, **defaults}
     if config_path is not None:
@@ -131,11 +133,23 @@ def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepCon
         unknown = set(doc) - {"out", *fields}
         if unknown:
             raise ConfigError(f"config fields that {mode} does not read: {sorted(unknown)}")
-        values.update(doc)
+        values.update({name: _config_value(name, value) for name, value in doc.items()})
     values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = SweepConfig(**values)
     cfg.validate()
     return cfg
+
+
+def _config_value(name: str, value):
+    """A config-file value read with its flag's type; null only where the default is null."""
+    kind = _FLAG_OPTIONS.get(name, {"type": float}).get("type", str)
+    if value is None and getattr(SweepConfig, name) is None:
+        return None
+    if not (isinstance(value, str) if kind is str
+            else _is_integral(value) or kind is float and isinstance(value, float)):
+        raise ConfigError(f"config field {name} must be of type {kind.__name__}, "
+                          f"got {json.dumps(value)}")
+    return kind(value)
 
 
 def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> str:
@@ -264,15 +278,8 @@ def run_dmc(cfg: SweepConfig) -> str:
 
 def run_simulate(cfg: SweepConfig) -> str:
     ch = _load_channel(cfg)
-    spec = CodebookSpec(
-        n=cfg.n,
-        r1s=cfg.r1s,
-        r1d_prime=cfg.r1d_prime,
-        r1d_dprime=cfg.r1d_dprime,
-        r2=cfg.r2_prime + cfg.r2_dprime,
-        r2_prime=cfg.r2_prime,
-        r2_dprime=cfg.r2_dprime,
-    )
+    rates = {name: getattr(cfg, name) for name in _RATES}
+    spec = CodebookSpec(n=cfg.n, r2=cfg.r2_prime + cfg.r2_dprime, **rates)
     inp = ProductInput.uniform(ch.nx1, ch.nx2)
     t0 = time.perf_counter()
     result = simulate(ch, inp, spec, cfg.seed, cfg.trials)
@@ -290,8 +297,7 @@ _SUBCOMMANDS = {
     "power-opt": (run_power_opt, _GAINS, {}),
     "bounds": (run_bounds, _GAINS, {}),
     "dmc": (run_dmc, ("channel", "grid"), {}),
-    "simulate": (run_simulate, ("channel", "seed", "trials", "n", "r1s",
-                                "r1d_prime", "r1d_dprime", "r2_prime", "r2_dprime"), {}),
+    "simulate": (run_simulate, ("channel", "seed", "trials", "n", *_RATES), {}),
 }
 
 
@@ -306,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     for mode, (_, fields, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--out", help="output path (stdout when omitted)")
+        p.add_argument("--out", **_FLAG_OPTIONS["out"])
         for name in fields:
             p.add_argument("--" + name.replace("_", "-"), dest=name,
                            **_FLAG_OPTIONS.get(name, {"type": float}))

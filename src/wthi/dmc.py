@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DeskScaleError, DomainError, RegimeMismatchError
-from .gaussian import RateSplit, Regime
+from .gaussian import RateSplit, Regime, _is_integral
 
 _SIMPLEX_TOL = 1e-12
 
@@ -87,10 +87,10 @@ class DmcWthi:
         expected = (self.nx1, self.nx2, self.ny1, self.ny2)
         if t.shape != expected:
             raise DomainError(f"transition shape {t.shape} does not match {expected}")
-        if np.any(t < -_SIMPLEX_TOL) or np.any(t > 1.0 + _SIMPLEX_TOL):
+        if not np.all((t >= -_SIMPLEX_TOL) & (t <= 1.0 + _SIMPLEX_TOL)):  # NaN fails too
             raise DomainError("transition entries must lie in [0, 1]")
         sums = t.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > _SIMPLEX_TOL):
+        if not np.all(np.abs(sums - 1.0) <= _SIMPLEX_TOL):
             bad = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
             raise DomainError(
                 f"conditional slice (x1={bad[0]}, x2={bad[1]}) sums to {sums[bad]!r}, not 1"
@@ -109,16 +109,20 @@ class DmcWthi:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DmcWthi":
-        missing = {"nx1", "nx2", "ny1", "ny2", "transition"} - set(doc)
+        sizes = ("nx1", "nx2", "ny1", "ny2")
+        missing = {*sizes, "transition"} - set(doc)
         if missing:
             raise DomainError(f"channel document missing fields: {sorted(missing)}")
-        return cls(
-            nx1=int(doc["nx1"]),
-            nx2=int(doc["nx2"]),
-            ny1=int(doc["ny1"]),
-            ny2=int(doc["ny2"]),
-            transition=np.asarray(doc["transition"], dtype=float),
-        )
+        for name in sizes:
+            if not _is_integral(doc[name]):
+                raise DomainError(f"{name} must be an integer, got {doc[name]!r}")
+        try:
+            t = np.asarray(doc["transition"])
+        except ValueError as exc:  # a ragged nesting
+            raise DomainError(f"transition is not a numeric array: {exc}") from exc
+        if t.dtype.kind not in "iuf":
+            raise DomainError(f"transition is not a numeric array, got dtype {t.dtype}")
+        return cls(*(int(doc[name]) for name in sizes), t.astype(float))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DmcWthi":
@@ -138,7 +142,7 @@ class ProductInput:
             p = np.asarray(getattr(self, name), dtype=float)
             if p.ndim != 1 or p.size < 1:
                 raise DomainError(f"{name} must be a 1-D distribution")
-            if np.any(p < -_SIMPLEX_TOL) or abs(float(p.sum()) - 1.0) > _SIMPLEX_TOL:
+            if not (np.all(p >= -_SIMPLEX_TOL) and abs(float(p.sum()) - 1.0) <= _SIMPLEX_TOL):
                 raise DomainError(f"{name} must be a pmf summing to 1, got {p!r}")
             p = np.clip(p, 0.0, None)
             p.setflags(write=False)
@@ -147,6 +151,12 @@ class ProductInput:
     @classmethod
     def uniform(cls, nx1: int, nx2: int) -> "ProductInput":
         return cls(np.full(nx1, 1.0 / nx1), np.full(nx2, 1.0 / nx2))
+
+
+def _check_input_sizes(ch: DmcWthi, inp: ProductInput) -> None:
+    sizes, alphabets = (inp.px1.size, inp.px2.size), (ch.nx1, ch.nx2)
+    if sizes != alphabets:
+        raise DomainError(f"input sizes {sizes} do not match channel alphabets {alphabets}")
 
 
 @dataclass(frozen=True)
@@ -209,11 +219,7 @@ def _profile_table(w: np.ndarray, h_w: np.ndarray, y_x1: np.ndarray, h_x1: np.nd
 
 def mi_profile(ch: DmcWthi, inp: ProductInput) -> MutualInfoProfile:
     """Exact mutual informations of the product-input joint distribution."""
-    if inp.px1.size != ch.nx1 or inp.px2.size != ch.nx2:
-        raise DomainError(
-            f"input sizes ({inp.px1.size}, {inp.px2.size}) do not match channel "
-            f"alphabets ({ch.nx1}, {ch.nx2})"
-        )
+    _check_input_sizes(ch, inp)
     px2s = inp.px2[None, :]
     row = _profile_table(*_output_laws(ch, px2s), inp.px1[None, :], px2s)[0]
     return MutualInfoProfile(*row.tolist())

@@ -32,6 +32,12 @@ def _require_finite_nonneg(name: str, value: float) -> float:
     return value
 
 
+def _is_integral(value) -> bool:
+    """True for an int, or a float with no fractional part; a bool is neither."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer())
+
+
 def awgn_capacity(x: float) -> float:
     """Capacity of a unit-noise AWGN channel at SNR ``x``: (1/2)*log2(1+x)."""
     x = _require_finite_nonneg("x", x)
@@ -57,13 +63,6 @@ class GaussianWthi:
         object.__setattr__(self, "b", _require_finite_nonneg("b", b))
         object.__setattr__(self, "p1_max", _require_finite_nonneg("p1_max", p1_max))
         object.__setattr__(self, "p2_max", _require_finite_nonneg("p2_max", p2_max))
-
-    def degraded(self) -> bool:
-        """True iff the eavesdropper output is a noisy function of the receiver output.
-
-        For this channel that holds exactly when a*b = 1 (within 1e-12) and a <= 1.
-        """
-        return abs(self.a * self.b - 1.0) <= 1e-12 and self.a <= 1.0
 
     def full_power(self) -> "PowerAllocation":
         return PowerAllocation(self.p1_max, self.p2_max)

@@ -243,13 +243,3 @@ def asymptotic_rate(a: float, b: float) -> float:
     if b < min(1.0, 1.0 / a):
         return 0.5 * math.log2(1.0 / (a * b))
     return max(0.0, 0.5 * math.log2(1.0 / a))
-
-
-__all__ = [
-    "GridOracleResult",
-    "PolicyIntermediates",
-    "asymptotic_rate",
-    "grid_oracle_detailed",
-    "intermediates",
-    "optimal_power",
-]

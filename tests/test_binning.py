@@ -16,7 +16,6 @@ from wthi.binning import (
     build_codebooks,
     result_record,
     simulate,
-    simulate_detailed,
 )
 from wthi.dmc import DmcWthi, ProductInput
 from wthi.errors import DeskScaleError, DomainError
@@ -133,6 +132,12 @@ class TestBuildCodebooks:
         assert books.c1.shape == (16, 1, 1, 12)
         assert books.c2.shape == (1, 4, 12)
 
+    def test_rejects_a_law_of_the_wrong_size(self):
+        # the message mi_profile gives too
+        with pytest.raises(DomainError, match=r"input sizes \(3, 2\) do not match channel "
+                                              r"alphabets \(2, 2\)"):
+            build_codebooks(blind_eavesdropper_channel(), ProductInput.uniform(3, 2), BLIND_SPEC, 0)
+
     def test_symbol_frequencies_concentrate(self):
         # skewed input law; the empirical ones-fraction should land within
         # three binomial standard deviations
@@ -170,7 +175,7 @@ class TestSimulate:
 
     def test_per_trial_entropy_bounds(self):
         ch = blind_eavesdropper_channel(0.2)
-        _, h_bits, _ = simulate_detailed(ch, UNIFORM, BLIND_SPEC, 41, 80)
+        h_bits = simulate(ch, UNIFORM, BLIND_SPEC, 41, 80).h_bits
         m1s = BLIND_SPEC.sizes[0]
         assert np.all(h_bits >= -1e-12)
         assert np.all(h_bits <= math.log2(m1s) + 1e-9)
@@ -210,10 +215,10 @@ class TestSimulate:
         m1, m2 = spec.sizes[0], spec.sizes[4]
         chunk = max(1, binning._CHUNK_ELEMENTS // (m1 * (m2 + ch.nx2 * spec.n)))
         short = 3 * chunk // 2 + 1  # ends inside the second chunk
-        _, h_short, e_short = simulate_detailed(ch, UNIFORM, spec, 5, short)
-        _, h_long, e_long = simulate_detailed(ch, UNIFORM, spec, 5, 2 * short)
-        assert np.array_equal(h_short, h_long[:short])
-        assert np.array_equal(e_short, e_long[:short])
+        res_short = simulate(ch, UNIFORM, spec, 5, short)
+        res_long = simulate(ch, UNIFORM, spec, 5, 2 * short)
+        assert np.array_equal(res_short.h_bits, res_long.h_bits[:short])
+        assert np.array_equal(res_short.errors, res_long.errors[:short])
 
     def test_prefix_is_bit_exact_across_draw_blocks(self, monkeypatch):
         ch = trend_channel()
@@ -225,13 +230,13 @@ class TestSimulate:
             return trial_draws(seed, start, count, *args)
 
         monkeypatch.setattr(binning, "_trial_draws", recording)
-        _, h_long, e_long = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 9, 12000)
+        full = simulate(ch, UNIFORM, SHORT_SPEC, 9, 12000)
         block = blocks[0][1]
         assert len(blocks) >= 2 and block < 12000 // 2
         for short in (block - 1, block + block // 3 + 1):
-            _, h_short, e_short = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 9, short)
-            assert np.array_equal(h_short, h_long[:short])
-            assert np.array_equal(e_short, e_long[:short])
+            res = simulate(ch, UNIFORM, SHORT_SPEC, 9, short)
+            assert np.array_equal(res.h_bits, full.h_bits[:short])
+            assert np.array_equal(res.errors, full.errors[:short])
 
     def test_seeds_are_taken_mod_2_64_without_collisions(self):
         ch = blind_eavesdropper_channel()
@@ -239,7 +244,7 @@ class TestSimulate:
             warnings.simplefilter("error")
             minus = [build_codebooks(ch, UNIFORM, BLIND_SPEC, s).c1 for s in (-1, -2)]
             wrapped = build_codebooks(ch, UNIFORM, BLIND_SPEC, 2**64 - 1).c1
-            high = [simulate_detailed(trend_channel(), UNIFORM, SHORT_SPEC, s, 40)[1]
+            high = [simulate(trend_channel(), UNIFORM, SHORT_SPEC, s, 40).h_bits
                     for s in (2**63 + 1, 2**63 + 2)]
         assert not np.array_equal(minus[0], minus[1])
         assert np.array_equal(minus[0], wrapped)
@@ -248,6 +253,29 @@ class TestSimulate:
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(DomainError):
             simulate(blind_eavesdropper_channel(), UNIFORM, BLIND_SPEC, 0, 0)
+
+    def test_per_trial_arrays_are_read_only_and_outside_equality(self):
+        res = simulate(trend_channel(), UNIFORM, SHORT_SPEC, 6, 50)
+        assert res.h_bits.shape == res.errors.shape == (50,)
+        assert (res.h_bits.dtype, res.errors.dtype) == (np.float64, np.bool_)
+        for arr in (res.h_bits, res.errors):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert res.p_e == float(np.mean(res.errors))
+        assert res.equivocation_ratio == float(np.mean(res.h_bits) / math.log2(SHORT_SPEC.sizes[0]))
+        other = replace(res, h_bits=res.h_bits + 1.0, errors=~res.errors)
+        assert other == res and hash(other) == hash(res)
+        assert repr(res) == (f"SimResult(p_e={res.p_e!r}, "
+                             f"equivocation_ratio={res.equivocation_ratio!r}, trials=50)")
+
+    def test_detailed_view_is_simulate(self):
+        # the tuple form stays only for the benchmark; it is the same run
+        ch = trend_channel()
+        res = simulate(ch, UNIFORM, SHORT_SPEC, 8, 30)
+        view, h_bits, errors = binning.simulate_detailed(ch, UNIFORM, SHORT_SPEC, 8, 30)
+        assert view == res
+        assert h_bits is view.h_bits and errors is view.errors
+        assert np.array_equal(h_bits, res.h_bits) and np.array_equal(errors, res.errors)
 
 
 class TestTrialDraws:
@@ -281,7 +309,7 @@ class TestTrialDraws:
         assert np.array_equal(u, want_u)
 
     def test_one_generator_for_the_codebook_plus_one_per_rejected_trial(self, stream_keys):
-        simulate_detailed(trend_channel(), UNIFORM, SHORT_SPEC, 3, 400)
+        simulate(trend_channel(), UNIFORM, SHORT_SPEC, 3, 400)
         _, _, rejected = trial_draws_reference(3, 0, 400, SHORT_SPEC.sizes, SHORT_SPEC.n)
         assert stream_keys == [0] + [int(k) + 1 for k in np.flatnonzero(rejected)]
 
@@ -290,13 +318,13 @@ class TestTrialDraws:
         # against the per-trial generators in one block
         ch = trend_channel()
         monkeypatch.setattr(binning, "_DRAW_WORDS", 100)
-        _, h_blocks, e_blocks = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 4, 1000)
+        blocks = simulate(ch, UNIFORM, SHORT_SPEC, 4, 1000)
         monkeypatch.setattr(binning, "_DRAW_WORDS", 1 << 30)
         monkeypatch.setattr(binning, "_trial_draws",
                             lambda *args: trial_draws_reference(*args)[:2])
-        _, h_ref, e_ref = simulate_detailed(ch, UNIFORM, SHORT_SPEC, 4, 1000)
-        assert np.array_equal(h_blocks, h_ref)
-        assert np.array_equal(e_blocks, e_ref)
+        ref = simulate(ch, UNIFORM, SHORT_SPEC, 4, 1000)
+        assert np.array_equal(blocks.h_bits, ref.h_bits)
+        assert np.array_equal(blocks.errors, ref.errors)
 
 
 class TestPairScores:

@@ -79,7 +79,7 @@ class TestSatoMinimize:
 
     def test_dominates_achievable_in_degraded_case(self):
         ch = GaussianWthi(0.5, 2.0, 10.0, 10.0)
-        assert ch.degraded()
+        assert abs(ch.a * ch.b - 1.0) <= 1e-12 and ch.a <= 1.0  # degraded: a*b = 1, a <= 1
         ev = sato_minimize(ch, PowerAllocation(10.0, 10.0))
         rate, _ = rate_achievable(ch, PowerAllocation(10.0, 10.0))
         assert ev.value >= rate - 1e-12

@@ -224,6 +224,46 @@ class TestConfigHandling:
     def test_bad_gain_rejected(self):
         assert run_cli(["bounds", "--a", "-3"]) == 2
 
+    @pytest.mark.parametrize("mode, doc, echo", [
+        ("sweep-interferer", {"a": "x"}, ("a", "float")),
+        ("sweep-interferer", {"a": True}, ("a", "float")),
+        ("sweep-interferer", {"points": 2.5}, ("points", "int")),
+        ("sweep-interferer", {"points": "ten"}, ("points", "int")),
+        ("sweep-interferer", {"stop": None}, ("stop", "float")),
+        ("dmc", {"grid": "21"}, ("grid", "int")),
+        ("dmc", {"grid": 2.5}, ("grid", "int")),
+        ("simulate", {"trials": "5"}, ("trials", "int")),
+        ("simulate", {"seed": "1"}, ("seed", "int")),
+        ("point", {"p1": [1.0]}, ("p1", "float")),
+        ("bounds", {"b": {"value": 1.0}}, ("b", "float")),
+        ("dmc", {"channel": 5}, ("channel", "str")),
+        ("bounds", {"out": 1}, ("out", "str")),
+        ("dmc", {"grid": 21.0}, {"grid": 21}),
+        ("sweep-interferer", {"points": 6.0, "a": 1}, {"points": 6, "a": 1.0}),
+        ("point", {"p1": None, "p2": 2}, {"p1": None, "p2": 2.0}),
+    ])
+    def test_config_values_take_their_flags_types(self, tmp_path, capsys, channel_file,
+                                                  mode, doc, echo):
+        # echo is the failing field and its flag's type, or the echoed config values
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        args = [mode, "--config", str(cfg)]
+        if mode in ("dmc", "simulate") and "channel" not in doc:
+            args += ["--channel", str(channel_file)]
+        if isinstance(echo, tuple):
+            field, kind = echo
+            assert run_cli(args) == 2
+            value = json.dumps(doc[field])
+            assert capsys.readouterr().err == (
+                f"error: config field {field} must be of type {kind}, got {value}\n")
+            return
+        assert run_cli(args) == 0
+        out = capsys.readouterr().out
+        config = json.loads(out)["config"] if out.startswith("{") else json.loads(
+            out.splitlines()[2].removeprefix("# config: "))
+        for name, value in echo.items():
+            assert config[name] == value and type(config[name]) is type(value)
+
     @pytest.mark.parametrize("args", [["bounds", "--seed", "3"], ["simulate", "--grid", "5"]])
     def test_flag_of_another_subcommand_rejected(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -237,6 +277,9 @@ CONFIG_KEYS = {"mode", "a", "b", "p1_max", "p2_max", "p1", "p2", "start", "stop"
                "spacing", "grid", "seed", "trials", "channel", "n", "r1s", "r1d_prime",
                "r1d_dprime", "r2_prime", "r2_dprime"}
 SPLIT_KEYS = {"r1", "r1d", "r1s", "r2", "regime"}
+# the noiseless blind channel's transition with one NaN entry
+NAN_TRANSITION = np.where(np.arange(16).reshape(2, 2, 2, 2) == 4, math.nan,
+                          noiseless_blind_channel().transition).tolist()
 
 
 class TestOutputContract:
@@ -324,6 +367,46 @@ class TestOutputContract:
         assert out == ""
         assert err == f"error: {message.format(tmp=tmp_path)}\n"
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("args, files, message", [
+        (["sweep-symmetric", "--config", "{tmp}/cfg.json"], {"cfg.json": '{"spacing": "cubic"}'},
+         "spacing must be 'linear' or 'log', got 'cubic'"),
+        (["sweep-interferer", "--spacing", "log", "--start", "0"], {},
+         "log spacing requires start > 0"),
+        (["dmc"], {}, "mode 'dmc' requires a channel file"),
+        (["bounds", "--config", "{tmp}/none.json"], {}, "cannot read config {tmp}/none.json: "),
+        (["bounds", "--config", "{tmp}/cfg.json"], {"cfg.json": "a: 1"},
+         "config {tmp}/cfg.json is not valid JSON: "),
+        (["bounds", "--config", "{tmp}/cfg.json"], {"cfg.json": "[1, 2]"},
+         "config document must be a JSON object"),
+        (["bounds", "--out", "{tmp}/none/out.json"], {},
+         "cannot write output {tmp}/none/out.json: "),
+        (["dmc", "--channel", "{tmp}/ch.json"], {"ch.json": "{nx1: 2}"},
+         "cannot load channel {tmp}/ch.json: "),
+    ], ids=["config_spacing", "log_start", "no_channel", "config_unreadable", "config_not_json",
+            "config_not_object", "out_unwritable", "channel_not_json"])
+    def test_validation_error_prefixes(self, capsys, tmp_path, args, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run_cli([arg.format(tmp=tmp_path) for arg in args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message.format(tmp=tmp_path)}")
+
+    @pytest.mark.parametrize("mode, field, value, message", [
+        ("dmc", "transition", NAN_TRANSITION, "transition entries must lie in [0, 1]"),
+        ("simulate", "transition", NAN_TRANSITION, "transition entries must lie in [0, 1]"),
+        ("dmc", "nx1", 2.9, "nx1 must be an integer, got 2.9"),
+        ("dmc", "nx1", "x", "nx1 must be an integer, got 'x'"),
+        ("dmc", "transition", [[[[1.0]]], [[[0.5, 0.5]]]], "transition is not a numeric array"),
+        ("dmc", "transition", "0.25", "transition is not a numeric array"),
+    ], ids=["dmc_nan", "simulate_nan", "float_size", "string_size", "ragged", "string"])
+    def test_malformed_channel_file(self, capsys, tmp_path, mode, field, value, message):
+        doc = {**channel_document(noiseless_blind_channel()), field: value}
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))  # a NaN entry is written as the token NaN
+        assert run_cli([mode, "--channel", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid channel {path}: {message}")
 
     def test_power_opt_writes_overflowing_intermediates_as_null(self, tmp_path):
         # a/b overflows: the stationary point is unbounded, so it is inapplicable

@@ -97,7 +97,9 @@ class TestMiProfile:
             )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
+        # the message build_codebooks gives too
+        with pytest.raises(DomainError, match=r"input sizes \(3, 2\) do not match channel "
+                                              r"alphabets \(2, 2\)"):
             mi_profile(noiseless_blind_channel(), ProductInput.uniform(3, 2))
 
     @given(
@@ -160,6 +162,50 @@ class TestDmcWthiValidation:
     def test_missing_fields(self):
         with pytest.raises(DomainError, match="missing"):
             DmcWthi.from_dict({"nx1": 2, "transition": []})
+
+    def test_size_below_one(self):
+        with pytest.raises(DomainError, match="nx2 must be >= 1"):
+            DmcWthi(2, 0, 2, 2, np.zeros((2, 0, 2, 2)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, 1.5])
+    def test_entry_outside_the_unit_interval(self, value):
+        # the slice still sums to 1 for the finite values; NaN fails every comparison,
+        # so the checks are written to pass only on entries known to be in range
+        t = np.full((2, 2, 2, 2), 0.25)
+        t[0, 1, 0, 0], t[0, 1, 1, 1] = value, 0.5 - value
+        with pytest.raises(DomainError, match=r"transition entries must lie in \[0, 1\]"):
+            DmcWthi(2, 2, 2, 2, t)
+
+    def test_integral_float_sizes_load(self):
+        doc = channel_document(blind_eavesdropper_channel())
+        doc["nx1"] = 2.0
+        ch = DmcWthi.from_dict(doc)
+        assert type(ch.nx1) is int and ch.nx1 == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("nx1", 2.9, "nx1 must be an integer, got 2.9"),
+        ("nx1", "x", "nx1 must be an integer, got 'x'"),
+        ("ny2", True, "ny2 must be an integer, got True"),
+        ("transition", [[[[1.0]]], [[[0.5, 0.5]]]], "transition is not a numeric array"),
+        ("transition", "0.25", "transition is not a numeric array"),
+        ("transition", [[["0.5", "0.5"]]], "transition is not a numeric array"),
+    ])
+    def test_malformed_document(self, field, value, message):
+        doc = {**channel_document(blind_eavesdropper_channel()), field: value}
+        with pytest.raises(DomainError, match=re.escape(message)):
+            DmcWthi.from_dict(doc)
+
+
+class TestProductInputValidation:
+    @pytest.mark.parametrize("px1", [[[0.5, 0.5]], []])
+    def test_not_one_dimensional(self, px1):
+        with pytest.raises(DomainError, match="px1 must be a 1-D distribution"):
+            ProductInput(np.array(px1), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("px2", [[math.nan, 1.0], [math.inf, 0.0], [-0.5, 1.5], [0.3, 0.3]])
+    def test_not_a_pmf(self, px2):
+        with pytest.raises(DomainError, match="px2 must be a pmf summing to 1"):
+            ProductInput(np.array([0.5, 0.5]), np.array(px2))
 
 
 class TestMarginals:
@@ -629,6 +675,18 @@ class TestSatoObjective:
             # the same laws at other offsets inside their chunks
             shifted = np.concatenate(list(dmc._sato_blocks(q, w[3:], i_y2[3:])))
             assert np.array_equal(shifted, whole[3:])
+
+
+@pytest.mark.parametrize("search, args, message", [
+    (simplex_grid, (2, 1), "points_per_coord must be >= 2"),
+    (weak_regime_rate, (noiseless_blind_channel(), 1), "grid_per_dim must be >= 2"),
+    (very_strong_eavesdropping, (noiseless_blind_channel(), 1), "grid_per_dim must be >= 2"),
+    (dmc_sato_bound, (degraded_instance(), 1, 21), "coupling_grid must be >= 2"),
+    (dmc_sato_bound, (degraded_instance(), 9, 2), "input_grid >= 3"),
+], ids=["simplex_grid", "weak", "very_strong", "sato_coupling_grid", "sato_input_grid"])
+def test_grid_too_small(search, args, message):
+    with pytest.raises(DomainError, match=message):
+        search(*args)
 
 
 class TestSimplexGrid:

@@ -257,9 +257,14 @@ class TestVectorizedTwin:
 
 class TestDomainTypes:
     def test_degraded_predicate(self):
-        assert GaussianWthi(0.5, 2.0, 1.0, 1.0).degraded()
-        assert not GaussianWthi(2.0, 0.5, 1.0, 1.0).degraded()  # a > 1
-        assert not GaussianWthi(0.5, 2.0 + 1e-6, 1.0, 1.0).degraded()
+        # the eavesdropper output is a noisy function of the receiver's exactly
+        # when a*b = 1 (within 1e-12) and a <= 1
+        ch = GaussianWthi(0.5, 2.0, 1.0, 1.0)
+        assert abs(ch.a * ch.b - 1.0) <= 1e-12 and ch.a <= 1.0
+        ch = GaussianWthi(2.0, 0.5, 1.0, 1.0)
+        assert abs(ch.a * ch.b - 1.0) <= 1e-12 and ch.a > 1.0
+        ch = GaussianWthi(0.5, 2.0 + 1e-6, 1.0, 1.0)
+        assert abs(ch.a * ch.b - 1.0) > 1e-12
 
     def test_rejects_negative_fields(self):
         with pytest.raises(DomainError):
