@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dmc import DmcWthi, ProductInput, _check_input_sizes, _entropy_rows
+from .dmc import DmcWthi, ProductInput, _check_budget, _check_input_sizes, _entropy_rows
 from .errors import DeskScaleError, DomainError
 from .gaussian import _require_finite_nonneg
 
@@ -316,10 +316,12 @@ def simulate(
     and the eavesdropper's posterior over secret messages given y2 is summed
     exactly over all pairs.  ``equivocation_ratio`` is the trial-averaged
     H(W1 | Y2 = y2) normalized by log2(m1s), so it lies in [0, 1]; a
-    degenerate spec with a single secret message reports 1.0.
+    degenerate spec with a single secret message reports 1.0.  At most
+    4,000,000 trials run, the desk-scale budget; more raise ``DeskScaleError``.
     """
     if trials <= 0:
         raise DomainError(f"trials must be > 0, got {trials}")
+    _check_budget(trials, "trials")
     books = build_codebooks(ch, inp, spec, seed)
     m1s, m1p, m1pp, m2p, m2pp = spec.sizes
     m1 = m1s * m1p * m1pp

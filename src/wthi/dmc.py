@@ -45,10 +45,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import astuple, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -123,11 +121,6 @@ class DmcWthi:
         if t.dtype.kind not in "iuf":
             raise DomainError(f"transition is not a numeric array, got dtype {t.dtype}")
         return cls(*(int(doc[name]) for name in sizes), t.astype(float))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "DmcWthi":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,18 +317,16 @@ def simplex_grid(dim: int, points_per_coord: int) -> np.ndarray:
 
 
 _DESK_ALPHABET = 4
-# Most input laws (or Sato objective evaluations) one search may enumerate:
-# 4-ary inputs at grid 21 are 1771**2 = 3.1M laws, dmc_sato_bound(9, 21) is
-# 9**4 * 21**2 = 2.9M evaluations.
+# Most input laws (or Sato objective evaluations) one search may enumerate,
+# and most trials one simulation runs: 4-ary inputs at grid 21 are 1771**2 =
+# 3.1M laws, dmc_sato_bound(9, 21) is 9**4 * 21**2 = 2.9M evaluations, and
+# 4M trials hold 36 MB of per-trial arrays.
 _ENUMERATION_BUDGET = 4_000_000
 
 
 def _check_budget(count: int, what: str) -> None:
     if count > _ENUMERATION_BUDGET:
-        raise DeskScaleError(
-            f"{count} {what} exceed the desk-scale enumeration budget of "
-            f"{_ENUMERATION_BUDGET}; use a coarser grid"
-        )
+        raise DeskScaleError(f"{count} {what} exceed the desk-scale budget {_ENUMERATION_BUDGET}")
 
 
 # Most input laws in one block of the profile table; a block holds at least

@@ -254,6 +254,14 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(blind_eavesdropper_channel(), UNIFORM, BLIND_SPEC, 0, 0)
 
+    def test_rejects_trials_over_the_budget_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the budget is checked before the codebooks are drawn")
+
+        monkeypatch.setattr(binning, "build_codebooks", unreachable)
+        with pytest.raises(DeskScaleError, match="4000001 trials exceed"):
+            simulate(blind_eavesdropper_channel(), UNIFORM, BLIND_SPEC, 0, 4_000_001)
+
     def test_per_trial_arrays_are_read_only_and_outside_equality(self):
         res = simulate(trend_channel(), UNIFORM, SHORT_SPEC, 6, 50)
         assert res.h_bits.shape == res.errors.shape == (50,)

@@ -1,12 +1,16 @@
 import argparse
+import io
 import json
 import math
 import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wthi import cli
 from wthi.bounds import bound_main_channel, bound_sato, bound_z_channel
@@ -17,6 +21,13 @@ from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_w
 from wthi.power import optimal_power
 
 from channels import channel_document, noiseless_blind_channel
+
+# Arbitrary JSON values; json.dumps writes a non-finite float as NaN or Infinity.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8)
 
 
 def run_cli(args):
@@ -182,6 +193,19 @@ class TestDmcAndSimulate:
         path.write_text(json.dumps(doc))
         assert run_cli(["dmc", "--channel", str(path), "--grid", "200"]) == 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(JSON_VALUES, st.fixed_dictionaries(
+        {name: JSON_VALUES for name in ("nx1", "nx2", "ny1", "ny2", "transition")})))
+    def test_any_json_channel_file_is_a_result_or_a_validation_error(self, tmp_path_factory,
+                                                                      doc):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_channel.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(["dmc", "--channel", str(path), "--grid", "3"])
+        assert code in (0, 2)
+        assert not err.getvalue().startswith("runtime error")
+
     def test_invalid_channel_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"nx1": 2, "nx2": 2, "ny1": 2, "ny2": 2,
@@ -281,6 +305,31 @@ SPLIT_KEYS = {"r1", "r1d", "r1s", "r2", "regime"}
 NAN_TRANSITION = np.where(np.arange(16).reshape(2, 2, 2, 2) == 4, math.nan,
                           noiseless_blind_channel().transition).tolist()
 
+# Files that hold no readable JSON object, as config and as channel files:
+# (name, file bytes or None for no file, path, message prefix).
+BAD_DOCUMENTS = [
+    ("missing", None, "{tmp}/doc.json", "cannot read {what} {tmp}/doc.json: [Errno 2]"),
+    ("directory", None, "{tmp}", "cannot read {what} {tmp}: [Errno 21]"),
+    ("not_utf8", b"\xff\xfe{}", "{tmp}/doc.json",
+     "{what} {tmp}/doc.json is not valid JSON: 'utf-8' codec can't decode"),
+    ("yaml", b"a: 1", "{tmp}/doc.json", "{what} {tmp}/doc.json is not valid JSON: Expecting"),
+    ("long_int", b'{"a": 1' + b"0" * 4999 + b"}", "{tmp}/doc.json",
+     "{what} {tmp}/doc.json is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("deep", b"[" * 100_000, "{tmp}/doc.json",
+     "{what} {tmp}/doc.json is not valid JSON: maximum recursion depth exceeded"),
+    ("number", b"5", "{tmp}/doc.json", "{what} document must be a JSON object\n"),
+    ("array", b"[1, 2]", "{tmp}/doc.json", "{what} document must be a JSON object\n"),
+    ("null", b"null", "{tmp}/doc.json", "{what} document must be a JSON object\n"),
+]
+BAD_DOCUMENT_CASES = [
+    ([mode, flag, path], {} if data is None else {"doc.json": data},
+     message.replace("{what}", what))
+    for what, mode, flag in (("config", "bounds", "--config"), ("channel", "dmc", "--channel"))
+    for _, data, path, message in BAD_DOCUMENTS
+]
+BAD_DOCUMENT_IDS = [f"{what}_{name}" for what in ("config", "channel")
+                    for name, *_ in BAD_DOCUMENTS]
+
 
 class TestOutputContract:
     """The keys, headers and error lines that scripts reading the CLI rely on."""
@@ -349,9 +398,10 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("args, message", [
         (["bounds", "--a", "-1"], "a must be finite and >= 0, got -1.0"),
-        (["dmc", "--channel", "{tmp}/nope.json"], "channel file does not exist: {tmp}/nope.json"),
-        (["simulate", "--channel", "{tmp}/nope.json"],
-         "channel file does not exist: {tmp}/nope.json"),
+        (["dmc", "--channel", "{tmp}/nope.json"], "cannot read channel {tmp}/nope.json: "
+         "[Errno 2] No such file or directory: '{tmp}/nope.json'"),
+        (["simulate", "--channel", "{tmp}/nope.json"], "cannot read channel {tmp}/nope.json: "
+         "[Errno 2] No such file or directory: '{tmp}/nope.json'"),
         (["sweep-symmetric", "--start", "5", "--stop", "1"],
          "range start must be < stop, got [5.0, 1.0]"),
         (["sweep-interferer", "--points", "1"], "points must be >= 2, got 1"),
@@ -359,6 +409,11 @@ class TestOutputContract:
          "allocation (20.0, 10.0) exceeds power constraints (10.0, 10.0)"),
         (["simulate", "--channel", "{tmp}/blind.json", "--r1s", "200"],
          "codebook size 2^2000 exceeds the budget 1048576"),
+        (["bounds", "--a", "1" + "0" * 400], "a must be finite and >= 0, got inf"),
+        (["sweep-symmetric", "--points", str(2**18 + 1)],
+         "262145 points exceed the desk-scale limit of 262144"),
+        (["simulate", "--channel", "{tmp}/blind.json", "--trials", "4000001"],
+         "4000001 trials exceed the desk-scale budget 4000000"),
     ])
     def test_validation_errors(self, capsys, tmp_path, channel_file, args, message):
         args = [arg.format(tmp=tmp_path) for arg in args]
@@ -382,12 +437,18 @@ class TestOutputContract:
         (["bounds", "--out", "{tmp}/none/out.json"], {},
          "cannot write output {tmp}/none/out.json: "),
         (["dmc", "--channel", "{tmp}/ch.json"], {"ch.json": "{nx1: 2}"},
-         "cannot load channel {tmp}/ch.json: "),
+         "channel {tmp}/ch.json is not valid JSON: "),
+        (["bounds", "--config", "{tmp}/cfg.json"], {"cfg.json": '{"a": 1' + "0" * 400 + "}"},
+         "a must be finite and >= 0, got inf\n"),
+        (["sweep-symmetric", "--config", "{tmp}/cfg.json"], {"cfg.json": '{"points": 1e300}'},
+         f"{int(1e300)} points exceed the desk-scale limit of 262144\n"),
+        *BAD_DOCUMENT_CASES,
     ], ids=["config_spacing", "log_start", "no_channel", "config_unreadable", "config_not_json",
-            "config_not_object", "out_unwritable", "channel_not_json"])
+            "config_not_object", "out_unwritable", "channel_not_json", "config_int_overflow",
+            "config_points_over_cap", *BAD_DOCUMENT_IDS])
     def test_validation_error_prefixes(self, capsys, tmp_path, args, files, message):
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data.encode() if isinstance(data, str) else data)
         assert run_cli([arg.format(tmp=tmp_path) for arg in args]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -407,6 +468,14 @@ class TestOutputContract:
         path.write_text(json.dumps(doc))  # a NaN entry is written as the token NaN
         assert run_cli([mode, "--channel", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid channel {path}: {message}")
+
+    def test_runtime_error_exits_1(self, capsys, monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "bounds", (fail, *cli._SUBCOMMANDS["bounds"][1:]))
+        assert run_cli(["bounds"]) == 1
+        assert capsys.readouterr() == ("", "runtime error: boom\n")
 
     def test_power_opt_writes_overflowing_intermediates_as_null(self, tmp_path):
         # a/b overflows: the stationary point is unbounded, so it is inapplicable

@@ -156,7 +156,7 @@ class TestDmcWthiValidation:
         ch = blind_eavesdropper_channel()
         path = tmp_path / "channel.json"
         path.write_text(json.dumps(channel_document(ch)))
-        loaded = DmcWthi.from_json(path)
+        loaded = DmcWthi.from_dict(json.loads(path.read_text()))
         assert np.allclose(loaded.transition, ch.transition)
 
     def test_missing_fields(self):
