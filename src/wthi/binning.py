@@ -53,9 +53,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dmc import DmcWthi, ProductInput, _check_budget, _check_input_sizes, _entropy_rows
-from .errors import DeskScaleError, DomainError
-from .gaussian import _require_finite_nonneg
+from .dmc import DmcWthi, ProductInput, _check_input_sizes, _entropy_rows
+from .errors import DeskScaleError, DomainError, _check_budget, _count, _require_finite_nonneg
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -97,16 +96,14 @@ class CodebookSpec:
     r2_dprime: float
 
     def __post_init__(self) -> None:
-        if not (1 <= int(self.n) <= _MAX_BLOCKLENGTH):
+        object.__setattr__(self, "n", _count("n", self.n, 1))
+        if self.n > _MAX_BLOCKLENGTH:
             raise DeskScaleError(f"blocklength must be in [1, {_MAX_BLOCKLENGTH}], got {self.n}")
         for name in ("r1s", "r1d_prime", "r1d_dprime", "r2", "r2_prime", "r2_dprime"):
             _require_finite_nonneg(name, getattr(self, name))
         if abs(self.r2 - (self.r2_prime + self.r2_dprime)) > 1e-12:
             raise DomainError("r2 must equal r2_prime + r2_dprime")
-        if self.pairs > _MAX_PAIRS:
-            raise DeskScaleError(
-                f"codebook pair count {self.pairs} exceeds the desk-scale budget {_MAX_PAIRS}"
-            )
+        _check_budget(self.pairs, "codebook pairs", _MAX_PAIRS)
 
     @property
     def sizes(self) -> tuple[int, int, int, int, int]:
@@ -319,8 +316,7 @@ def simulate(
     degenerate spec with a single secret message reports 1.0.  At most
     4,000,000 trials run, the desk-scale budget; more raise ``DeskScaleError``.
     """
-    if trials <= 0:
-        raise DomainError(f"trials must be > 0, got {trials}")
+    trials = _count("trials", trials, 1)
     _check_budget(trials, "trials")
     books = build_codebooks(ch, inp, spec, seed)
     m1s, m1p, m1pp, m2p, m2pp = spec.sizes

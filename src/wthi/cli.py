@@ -42,8 +42,9 @@ from . import __version__
 from .binning import CodebookSpec, result_record, simulate
 from .bounds import bound_best, bound_main_channel, bound_sato, bound_z_channel, sato_minimize
 from .dmc import DmcWthi, ProductInput, achievable_rate
-from .errors import DeskScaleError, DomainError, RegimeMismatchError
-from .gaussian import GaussianWthi, PowerAllocation, _is_integral, rate_achievable, rate_wiretap
+from .errors import (DeskScaleError, DomainError, RegimeMismatchError, _check_budget, _count,
+                     _is_integral, _require_finite_nonneg)
+from .gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
 from .power import optimal_power
 
 _GAINS = ("a", "b", "p1_max", "p2_max")
@@ -98,13 +99,11 @@ class SweepConfig:
     def validate(self) -> None:
         fields = _SUBCOMMANDS[self.mode][1]
         if "start" in fields:
+            for name in ("start", "stop"):  # each becomes a swept gain or power cap
+                _require_finite_nonneg(name, getattr(self, name))
             if not self.start < self.stop:
                 raise ConfigError(f"range start must be < stop, got [{self.start}, {self.stop}]")
-            if self.points < 2:
-                raise ConfigError(f"points must be >= 2, got {self.points}")
-            if self.points > _MAX_POINTS:
-                raise DeskScaleError(
-                    f"{self.points} points exceed the desk-scale limit of {_MAX_POINTS}")
+            _check_budget(_count("points", self.points, 2), "points", _MAX_POINTS)
             if self.spacing not in ("linear", "log"):
                 raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
             if self.spacing == "log" and self.start <= 0.0:

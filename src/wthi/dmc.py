@@ -50,8 +50,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DeskScaleError, DomainError, RegimeMismatchError
-from .gaussian import RateSplit, Regime, _is_integral
+from .errors import DeskScaleError, DomainError, RegimeMismatchError, _check_budget, _count
+from .gaussian import RateSplit, Regime
 
 _SIMPLEX_TOL = 1e-12
 
@@ -79,8 +79,7 @@ class DmcWthi:
 
     def __post_init__(self) -> None:
         for name in ("nx1", "nx2", "ny1", "ny2"):
-            if int(getattr(self, name)) < 1:
-                raise DomainError(f"{name} must be >= 1")
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         t = np.asarray(self.transition, dtype=float)
         expected = (self.nx1, self.nx2, self.ny1, self.ny2)
         if t.shape != expected:
@@ -111,16 +110,13 @@ class DmcWthi:
         missing = {*sizes, "transition"} - set(doc)
         if missing:
             raise DomainError(f"channel document missing fields: {sorted(missing)}")
-        for name in sizes:
-            if not _is_integral(doc[name]):
-                raise DomainError(f"{name} must be an integer, got {doc[name]!r}")
         try:
             t = np.asarray(doc["transition"])
         except ValueError as exc:  # a ragged nesting
             raise DomainError(f"transition is not a numeric array: {exc}") from exc
         if t.dtype.kind not in "iuf":
             raise DomainError(f"transition is not a numeric array, got dtype {t.dtype}")
-        return cls(*(int(doc[name]) for name in sizes), t.astype(float))
+        return cls(*(doc[name] for name in sizes), t.astype(float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +139,7 @@ class ProductInput:
 
     @classmethod
     def uniform(cls, nx1: int, nx2: int) -> "ProductInput":
+        nx1, nx2 = _count("nx1", nx1, 1), _count("nx2", nx2, 1)
         return cls(np.full(nx1, 1.0 / nx1), np.full(nx2, 1.0 / nx2))
 
 
@@ -307,9 +304,7 @@ def simplex_grid(dim: int, points_per_coord: int) -> np.ndarray:
     1/(points_per_coord-1)), one point per row of the returned (count, dim)
     array; enumeration order is deterministic.
     """
-    if points_per_coord < 2:
-        raise DomainError("points_per_coord must be >= 2")
-    m = points_per_coord - 1
+    dim, m = _count("dim", dim, 1), _count("points_per_coord", points_per_coord, 2) - 1
     # stars and bars: the counts are the gaps between the bars at -1, cuts, m + dim - 1
     bars = [(-1, *cuts, m + dim - 1)
             for cuts in itertools.combinations(range(m + dim - 1), dim - 1)]
@@ -317,17 +312,6 @@ def simplex_grid(dim: int, points_per_coord: int) -> np.ndarray:
 
 
 _DESK_ALPHABET = 4
-# Most input laws (or Sato objective evaluations) one search may enumerate,
-# and most trials one simulation runs: 4-ary inputs at grid 21 are 1771**2 =
-# 3.1M laws, dmc_sato_bound(9, 21) is 9**4 * 21**2 = 2.9M evaluations, and
-# 4M trials hold 36 MB of per-trial arrays.
-_ENUMERATION_BUDGET = 4_000_000
-
-
-def _check_budget(count: int, what: str) -> None:
-    if count > _ENUMERATION_BUDGET:
-        raise DeskScaleError(f"{count} {what} exceed the desk-scale budget {_ENUMERATION_BUDGET}")
-
 
 # Most input laws in one block of the profile table; a block holds at least
 # one p(x1) row of the grid.
@@ -349,8 +333,7 @@ def _law_rows(ch: DmcWthi, grid_per_dim: int):
             f"alphabets {(ch.nx1, ch.nx2, ch.ny1, ch.ny2)} exceed the desk-scale "
             f"limit of {_DESK_ALPHABET}"
         )
-    if grid_per_dim < 2:
-        raise DomainError("grid_per_dim must be >= 2")
+    grid_per_dim = _count("grid_per_dim", grid_per_dim, 2)
     n1, n2 = (math.comb(grid_per_dim + n - 2, n - 1) for n in (ch.nx1, ch.nx2))
     _check_budget(n1 * n2, "input laws")
     px2s = simplex_grid(ch.nx2, grid_per_dim)
@@ -377,8 +360,7 @@ def achievable_rate(
     running records.  Desk scale only: alphabets of size at most 4 and at
     most ``_ENUMERATION_BUDGET`` laws.
     """
-    if grid_per_dim < 3:
-        raise DomainError("grid_per_dim must be >= 3")
+    grid_per_dim = _count("grid_per_dim", grid_per_dim, 3)
     best_rate, best = -math.inf, None
     for px1s, px2s, table in _law_rows(ch, grid_per_dim):
         rates = _breakpoint_search(table)[0]
@@ -569,9 +551,11 @@ def dmc_sato_bound(
     """
     if (ch.nx1, ch.nx2, ch.ny1, ch.ny2) != (2, 2, 2, 2):
         raise DeskScaleError("the Sato minimax search supports binary alphabets only")
-    if coupling_grid < 2 or input_grid < 3:
-        raise DomainError("coupling_grid must be >= 2 and input_grid >= 3")
-    _check_budget(coupling_grid**4 * input_grid**2, "Sato objective evaluations")
+    coupling_grid = _count("coupling_grid", coupling_grid, 2)
+    input_grid = _count("input_grid", input_grid, 3)
+    m = 4 * (input_grid - 1) + 1
+    # the grid and its 8 perturbed couplings on the coarse laws, then the refined surface
+    _check_budget((coupling_grid**4 + 8) * input_grid**2 + m * m, "Sato objective evaluations")
 
     laws = _sato_laws(ch, *_binary_laws(input_grid))
     indices = np.arange(coupling_grid**4)
@@ -584,7 +568,6 @@ def dmc_sato_bound(
 
     # Inner-max quality at the winning coupling: refine the input grid 4x and
     # add the local variation of the refined surface as a Lipschitz cushion.
-    m = 4 * (input_grid - 1) + 1
     q_best, fine_laws = _coupling_tensors(ch, best[None]), _sato_laws(ch, *_binary_laws(m))
     surface = np.concatenate(list(_sato_blocks(q_best, *fine_laws))).reshape(m, m)
     local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))

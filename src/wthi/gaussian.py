@@ -20,22 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_finite_nonneg
 
 _LN2 = math.log(2.0)
-
-
-def _require_finite_nonneg(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
-
-
-def _is_integral(value) -> bool:
-    """True for an int, or a float with no fractional part; a bool is neither."""
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer())
 
 
 def awgn_capacity(x: float) -> float:

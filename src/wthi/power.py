@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_budget, _count
 from .gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid, rate_achievable
 
 # Relative tolerance used to detect that a channel sits exactly on a branch
@@ -194,10 +194,10 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     in a one-cell neighborhood of the argmax.  The reported ``eps_grid`` is
     the maximum rate variation between adjacent cells of the refined window,
     a discretization bound for policy-versus-oracle comparisons.  Ties break
-    to the lowest p1, then the lowest p2.
+    to the lowest p1, then the lowest p2; n1 * n2 is at most 4,000,000.
     """
-    if n1 < 2 or n2 < 2:
-        raise DomainError("grid counts must be >= 2")
+    n1, n2 = _count("n1", n1, 2), _count("n2", n2, 2)
+    _check_budget(n1 * n2, "oracle grid points")
     p1_levels, p2_levels = _branch_points(ch)
     ax1 = _axis(ch.p1_max, n1, p1_levels)
     ax2 = _axis(ch.p2_max, n2, (*p2_levels, intermediates(ch).p2_star))

@@ -411,9 +411,14 @@ class TestOutputContract:
          "codebook size 2^2000 exceeds the budget 1048576"),
         (["bounds", "--a", "1" + "0" * 400], "a must be finite and >= 0, got inf"),
         (["sweep-symmetric", "--points", str(2**18 + 1)],
-         "262145 points exceed the desk-scale limit of 262144"),
+         "262145 points exceed the desk-scale budget 262144"),
         (["simulate", "--channel", "{tmp}/blind.json", "--trials", "4000001"],
          "4000001 trials exceed the desk-scale budget 4000000"),
+        # sweep endpoints are checked before the axis is built from them
+        (["sweep-symmetric", "--start", "1e308", "--stop", "inf"],
+         "stop must be finite and >= 0, got inf"),
+        (["sweep-interferer", "--start=-1.7e308", "--stop", "1.7e308"],
+         "start must be finite and >= 0, got -1.7e+308"),
     ])
     def test_validation_errors(self, capsys, tmp_path, channel_file, args, message):
         args = [arg.format(tmp=tmp_path) for arg in args]
@@ -441,7 +446,7 @@ class TestOutputContract:
         (["bounds", "--config", "{tmp}/cfg.json"], {"cfg.json": '{"a": 1' + "0" * 400 + "}"},
          "a must be finite and >= 0, got inf\n"),
         (["sweep-symmetric", "--config", "{tmp}/cfg.json"], {"cfg.json": '{"points": 1e300}'},
-         f"{int(1e300)} points exceed the desk-scale limit of 262144\n"),
+         f"{int(1e300)} points exceed the desk-scale budget 262144\n"),
         *BAD_DOCUMENT_CASES,
     ], ids=["config_spacing", "log_start", "no_channel", "config_unreadable", "config_not_json",
             "config_not_object", "out_unwritable", "channel_not_json", "config_int_overflow",

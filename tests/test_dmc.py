@@ -427,6 +427,10 @@ class TestAchievableRate:
             weak_regime_rate(ch, 200)
         with pytest.raises(DeskScaleError, match="budget"):
             dmc_sato_bound(random_binary_channel(np.random.default_rng(4)), 9, 250)
+        # the coarse pass alone is 2**4 * 500**2, at the budget; the 8 perturbed
+        # couplings and the 1997 x 1997 refined surface take it to 9,988,009
+        with pytest.raises(DeskScaleError, match="budget"):
+            dmc_sato_bound(degraded_instance(), 2, 500)
 
 
 def gated_channel() -> DmcWthi:
@@ -682,7 +686,7 @@ class TestSatoObjective:
     (weak_regime_rate, (noiseless_blind_channel(), 1), "grid_per_dim must be >= 2"),
     (very_strong_eavesdropping, (noiseless_blind_channel(), 1), "grid_per_dim must be >= 2"),
     (dmc_sato_bound, (degraded_instance(), 1, 21), "coupling_grid must be >= 2"),
-    (dmc_sato_bound, (degraded_instance(), 9, 2), "input_grid >= 3"),
+    (dmc_sato_bound, (degraded_instance(), 9, 2), "input_grid must be >= 3"),
 ], ids=["simplex_grid", "weak", "very_strong", "sato_coupling_grid", "sato_input_grid"])
 def test_grid_too_small(search, args, message):
     with pytest.raises(DomainError, match=message):

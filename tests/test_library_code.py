@@ -98,6 +98,19 @@ def test_all_lists_exactly_the_imported_names():
     assert all(hasattr(wthi, name) for name in wthi.__all__)
 
 
+def test_argument_checks_are_defined_only_in_errors():
+    checks = {"_is_integral", "_require_finite_nonneg", "_count", "_check_budget",
+              "_ENUMERATION_BUDGET"}
+    found = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.name} if isinstance(node, ast.FunctionDef) else {
+                t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)}
+            for name in names & checks:
+                found.setdefault(name, []).append(path.name)
+    assert found == dict.fromkeys(checks, ["errors.py"])
+
+
 def test_source_stays_below_the_roadmap_ceiling():
     # the library's line budget: growth past it has to be paid for with removals
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SOURCES)

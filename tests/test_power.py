@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 from dataclasses import astuple
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from wthi import power
 from wthi.bounds import bound_main_channel, bound_z_channel
-from wthi.errors import DomainError
+from wthi.errors import DeskScaleError, DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import (
     PolicyIntermediates,
@@ -177,6 +178,12 @@ class TestGridOracle:
     def test_rejects_tiny_grids(self):
         with pytest.raises(DomainError):
             grid_oracle_detailed(GaussianWthi(1.0, 1.0, 1.0, 1.0), 1, 50)
+
+    def test_rejects_grids_over_the_budget_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(DeskScaleError, match="4002000 oracle grid points exceed"):
+            grid_oracle_detailed(GaussianWthi(0.5, 10.0, 10.0, 10.0), 2001, 2000)
+        assert time.perf_counter() - start < 0.1
 
     def test_underflowing_branch_point_denominator(self):
         # a*(1 - b) underflows to 0, so the level (b-a)/(a(1-b)) is +inf, not a division
