@@ -25,6 +25,14 @@ interferer) index, and a trial's results do not depend on which chunk it is
 scored in.  A chunk holds at most ``_CHUNK_ELEMENTS`` (trial, pair) scores
 plus indicators, one trial at n = 14.
 
+The receiver scores only the transmitter rows that can still win: U, the
+sum over symbols of the best log-likelihood over x2, bounds a row's scores
+from above, and the best pair of the row with the largest U bounds the
+maximum from below.  Rows with U under that floor, less a slack for float
+rounding, stay -inf; the others get the exact count-based scores, so the
+decision and its tie-break are those of an exhaustive search.  The
+eavesdropper's posterior needs every pair, so it scores them all.
+
 The eavesdropper's pair scores are turned into H(W1 | y2) for the whole
 chunk at once: each trial's scores are shifted by their maximum and
 exponentiated in place, summed per secret bin, and normalized, and the bin
@@ -211,8 +219,8 @@ def build_codebooks(
     _check_input_sizes(ch, inp)
     m1s, m1p, m1pp, m2p, m2pp = spec.sizes
     rng = _stream(seed, 0)
-    c1 = rng.choice(ch.nx1, size=(m1s, m1p, m1pp, spec.n), p=inp.px1).astype(np.int8)
-    c2 = rng.choice(ch.nx2, size=(m2p, m2pp, spec.n), p=inp.px2).astype(np.int8)
+    c1 = rng.choice(ch.nx1, size=(m1s, m1p, m1pp, spec.n), p=inp.px1)
+    c2 = rng.choice(ch.nx2, size=(m2p, m2pp, spec.n), p=inp.px2)
     return Codebooks(c1=c1, c2=c2)
 
 
@@ -233,34 +241,32 @@ def _gemm(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
         np.matmul(left[lo:lo + step], right, out=out[lo:lo + step])
 
 
-def _pair_scores(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray, y: np.ndarray,
+def _pair_scores(log_p: np.ndarray, cells: np.ndarray, c2f: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Sum_k log p(y_k | x1_k, x2_k) for every trial and codeword pair, shape (T, m1, m2).
+    """Sum_k log p(y_k | x1_k, x2_k) for each row of ``cells`` and interferer codeword.
 
-    ``log_p`` is (nx1, nx2, ny) with -inf on zero-probability cells and ``y``
-    is (T, n).  A pair's score depends on its symbols only through how many
-    of them hit each distinct value v of the table: with v0 the smallest
-    finite value, score = n*v0 + sum over v > v0, in increasing order, of
-    (v - v0) * M_v.  The counts M_v[(t, i), j] = #{k : log_p[c1[i, k],
-    c2[j, k], y[t, k]] = v} are GEMMs of 0/1 indicators, small integers that
-    are exact in float64 whatever the BLAS.  So pairs that hit the same
-    multiset of table values (equal joint types in particular) score
-    bit-identically, and a trial's scores do not depend on the other trials.
-    A pair that hits a zero-probability cell scores -inf.
+    ``log_p`` is (nx1, nx2, ny) with -inf on zero-probability cells; a row of
+    ``cells`` holds x1_k * ny + y_k, one transmitter codeword against one
+    output.  The scores have shape ``cells.shape[:-1] + (m2,)``.  A pair's
+    score depends on its symbols only through how many of them hit each
+    distinct value v of the table: with v0 the smallest finite value, score =
+    n*v0 + sum over v > v0, in increasing order, of (v - v0) * M_v.  The
+    counts M_v are GEMMs of 0/1 indicators, small integers that are exact in
+    float64 whatever the BLAS.  So pairs that hit the same multiset of table
+    values (equal joint types in particular) score bit-identically, and a
+    row's scores do not depend on the other rows.  A pair that hits a
+    zero-probability cell scores -inf.
     """
-    trials, n = y.shape
-    m1, m2 = c1f.shape[0], c2f.shape[0]
-    nx1, nx2, ny = log_p.shape
-    rows = log_p.transpose(0, 2, 1).reshape(nx1 * ny, nx2)  # [(x1, y), x2]
-    hit = np.take(rows, c1f[None] * ny + y[:, None], axis=0)  # [t, i, k, b]
-    hit = hit.reshape(trials * m1, n * nx2)
+    n, m2, nx2 = cells.shape[-1], c2f.shape[0], log_p.shape[1]
+    by_cell = log_p.transpose(0, 2, 1).reshape(-1, nx2)  # [(x1, y), x2]
+    hit = np.take(by_cell, cells, axis=0).reshape(-1, n * nx2)
     right = (c2f.T[:, None] == np.arange(nx2)[:, None]).reshape(n * nx2, m2).astype(float)
     values = sorted(set(log_p.ravel().tolist()))  # np.unique costs more on tables this small
     finite = [v for v in values if v > -math.inf]
 
-    score = np.empty((trials, m1, m2)) if out is None else out
+    score = np.empty(cells.shape[:-1] + (m2,)) if out is None else out
     score.fill(n * finite[0])
-    flat = score.reshape(trials * m1, m2)
+    flat = score.reshape(-1, m2)
     counts = np.empty_like(flat)
     for v in finite[1:]:
         _gemm((hit == v).astype(float), right, counts)
@@ -272,24 +278,56 @@ def _pair_scores(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray, y: np.ndar
     return score
 
 
+def _survivors(log_p: np.ndarray, cells: np.ndarray, c2f: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, row) indices of the transmitter rows that can hold a trial's ML pair.
+
+    U[t, i] = sum_k max_x2 log p(y_tk | x1_ik, x2) bounds row i's scores from
+    above, and the best pair of the row with the largest U bounds the maximum
+    from below.  The slack 1e-9 * (1 + |floor|) covers the rounding gap between
+    these float sums and the count-based scores; a floor of -inf keeps every row.
+    """
+    nx2 = log_p.shape[1]
+    by_cell = log_p.transpose(0, 2, 1).reshape(-1, nx2)
+    per_symbol = cells.transpose(2, 0, 1)  # (n, T, m1): sums run over the leading axis
+    upper = np.take(by_cell.max(axis=1), per_symbol).sum(axis=0)
+    best = per_symbol[:, np.arange(len(cells)), upper.argmax(axis=1)]  # (n, T)
+    floor = np.take(by_cell, best[:, :, None] * nx2 + c2f.T[:, None]).sum(axis=0).max(axis=1)
+    return np.nonzero(upper >= (floor - 1e-9 * (1.0 + np.abs(floor)))[:, None])
+
+
+def _ml_index(log_p: np.ndarray, cells: np.ndarray, c2f: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Flat (transmitter, interferer) index of each trial's ML pair, ties to the lowest.
+
+    Only the surviving rows are scored; the others stay -inf in ``out`` (T, m1, m2).
+    """
+    out.fill(-np.inf)
+    t, i = _survivors(log_p, cells, c2f)
+    out[t, i] = _pair_scores(log_p, cells[t, i], c2f)
+    return out.reshape(len(out), -1).argmax(axis=1)
+
+
 def _score_chunk(log_y1: np.ndarray, log_y2: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
                  m1s: int, y1: np.ndarray, y2: np.ndarray,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Decoded secret message and H(W1 | y2) in bits for each trial of a chunk.
 
-    The receiver decodes by ML over all codeword pairs, ties to the lowest
-    flat (transmitter, interferer) index; ``c1f`` rows are ordered bin by bin.
+    The receiver decodes by ML over all codeword pairs, scoring only the rows
+    that can win, ties to the lowest flat (transmitter, interferer) index;
+    ``c1f`` rows are ordered bin by bin.
     The eavesdropper's pair scores overwrite the receiver's in ``out`` and
     become posterior weights in place.  A trial whose y2 is impossible under
     every pair gets the flat posterior, log2(m1s) bits.
     """
     trials = y1.shape[0]
     m1, m2 = c1f.shape[0], c2f.shape[0]
-    ll = _pair_scores(log_y1, c1f, c2f, y1, out)
-    w1_hat = ll.reshape(trials, -1).argmax(axis=1) // m2 // (m1 // m1s)
+    ll = np.empty((trials, m1, m2)) if out is None else out
+    flat = _ml_index(log_y1, c1f * log_y1.shape[2] + y1[:, None], c2f, ll)
+    w1_hat = flat // m2 // (m1 // m1s)
     if m1s == 1:
         return w1_hat, np.zeros(trials)
-    w = _pair_scores(log_y2, c1f, c2f, y2, ll).reshape(trials, -1)
+    w = _pair_scores(log_y2, c1f * log_y2.shape[2] + y2[:, None], c2f, ll).reshape(trials, -1)
     shift = w.max(axis=1)
     seen = shift > -np.inf  # False where every pair makes y2 impossible
     np.exp(np.subtract(w, np.where(seen, shift, 0.0)[:, None], out=w), out=w)

@@ -111,6 +111,8 @@ class SweepConfig:
         if "channel" in fields:
             if not self.channel:
                 raise ConfigError(f"mode {self.mode!r} requires a channel file")
+        if "grid" in fields:
+            _count("grid", self.grid, 3)
 
     def axis(self) -> np.ndarray:
         if self.spacing == "log":

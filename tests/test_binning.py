@@ -349,7 +349,7 @@ class TestPairScores:
         c1f = rng.integers(sizes[0], size=(m1, n))
         c2f = rng.integers(sizes[1], size=(m2, n))
         y = rng.integers(sizes[2], size=(trials, n))
-        got = binning._pair_scores(log_p, c1f, c2f, y)
+        got = binning._pair_scores(log_p, c1f * sizes[2] + y[:, None], c2f)
         for t in range(trials):
             want = pair_loglik_reference(log_p, c1f, c2f, y[t])
             assert np.array_equal(np.isneginf(got[t]), np.isneginf(want))
@@ -366,7 +366,7 @@ class TestPairScores:
         assert c1f.shape[0] * HEAVY_SPEC.n > binning._GEMM_ELEMENTS // c2f.shape[0]
         log_p = binning._log_table(ch.receiver_marginal())
         y = np.random.default_rng(2).integers(ch.ny1, size=(1, HEAVY_SPEC.n))
-        got = binning._pair_scores(log_p, c1f, c2f, y)[0]
+        got = binning._pair_scores(log_p, c1f * ch.ny1 + y[:, None], c2f)[0]
         want = pair_loglik_reference(log_p, c1f, c2f, y[0])
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -385,7 +385,7 @@ class TestPairScores:
         c1f = np.array([(1, 1, 1, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 1)] + arrangements
                        + [(1, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0)])
         c2f = np.array([(0, 0, 0, 0, 1, 1, 1, 1), (1, 1, 1, 1, 0, 0, 0, 0)])
-        scores = binning._pair_scores(log_y1, c1f, c2f, y)[0]
+        scores = binning._pair_scores(log_y1, c1f * ch.ny1 + y[:, None], c2f)[0]
 
         def joint_type(pair):
             return frozenset(Counter(zip(c1f[pair[0]], c2f[pair[1]], y[0])).items())
@@ -432,6 +432,81 @@ class TestPairScores:
             log_y1, log_y2, c1f[:, perm], c2f[:, perm], m1s, y1[:, perm], y2[:, perm])
         assert np.array_equal(w1_hat, w1_perm)
         assert np.array_equal(h_bits, h_perm)
+
+
+class TestPrunedDecoder:
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=3)] * 3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["dense", "sparse", "ties"]),
+        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=1, max_value=5),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_exhaustive_argmax(self, sizes, seed, kind, n, trials, impossible):
+        rng = np.random.default_rng(seed)
+        nx1, nx2, ny = sizes
+        if kind == "ties":  # two or three distinct values, -inf among them half the time
+            levels = -rng.exponential(size=int(rng.integers(2, 4)))
+            levels[0] = -np.inf if rng.random() < 0.5 else levels[0]
+            log_p = rng.choice(levels, size=sizes)
+        else:
+            log_p = random_table(sizes, rng, kind == "sparse")
+        # no input pair emits y = ny
+        log_p = np.concatenate([log_p, np.full((nx1, nx2, 1), -np.inf)], axis=2)
+        m1, m2 = (int(v) for v in rng.integers(1, 10, size=2))
+        c1f = rng.integers(nx1, size=(m1, n))
+        c2f = rng.integers(nx2, size=(m2, n))
+        y = rng.integers(ny, size=(trials, n))
+        if impossible:
+            y[0, rng.integers(n)] = ny
+        cells = c1f * (ny + 1) + y[:, None]
+        exhaustive = binning._pair_scores(log_p, cells, c2f).reshape(trials, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = binning._ml_index(log_p, cells, c2f, np.empty((trials, m1, m2)))
+        assert np.array_equal(got, exhaustive.argmax(axis=1))
+        if impossible:
+            assert got[0] == 0
+
+    def test_slack_keeps_a_row_whose_float_bound_rounds_low(self):
+        # one interferer symbol and one output: both rows hit the same values, so
+        # they tie, but summed in symbol order row 0 comes out one ulp lower
+        log_p = np.log([0.1, 0.2, 0.3, 0.4]).reshape(4, 1, 1)
+        cells, c2f = np.array([[[2, 2, 3], [2, 3, 2]]]), np.zeros((1, 3), dtype=int)
+        sums = log_p.ravel()[cells[0]].sum(axis=1)
+        assert sums[0] < sums[1]
+        assert binning._ml_index(log_p, cells, c2f, np.empty((1, 2, 1)))[0] == 0
+
+    def test_scores_few_rows_at_criterion_9_sizes(self, monkeypatch):
+        kept, rows = [], []
+        survivors = binning._survivors
+
+        def recording(log_p, cells, c2f):
+            t, i = survivors(log_p, cells, c2f)
+            kept.append(len(t))
+            rows.append(cells.shape[0] * cells.shape[1])
+            return t, i
+
+        monkeypatch.setattr(binning, "_survivors", recording)
+        simulate(trend_channel(), UNIFORM, HEAVY_SPEC, 0, 4)
+        assert sum(rows) == 4 * HEAVY_SPEC.sizes[0]
+        assert sum(kept) < 0.02 * sum(rows)
+
+    @pytest.mark.parametrize("k, n, r1s", [(12, 4, 1.0), (130, 3, 2.0)])
+    def test_large_alphabets_score_their_own_cells(self, k, n, r1s):
+        # a noiseless k-letter channel; in int8, x1 * ny1 wraps from 12 letters
+        # on, and the symbols themselves from 129
+        t = np.zeros((k, 1, k, 1))
+        t[np.arange(k), 0, np.arange(k), 0] = 1.0
+        ch = DmcWthi(k, 1, k, 1, t)
+        spec = CodebookSpec(n=n, r1s=r1s, r1d_prime=0.0, r1d_dprime=0.0,
+                            r2=0.0, r2_prime=0.0, r2_dprime=0.0)
+        inp = ProductInput.uniform(k, 1)
+        c1 = build_codebooks(ch, inp, spec, 0).c1.reshape(-1, spec.n)
+        assert len({tuple(r) for r in c1}) == c1.shape[0]  # distinct codewords
+        assert simulate(ch, inp, spec, 0, 200).p_e == 0.0
 
 
 class TestEquivocation:

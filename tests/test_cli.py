@@ -419,6 +419,8 @@ class TestOutputContract:
          "stop must be finite and >= 0, got inf"),
         (["sweep-interferer", "--start=-1.7e308", "--stop", "1.7e308"],
          "start must be finite and >= 0, got -1.7e+308"),
+        # a count is reported under its flag's name
+        (["dmc", "--channel", "{tmp}/blind.json", "--grid", "2"], "grid must be >= 3, got 2"),
     ])
     def test_validation_errors(self, capsys, tmp_path, channel_file, args, message):
         args = [arg.format(tmp=tmp_path) for arg in args]
