@@ -305,6 +305,7 @@ def simplex_grid(dim: int, points_per_coord: int) -> np.ndarray:
     array; enumeration order is deterministic.
     """
     dim, m = _count("dim", dim, 1), _count("points_per_coord", points_per_coord, 2) - 1
+    _check_budget(math.comb(m + dim - 1, dim - 1), "simplex points")
     # stars and bars: the counts are the gaps between the bars at -1, cuts, m + dim - 1
     bars = [(-1, *cuts, m + dim - 1)
             for cuts in itertools.combinations(range(m + dim - 1), dim - 1)]

@@ -238,8 +238,9 @@ def asymptotic_rate(a: float, b: float) -> float:
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"gains must be finite and > 0, got a={a!r}, b={b!r}")
-    if b > max(1.0, 1.0 / a):
-        return 0.5 * math.log2(b)
-    if b < min(1.0, 1.0 / a):
-        return 0.5 * math.log2(1.0 / (a * b))
-    return max(0.0, 0.5 * math.log2(1.0 / a))
+    log_a, log_b = math.log2(a), math.log2(b)  # finite even where 1/a or a*b is not
+    if log_b > max(0.0, -log_a):
+        return 0.5 * log_b
+    if log_b < min(0.0, -log_a):
+        return -0.5 * (log_a + log_b)
+    return max(0.0, -0.5 * log_a)

@@ -8,8 +8,6 @@ objective itself, evaluated at one correlation or on a plain rho grid.
 Mutual informations are recomputed from joint entropies of the full joint
 pmf, where the library takes differences of conditional entropies (for the
 DMC Sato objective, entropies of p(y1, y2) and constants of the coupling).
-Simulator trial draws come from one numpy ``Generator(Philox)`` per trial, as
-the simulator drew them before its streams were evaluated in batches.
 Simulator pair scores are summed symbol by symbol with ``math.fsum``, where
 the library contracts joint-type counts, and the eavesdropper's posterior
 entropy is summed per trial with ``math.fsum``, where the library batches a
@@ -159,30 +157,6 @@ def sato_grid(a: float, b: float, p1: float, p2: float, points: int = 1001
     """The Sato objective on a rho grid over the open interval (-1, 1)."""
     rho = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, points)
     return rho, _sato(a, b, p1, p2, rho)
-
-
-def trial_draws_reference(seed: int, start: int, count: int, sizes: tuple[int, ...],
-                          n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draws of trials start .. start + count - 1, one numpy generator per trial.
-
-    Trial t draws ``integers(m)`` for each m of ``sizes`` and then
-    ``random(n)`` from ``Generator(Philox(key=k))`` with the 128-bit key
-    k = (seed mod 2^64) + (t + 1) * 2^64, that is key words (seed, t + 1).
-    Also returns, per trial, whether a bounded-integer draw was rejected:
-    read from the generator state, whether the integers took more 32-bit
-    values than there are sizes above 1.
-    """
-    draws = np.empty((count, len(sizes)), dtype=np.int64)
-    u = np.empty((count, n))
-    rejected = np.zeros(count, dtype=bool)
-    for k in range(count):
-        rng = np.random.Generator(np.random.Philox(key=seed % 2**64 + (start + k + 1) * 2**64))
-        draws[k] = [rng.integers(m) for m in sizes]
-        state = rng.bit_generator.state
-        words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
-        rejected[k] = 2 * words - state["has_uint32"] > sum(m > 1 for m in sizes)
-        u[k] = rng.random(n)
-    return draws, u, rejected
 
 
 def pair_loglik_reference(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,

@@ -704,6 +704,11 @@ class TestSimplexGrid:
         for p in pts:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_enumeration_budget(self):
+        # C(49, 29) = 2.8e13 points: refused before any combination is built
+        with pytest.raises(DeskScaleError, match="simplex points exceed"):
+            simplex_grid(30, 21)
+
     def test_entropy_helper(self):
         assert entropy_bits(np.array([0.5, 0.5])) == pytest.approx(1.0)
         assert entropy_bits(np.array([1.0, 0.0])) == 0.0

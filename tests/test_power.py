@@ -200,8 +200,8 @@ EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308)
 
 class TestClosedDomain:
     def test_extreme_grid_raises_only_domain_error(self):
-        # every channel of EXTREMES^4: each operation returns finite numbers or
-        # raises DomainError, and emits no warning
+        # every channel of EXTREMES^4 and gain pair of EXTREMES^2: each operation
+        # returns finite numbers or raises DomainError, and emits no warning
         operations = {
             "optimal_power": lambda ch: optimal_power(ch)[0],
             "intermediates": intermediates,
@@ -228,6 +228,13 @@ class TestClosedDomain:
                         out = (out.alloc.p1, out.alloc.p2, out.rate, out.eps_grid)
                     assert all(map(math.isfinite, np.atleast_1d(out))), (name, gains, out)
                     outputs[name] += 1
+            for a, b in itertools.product(EXTREMES, repeat=2):
+                try:
+                    rate = asymptotic_rate(a, b)
+                except DomainError:
+                    assert a == 0.0 or b == 0.0, (a, b)
+                    continue
+                assert math.isfinite(rate) and rate >= 0.0, (a, b, rate)
         assert [str(w.message) for w in caught] == []
         # most channels have an answer; every bound_main_channel call does
         assert min(outputs.values()) > 9000 and outputs["bound_main_channel"] == 10**4
@@ -245,6 +252,12 @@ class TestAsymptoticRate:
         assert asymptotic_rate(1.0, 4.0) == pytest.approx(1.0, abs=1e-15)
         assert asymptotic_rate(0.5, 0.4) == pytest.approx(half_log2(5), abs=1e-14)
         assert asymptotic_rate(2.0, 1.0) == 0.0
+
+    def test_limits_at_gains_whose_product_or_reciprocal_is_not_finite(self):
+        # a * b underflows to 0 and 1 / 5e-324 overflows; the logs stay finite
+        assert asymptotic_rate(1e-200, 1e-200) == pytest.approx(200 * math.log2(10), rel=1e-15)
+        assert asymptotic_rate(5e-324, 1.0) == 537.0
+        assert asymptotic_rate(1.7e308, 1.7e308) == pytest.approx(0.5 * math.log2(1.7e308))
 
     def test_rejects_nonpositive_gains(self):
         with pytest.raises(DomainError):
