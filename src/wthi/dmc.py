@@ -36,7 +36,8 @@ marginals p(y1|x1,x2) and p(y2|x1,x2) sum the other output in canonical
 (sorted) order, so cells that sum the same terms are the same double.  The
 Sato objective uses the chain rule I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) -
 I(X1,X2;Y2): every coupling keeps the channel's Y2 marginal, so the second
-term is computed once per input law.
+term is computed once per input law, and the min over couplings skips every
+coupling whose value at a few witness laws already exceeds a coupling's max.
 
 All information quantities are in bits.
 """
@@ -446,13 +447,14 @@ def very_strong_eavesdropping(ch: DmcWthi, grid_per_dim: int = 21) -> bool:
 class DmcSatoBound:
     """Grid-search Sato bound with an honest slack estimate.
 
-    ``value`` is min over sampled noise couplings of the grid max over
-    product inputs of I(X1,X2; Y1~ | Y2~).  The inner grid max undershoots
-    the true max, so ``value`` alone may sit below the exact bound at that
-    coupling; ``inner_tolerance`` estimates that undershoot (grid refinement
-    gap plus local variation).  ``coupling_tolerance`` estimates how much the
-    outer min could still descend between coupling grid nodes (local
-    half-step sensitivity).  ``tolerance`` is their sum: the reported value
+    ``value`` is the min over the whole coupling grid (the search skips only
+    couplings that cannot attain it) of the grid max over product inputs of
+    I(X1,X2; Y1~ | Y2~).  The inner grid max undershoots the true max, so
+    ``value`` alone may sit below the exact bound at that coupling;
+    ``inner_tolerance`` estimates that undershoot (grid refinement gap plus
+    local variation).  ``coupling_tolerance`` estimates how much the outer
+    min could still descend between coupling grid nodes (local half-step
+    sensitivity).  ``tolerance`` is their sum: the reported value
     is a valid upper bound up to ``inner_tolerance`` and is within
     ``tolerance`` of what this double grid could certify.
     """
@@ -512,7 +514,7 @@ def _sato_blocks(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
     and H(Y1~,Y2~|x) is a constant of the coupling: only the mixture p(y1, y2)
     needs entropies per (law, coupling).  ``q`` is from ``_coupling_tensors``.
     Yields (chunk, n) blocks in law order; the sums over x run in cell order,
-    so a law's values do not depend on its chunk.
+    so a (law, coupling) value depends on no other law or coupling.
     """
     c = _entropy_rows(q.reshape(-1, 4, 4))  # H(Y1~,Y2~|x), (n, 4)
     qt = np.ascontiguousarray(np.moveaxis(q, 0, -1))[:, :, :, None, :]  # (x, y1, y2, 1, n)
@@ -535,6 +537,35 @@ def _grid_max(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, (b.max(axis=0) for b in _sato_blocks(q, w, i_y2)))
 
 
+def _sliced_max(ch: DmcWthi, grid: int, idx: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
+    """``_grid_max`` of the grid couplings ``idx``, built ``_COUPLING_SLICE`` at a time."""
+    return np.concatenate([
+        _grid_max(_coupling_tensors(ch, _coupling_params(grid, part)), w, i_y2)
+        for part in np.split(idx, range(_COUPLING_SLICE, len(idx), _COUPLING_SLICE))])
+
+
+def _least_coupling(ch: DmcWthi, grid: int, w: np.ndarray, i_y2: np.ndarray) -> tuple[int, float]:
+    """First index and value of the least ``_grid_max`` over the ``grid**4`` couplings.
+
+    Three rounds each add a witness law to ``lb`` (the centre law, then the
+    argmax law of the last evaluated coupling), evaluate the survivor of
+    least ``lb`` in full and prune by the rule of ``dmc_sato_bound``; then
+    every survivor is evaluated, in grid order.
+    """
+    idx, lb = np.arange(grid**4), -np.inf
+    witness, upper, incumbent = [len(w) // 2], math.inf, 0
+    for _ in range(3):
+        lb = np.maximum(lb, _sliced_max(ch, grid, idx, w[witness], i_y2[witness]))
+        c = int(idx[np.argmin(lb)])
+        q = _coupling_tensors(ch, _coupling_params(grid, [c]))
+        column = np.concatenate(list(_sato_blocks(q, w, i_y2)))[:, 0]
+        upper, incumbent = min((upper, incumbent), (float(column.max()), c))
+        keep = (lb < upper) | ((lb == upper) & (idx <= incumbent))
+        idx, lb, witness = idx[keep], lb[keep], [int(np.argmax(column))]
+    inner_max = _sliced_max(ch, grid, idx, w, i_y2)
+    return int(idx[np.argmin(inner_max)]), float(inner_max.min())
+
+
 def dmc_sato_bound(
     ch: DmcWthi, coupling_grid: int = 9, input_grid: int = 21
 ) -> DmcSatoBound:
@@ -545,26 +576,31 @@ def dmc_sato_bound(
     conditional mutual information.  Binary alphabets only; the coupling
     space has one free parameter per input pair, discretized with
     ``coupling_grid`` points, and the inner maximization uses ``input_grid``
-    points per input coordinate, at most ``_ENUMERATION_BUDGET`` evaluations
-    in all, each read from constants of the coupling in bounded chunks
-    (``_sato_blocks``), with the couplings built ``_COUPLING_SLICE`` at a time.
-    See ``DmcSatoBound`` for what the tolerances cover.
+    points per input coordinate, read from constants of the coupling in
+    bounded chunks (``_sato_blocks``), the couplings ``_COUPLING_SLICE`` at a time.
+
+    The outer min is an exact branch and bound (``_least_coupling``).  The
+    objective at any grid law is a lower bound ``lb`` on a coupling's grid
+    max, and the grid max of an evaluated coupling, the incumbent, an upper
+    bound on the least.  A coupling with ``lb`` above it can neither be the
+    minimiser nor tie with it, and one with an equal ``lb`` at a later index
+    loses the tie to the incumbent, so both are skipped.  No slack is needed:
+    a (law, coupling) value depends on no other law or coupling, so each
+    ``lb`` and incumbent is the float the exhaustive scan computes, and the
+    coupling and ``value`` are that scan's.  ``_ENUMERATION_BUDGET`` counts
+    the worst case, where every coupling survives.  ``DmcSatoBound`` says
+    what the tolerances cover.
     """
     if (ch.nx1, ch.nx2, ch.ny1, ch.ny2) != (2, 2, 2, 2):
         raise DeskScaleError("the Sato minimax search supports binary alphabets only")
     coupling_grid = _count("coupling_grid", coupling_grid, 2)
     input_grid = _count("input_grid", input_grid, 3)
     m = 4 * (input_grid - 1) + 1
-    # the grid and its 8 perturbed couplings on the coarse laws, then the refined surface
+    # every coupling surviving, 8 perturbed couplings on the coarse laws, then the refined surface
     _check_budget((coupling_grid**4 + 8) * input_grid**2 + m * m, "Sato objective evaluations")
 
     laws = _sato_laws(ch, *_binary_laws(input_grid))
-    indices = np.arange(coupling_grid**4)
-    inner_max = np.concatenate([
-        _grid_max(_coupling_tensors(ch, _coupling_params(coupling_grid, idx)), *laws)
-        for idx in np.split(indices, range(_COUPLING_SLICE, len(indices), _COUPLING_SLICE))])
-    best_idx = int(np.argmin(inner_max))
-    value = float(inner_max[best_idx])
+    best_idx, value = _least_coupling(ch, coupling_grid, *laws)
     best = _coupling_params(coupling_grid, best_idx)
 
     # Inner-max quality at the winning coupling: refine the input grid 4x and

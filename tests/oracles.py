@@ -12,7 +12,10 @@ Simulator pair scores are summed symbol by symbol with ``math.fsum``, where
 the library contracts joint-type counts, and the eavesdropper's posterior
 entropy is summed per trial with ``math.fsum``, where the library batches a
 chunk of trials.  The decodable-rate regions are the docstring inequalities
-evaluated in exact rational arithmetic.
+evaluated in exact rational arithmetic.  One reference shares code on
+purpose: the exhaustive Sato coupling scan reads the library's objective
+(``dmc._sato_blocks``) at every (law, coupling) pair, so that it checks only
+the pruning of the library's outer min, whose result must be ``==`` to it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from wthi.dmc import MutualInfoProfile
+from wthi import dmc
+from wthi.dmc import DmcWthi, MutualInfoProfile
 from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation
 
@@ -103,6 +107,20 @@ def sato_inner_reference(coupling: np.ndarray, px1: np.ndarray, px2: np.ndarray)
     """
     joint = (px1[:, None, None, None] * px2[None, :, None, None] * coupling).reshape(4, 2, 2)
     return mutual_information_bits(joint.reshape(4, 4)) - mutual_information_bits(joint.sum(axis=1))
+
+
+def sato_coupling_scan(ch: DmcWthi, coupling_grid: int, input_grid: int) -> tuple[int, float]:
+    """Index and value of the least inner grid max over every coupling of the grid.
+
+    The exhaustive coarse scan of ``dmc_sato_bound``: every coupling at every
+    law through ``dmc._sato_blocks``, then ``np.argmin``, so ties go to the
+    first coupling in grid order.
+    """
+    laws = dmc._sato_laws(ch, *dmc._binary_laws(input_grid))
+    q = dmc._coupling_tensors(ch, dmc._coupling_params(coupling_grid, np.arange(coupling_grid**4)))
+    inner_max = np.concatenate(list(dmc._sato_blocks(q, *laws))).max(axis=0)
+    k = int(np.argmin(inner_max))
+    return k, float(inner_max[k])
 
 
 def scan_secrecy_rate(prof: MutualInfoProfile, n1: int = 2000, n2: int = 2000

@@ -35,6 +35,7 @@ from channels import (
     degraded_instance,
     identical_outputs_channel,
     noiseless_blind_channel,
+    perfect_eavesdropper_channel,
     random_binary_channel,
     strong_instance,
     very_strong_instance,
@@ -45,6 +46,7 @@ from oracles import (
     joint_entropy_profile,
     mutual_information_bits,
     region_reference,
+    sato_coupling_scan,
     sato_inner_reference,
     scan_secrecy_rate,
 )
@@ -634,6 +636,40 @@ class TestDmcSatoBound:
             assert rate <= cap + 1e-9
 
 
+def assert_sato_search_is_exhaustive(ch: DmcWthi, coupling_grid: int, input_grid: int,
+                                     coupling_slice: int | None) -> None:
+    """The pruned coupling search gives the exhaustive scan's coupling and value."""
+    expected = sato_coupling_scan(ch, coupling_grid, input_grid)
+    with pytest.MonkeyPatch.context() as mp:
+        if coupling_slice is not None:  # witness and survivor passes cross slice boundaries
+            mp.setattr(dmc, "_COUPLING_SLICE", coupling_slice)
+        laws = dmc._sato_laws(ch, *dmc._binary_laws(input_grid))
+        assert dmc._least_coupling(ch, coupling_grid, *laws) == expected
+        assert dmc_sato_bound(ch, coupling_grid, input_grid).value == expected[1]
+
+
+class TestSatoCouplingSearch:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(2, 3), (3, 5), (4, 5), (5, 3)]),
+        st.sampled_from([None, 7, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_exhaustive_scan(self, seed, grids, coupling_slice):
+        ch = random_binary_channel(np.random.default_rng(seed))
+        assert_sato_search_is_exhaustive(ch, *grids, coupling_slice)
+
+    @pytest.mark.parametrize("coupling_slice", [None, 7, 2])
+    @pytest.mark.parametrize("make", [
+        identical_outputs_channel, noiseless_blind_channel, perfect_eavesdropper_channel,
+        very_strong_instance, degraded_instance,
+    ])
+    def test_tie_heavy_channels_match_the_exhaustive_scan(self, make, coupling_slice):
+        # most or all couplings tie at the centre law or at the minimum
+        for grids in ((3, 5), (4, 7)):
+            assert_sato_search_is_exhaustive(make(), *grids, coupling_slice)
+
+
 unit_with_endpoints = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -662,6 +698,22 @@ class TestSatoObjective:
         _, i_y2 = dmc._sato_laws(ch, px1, px2)
         expected = [mi_profile(ch, ProductInput(a, b)).i_x1x2_y2 for a, b in zip(px1, px2)]
         assert i_y2 == pytest.approx(expected, abs=1e-15)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.integers(min_value=0, max_value=49), min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_values_do_not_depend_on_the_other_couplings(self, seed, idx):
+        # repeated, unordered and single couplings; with 1000 entries a chunk, 50
+        # couplings take 5 laws a chunk and fewer couplings take more
+        rng = np.random.default_rng(seed)
+        ch = random_binary_channel(rng)
+        q = dmc._coupling_tensors(ch, rng.random((50, 4)))
+        laws = dmc._sato_laws(ch, *dmc._binary_laws(9))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dmc, "_SATO_CHUNK", 1000)
+            whole = np.concatenate(list(dmc._sato_blocks(q, *laws)))
+            got = np.concatenate(list(dmc._sato_blocks(q[idx], *laws)))
+        assert np.array_equal(got, whole[:, idx])
 
     def test_values_do_not_depend_on_the_chunking(self, monkeypatch):
         rng = np.random.default_rng(9)
