@@ -12,8 +12,8 @@ Maximum-likelihood decoding stands in for joint typicality: typical sets are
 vacuous at blocklengths this small, and ML can only do better, so error
 trends remain meaningful.
 
-Every trial draws its indices and channel outputs first; scoring then runs
-on chunks of trials.  The log-likelihood of a codeword pair is computed from
+Trials run in chunks: a chunk draws its trials' indices and channel outputs,
+then scores them.  The log-likelihood of a codeword pair is computed from
 exact joint-type counts: for each distinct value of the log table, how many
 symbols k of the pair hit a cell (x1_k, x2_k, y_k) holding that value.  The
 counts are GEMMs of 0/1 indicator matrices (small integers, exact in float64
@@ -47,10 +47,9 @@ counters t*k + 1 .. (t + 1)*k.  Its five indices are floor(u * m) of the
 first five doubles, the inverse-CDF rule the channel outputs use; an
 index's law deviates from uniform by at most m * 2^-53 relative, at most
 2^-33 at the 2^20 size cap.  The next n doubles are the channel uniforms.
-A block of trials is one ``random`` call at the counter offset of its first
-trial, so every result is bit-reproducible per (seed, trial), does not
-depend on the block or chunk size, and a shorter run is a prefix of a
-longer one.
+A chunk draws its trials in one ``random`` call at the counter offset of its
+first trial, so every result is bit-reproducible per (seed, trial), does not
+depend on the chunk size, and a shorter run is a prefix of a longer one.
 
 Sizes are the rounded powers ``round(2^(n*rate))``; all entropy
 normalizations use the realized size ``m1s`` rather than the nominal rate.
@@ -72,7 +71,6 @@ _MAX_BLOCKLENGTH = 14
 _MAX_PAIRS = 1 << 20
 _CHUNK_ELEMENTS = 1 << 17  # per chunk: trials x m1 x (m2 + nx2 * n)
 _GEMM_ELEMENTS = 1 << 18   # OpenBLAS runs a product of at most this size on one thread
-_DRAW_WORDS = 1 << 16      # per draw block: trials x Philox words per trial
 
 
 def _size(n: int, rate: float) -> int:
@@ -156,11 +154,6 @@ def _stream(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _trial_counters(sizes: tuple[int, ...], n: int) -> int:
-    """Philox counters per trial, four words each: one word per index and per channel use."""
-    return -(-(len(sizes) + n) // 4)
-
-
 def _trial_draws(seed: int, start: int, count: int, sizes: tuple[int, ...],
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices (count, len(sizes)) and uniforms (count, n) of trials start .. start + count - 1.
@@ -173,7 +166,7 @@ def _trial_draws(seed: int, start: int, count: int, sizes: tuple[int, ...],
     uniform by at most m * 2^-53 relative, and the largest double below 1
     maps to m - 1 for every m up to 2^21.
     """
-    k = _trial_counters(sizes, n)
+    k = -(-(len(sizes) + n) // 4)  # Philox counters of four words: one word per index and per use
     u = _stream(seed, 1, start * k).random((count, 4 * k))
     draws = (u[:, :len(sizes)] * np.asarray(sizes)).astype(np.int64)
     return draws, u[:, len(sizes):len(sizes) + n]
@@ -341,23 +334,17 @@ def simulate(
     chunk = max(1, _CHUNK_ELEMENTS // (m1 * (m2 + ch.nx2 * spec.n)))
     buf = np.empty(min(chunk, trials) * m1 * m2)
 
-    block = max(1, _DRAW_WORDS // (4 * _trial_counters(spec.sizes, spec.n)))
-    for first in range(0, trials, block):
-        draws, uniforms = _trial_draws(seed, first, min(block, trials - first), spec.sizes, spec.n)
-        w1 = draws[:, 0]
-        idx1 = (w1 * m1p + draws[:, 1]) * m1pp + draws[:, 2]
-        idx2 = draws[:, 3] * m2pp + draws[:, 4]
-        for lo in range(0, len(draws), chunk):
-            start, size = first + lo, min(chunk, len(draws) - lo)
-            part = slice(lo, lo + size)
-            row_cdf = cdf[c1f[idx1[part]], c2f[idx2[part]]]  # (size, n, ny1*ny2)
-            u = uniforms[part, :, None]
-            out = np.minimum((row_cdf <= u).sum(axis=2), row_cdf.shape[2] - 1)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        draws, uniforms = _trial_draws(seed, start, size, spec.sizes, spec.n)
+        idx1 = (draws[:, 0] * m1p + draws[:, 1]) * m1pp + draws[:, 2]
+        row_cdf = cdf[c1f[idx1], c2f[draws[:, 3] * m2pp + draws[:, 4]]]  # (size, n, ny1*ny2)
+        out = np.minimum((row_cdf <= uniforms[:, :, None]).sum(axis=2), row_cdf.shape[2] - 1)
 
-            w1_hat, h_bits[start:start + size] = _score_chunk(
-                log_y1, log_y2, c1f, c2f, m1s, out // ch.ny2, out % ch.ny2,
-                buf[:size * m1 * m2].reshape(size, m1, m2))
-            errors[start:start + size] = w1_hat != w1[part]
+        w1_hat, h_bits[start:start + size] = _score_chunk(
+            log_y1, log_y2, c1f, c2f, m1s, out // ch.ny2, out % ch.ny2,
+            buf[:size * m1 * m2].reshape(size, m1, m2))
+        errors[start:start + size] = w1_hat != draws[:, 0]
 
     ratio = float(np.mean(h_bits) / h_max) if h_max > 0.0 else 1.0
     h_bits.setflags(write=False)

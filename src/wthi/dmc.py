@@ -36,7 +36,9 @@ marginals p(y1|x1,x2) and p(y2|x1,x2) sum the other output in canonical
 (sorted) order, so cells that sum the same terms are the same double.  The
 Sato objective uses the chain rule I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) -
 I(X1,X2;Y2): every coupling keeps the channel's Y2 marginal, so the second
-term is computed once per input law, and the min over couplings skips every
+term is computed once per input law.  Each coupling takes one grid position
+per input cell, so every coupling is gathered from one table of per-cell
+couplings built once per search, and the min over couplings skips every
 coupling whose value at a few witness laws already exceeds a coupling's max.
 
 All information quantities are in bits.
@@ -473,7 +475,8 @@ def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
 
     ``params`` holds, per (x1, x2) pair, the position t in [0, 1] of
     q(0,0|x1,x2) inside its Frechet interval.  Shape (n, 4) -> (n, 4, 2, 2),
-    the input cells in (x1, x2) order.
+    the input cells in (x1, x2) order; (n, 1) puts every cell at the same t.
+    Each cell's coupling depends only on its own t.
     """
     m1 = ch.receiver_marginal()[..., 0].ravel()  # p(y1=0 | x1, x2)
     m2 = ch.eavesdropper_marginal()[..., 0].ravel()
@@ -486,13 +489,14 @@ def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
 # Most (input law, coupling, cell) entries in one chunk of the Sato table; a
 # chunk holds at least one input law.
 _SATO_CHUNK = 2**16
-# Most couplings ``dmc_sato_bound`` builds at once: one input law fills a chunk.
+# Most couplings ``dmc_sato_bound`` gathers at once: one input law fills a chunk.
 _COUPLING_SLICE = _SATO_CHUNK // 4
 
 
-def _coupling_params(grid: int, index) -> np.ndarray:
-    """Rows ``index`` of the ``grid``-point parameter grid in [0, 1]^4, last parameter fastest."""
-    return np.linspace(0.0, 1.0, grid)[np.stack(np.unravel_index(index, (grid,) * 4), axis=-1)]
+def _couplings(table: np.ndarray, index) -> np.ndarray:
+    """Grid couplings ``index`` (n, 4, 2, 2) from the cell table, the last cell's digit fastest."""
+    digits = np.stack(np.unravel_index(index, (len(table),) * 4), axis=-1)
+    return np.take(table.reshape(-1, 2, 2), digits * 4 + np.arange(4), axis=0)
 
 
 def _sato_laws(ch: DmcWthi, px1: np.ndarray, px2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -537,32 +541,32 @@ def _grid_max(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, (b.max(axis=0) for b in _sato_blocks(q, w, i_y2)))
 
 
-def _sliced_max(ch: DmcWthi, grid: int, idx: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
-    """``_grid_max`` of the grid couplings ``idx``, built ``_COUPLING_SLICE`` at a time."""
-    return np.concatenate([
-        _grid_max(_coupling_tensors(ch, _coupling_params(grid, part)), w, i_y2)
-        for part in np.split(idx, range(_COUPLING_SLICE, len(idx), _COUPLING_SLICE))])
+def _sliced_max(table: np.ndarray, idx: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
+    """``_grid_max`` of the grid couplings ``idx``, gathered ``_COUPLING_SLICE`` at a time."""
+    return np.concatenate([_grid_max(_couplings(table, part), w, i_y2) for part
+                           in np.split(idx, range(_COUPLING_SLICE, len(idx), _COUPLING_SLICE))])
 
 
-def _least_coupling(ch: DmcWthi, grid: int, w: np.ndarray, i_y2: np.ndarray) -> tuple[int, float]:
-    """First index and value of the least ``_grid_max`` over the ``grid**4`` couplings.
+def _least_coupling(table: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> tuple[int, float]:
+    """First index and value of the least ``_grid_max`` over the grid couplings of ``table``.
 
-    Three rounds each add a witness law to ``lb`` (the centre law, then the
-    argmax law of the last evaluated coupling), evaluate the survivor of
-    least ``lb`` in full and prune by the rule of ``dmc_sato_bound``; then
-    every survivor is evaluated, in grid order.
+    ``table`` is the cell table of ``dmc_sato_bound``.  Three rounds each add
+    a witness law to ``lb`` (first law ``len(w) // 2``: the centre law for an
+    odd input grid, the edge law p(x2) = [0, 1] for an even one; then the
+    argmax law of the last evaluated coupling), evaluate the survivor of least
+    ``lb`` in full and prune by the rule of ``dmc_sato_bound``; then every
+    survivor is evaluated, in grid order.
     """
-    idx, lb = np.arange(grid**4), -np.inf
+    idx, lb = np.arange(len(table)**4), -np.inf
     witness, upper, incumbent = [len(w) // 2], math.inf, 0
     for _ in range(3):
-        lb = np.maximum(lb, _sliced_max(ch, grid, idx, w[witness], i_y2[witness]))
+        lb = np.maximum(lb, _sliced_max(table, idx, w[witness], i_y2[witness]))
         c = int(idx[np.argmin(lb)])
-        q = _coupling_tensors(ch, _coupling_params(grid, [c]))
-        column = np.concatenate(list(_sato_blocks(q, w, i_y2)))[:, 0]
+        column = np.concatenate(list(_sato_blocks(_couplings(table, [c]), w, i_y2)))[:, 0]
         upper, incumbent = min((upper, incumbent), (float(column.max()), c))
         keep = (lb < upper) | ((lb == upper) & (idx <= incumbent))
         idx, lb, witness = idx[keep], lb[keep], [int(np.argmax(column))]
-    inner_max = _sliced_max(ch, grid, idx, w, i_y2)
+    inner_max = _sliced_max(table, idx, w, i_y2)
     return int(idx[np.argmin(inner_max)]), float(inner_max.min())
 
 
@@ -577,7 +581,9 @@ def dmc_sato_bound(
     space has one free parameter per input pair, discretized with
     ``coupling_grid`` points, and the inner maximization uses ``input_grid``
     points per input coordinate, read from constants of the coupling in
-    bounded chunks (``_sato_blocks``), the couplings ``_COUPLING_SLICE`` at a time.
+    bounded chunks (``_sato_blocks``).  The per-cell couplings of every grid
+    position, a (coupling_grid, 4, 2, 2) table, are built once; each pass
+    gathers its couplings from it, ``_COUPLING_SLICE`` at a time.
 
     The outer min is an exact branch and bound (``_least_coupling``).  The
     objective at any grid law is a lower bound ``lb`` on a coupling's grid
@@ -588,24 +594,29 @@ def dmc_sato_bound(
     a (law, coupling) value depends on no other law or coupling, so each
     ``lb`` and incumbent is the float the exhaustive scan computes, and the
     coupling and ``value`` are that scan's.  ``_ENUMERATION_BUDGET`` counts
-    the worst case, where every coupling survives.  ``DmcSatoBound`` says
-    what the tolerances cover.
+    the worst case, where every coupling survives: three witness passes,
+    three incumbent columns, the full pass, the perturbed couplings and the
+    refined surface.  ``DmcSatoBound`` says what the tolerances cover.
     """
     if (ch.nx1, ch.nx2, ch.ny1, ch.ny2) != (2, 2, 2, 2):
         raise DeskScaleError("the Sato minimax search supports binary alphabets only")
     coupling_grid = _count("coupling_grid", coupling_grid, 2)
     input_grid = _count("input_grid", input_grid, 3)
     m = 4 * (input_grid - 1) + 1
-    # every coupling surviving, 8 perturbed couplings on the coarse laws, then the refined surface
-    _check_budget((coupling_grid**4 + 8) * input_grid**2 + m * m, "Sato objective evaluations")
+    # g^4 couplings at 3 witness laws and at every law, 3 incumbent columns and
+    # 8 perturbed couplings on the coarse laws, then the refined surface
+    _check_budget(3 * coupling_grid**4 + (coupling_grid**4 + 11) * input_grid**2 + m * m,
+                  "Sato objective evaluations")
 
+    t = np.linspace(0.0, 1.0, coupling_grid)
+    table = _coupling_tensors(ch, t[:, None])  # (grid position, cell, y1, y2)
     laws = _sato_laws(ch, *_binary_laws(input_grid))
-    best_idx, value = _least_coupling(ch, coupling_grid, *laws)
-    best = _coupling_params(coupling_grid, best_idx)
+    best_idx, value = _least_coupling(table, *laws)
+    best = t[list(np.unravel_index(best_idx, (coupling_grid,) * 4))]
 
     # Inner-max quality at the winning coupling: refine the input grid 4x and
     # add the local variation of the refined surface as a Lipschitz cushion.
-    q_best, fine_laws = _coupling_tensors(ch, best[None]), _sato_laws(ch, *_binary_laws(m))
+    q_best, fine_laws = _couplings(table, [best_idx]), _sato_laws(ch, *_binary_laws(m))
     surface = np.concatenate(list(_sato_blocks(q_best, *fine_laws))).reshape(m, m)
     local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))
     inner_tol = max(0.0, float(surface.max()) - value) + local_var

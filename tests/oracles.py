@@ -114,10 +114,12 @@ def sato_coupling_scan(ch: DmcWthi, coupling_grid: int, input_grid: int) -> tupl
 
     The exhaustive coarse scan of ``dmc_sato_bound``: every coupling at every
     law through ``dmc._sato_blocks``, then ``np.argmin``, so ties go to the
-    first coupling in grid order.
+    first coupling in grid order.  The couplings are built from their own
+    parameter rows (last parameter fastest), not gathered from a cell table.
     """
     laws = dmc._sato_laws(ch, *dmc._binary_laws(input_grid))
-    q = dmc._coupling_tensors(ch, dmc._coupling_params(coupling_grid, np.arange(coupling_grid**4)))
+    digits = np.stack(np.unravel_index(np.arange(coupling_grid**4), (coupling_grid,) * 4), axis=-1)
+    q = dmc._coupling_tensors(ch, np.linspace(0.0, 1.0, coupling_grid)[digits])
     inner_max = np.concatenate(list(dmc._sato_blocks(q, *laws))).max(axis=0)
     k = int(np.argmin(inner_max))
     return k, float(inner_max[k])

@@ -206,20 +206,22 @@ class TestSimulate:
         assert np.array_equal(res_short.h_bits, res_long.h_bits[:short])
         assert np.array_equal(res_short.errors, res_long.errors[:short])
 
-    def test_prefix_is_bit_exact_across_draw_blocks(self, monkeypatch):
+    def test_prefix_is_bit_exact_across_drawn_chunks(self, monkeypatch):
+        # each chunk draws its own trials; runs that end inside the first and the
+        # second chunk are prefixes of the long run
         ch = trend_channel()
-        blocks = []
+        chunks = []
         trial_draws = binning._trial_draws
 
         def recording(seed, start, count, *args):
-            blocks.append((start, count))
+            chunks.append((start, count))
             return trial_draws(seed, start, count, *args)
 
         monkeypatch.setattr(binning, "_trial_draws", recording)
         full = simulate(ch, UNIFORM, SHORT_SPEC, 9, 12000)
-        block = blocks[0][1]
-        assert len(blocks) >= 2 and block < 12000 // 2
-        for short in (block - 1, block + block // 3 + 1):
+        chunk = chunks[0][1]
+        assert len(chunks) >= 2 and chunk < 12000 // 2
+        for short in (chunk - 1, chunk + chunk // 3 + 1):
             res = simulate(ch, UNIFORM, SHORT_SPEC, 9, short)
             assert np.array_equal(res.h_bits, full.h_bits[:short])
             assert np.array_equal(res.errors, full.errors[:short])
@@ -304,9 +306,11 @@ class TestTrialDraws:
         assert np.array_equal(draws[0], sizes - 1)
 
     def test_simulation_uses_each_trials_own_draws(self, monkeypatch):
-        # draw blocks of 8 trials, so scoring chunks end at block boundaries,
-        # against all trials drawn in one block
+        # chunks of 8 trials, each drawing its own trials, against all trials
+        # drawn and scored in one chunk
         ch = trend_channel()
+        m1, m2 = SHORT_SPEC.sizes[0], SHORT_SPEC.sizes[4]
+        per_trial = m1 * (m2 + ch.nx2 * SHORT_SPEC.n)
         blocks = []
         trial_draws = binning._trial_draws
 
@@ -315,9 +319,9 @@ class TestTrialDraws:
             return trial_draws(seed, start, count, *args)
 
         monkeypatch.setattr(binning, "_trial_draws", recording)
-        monkeypatch.setattr(binning, "_DRAW_WORDS", 100)
+        monkeypatch.setattr(binning, "_CHUNK_ELEMENTS", 8 * per_trial)
         small = simulate(ch, UNIFORM, SHORT_SPEC, 4, 1000)
-        monkeypatch.setattr(binning, "_DRAW_WORDS", 1 << 30)
+        monkeypatch.setattr(binning, "_CHUNK_ELEMENTS", 1000 * per_trial)
         one = simulate(ch, UNIFORM, SHORT_SPEC, 4, 1000)
         assert blocks == [8] * 125 + [1000]
         assert np.array_equal(small.h_bits, one.h_bits)

@@ -429,8 +429,9 @@ class TestAchievableRate:
             weak_regime_rate(ch, 200)
         with pytest.raises(DeskScaleError, match="budget"):
             dmc_sato_bound(random_binary_channel(np.random.default_rng(4)), 9, 250)
-        # the coarse pass alone is 2**4 * 500**2, at the budget; the 8 perturbed
-        # couplings and the 1997 x 1997 refined surface take it to 9,988,009
+        # the coarse pass alone is 2**4 * 500**2, at the budget; the witness passes,
+        # the incumbent columns, the 8 perturbed couplings and the 1997 x 1997
+        # refined surface take it to 10,738,057
         with pytest.raises(DeskScaleError, match="budget"):
             dmc_sato_bound(degraded_instance(), 2, 500)
 
@@ -617,6 +618,23 @@ class TestDmcSatoBound:
         res = dmc_sato_bound(identical_outputs_channel(), coupling_grid=9, input_grid=11)
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
+    def test_budget_counts_the_witness_passes_before_any_work(self, monkeypatch):
+        # at (25, 3) every coupling at every law, 8 perturbed couplings and the 9 x 9
+        # surface are 3,515,778 evaluations; the three witness passes (3 * 25^4) and
+        # the three incumbent columns (3 * 9) take the worst case to 4,687,680
+        class Admitted(Exception):
+            pass
+
+        def building(*args):
+            raise Admitted
+
+        monkeypatch.setattr(dmc, "_coupling_tensors", building)
+        with pytest.raises(DeskScaleError, match="4687680 Sato objective evaluations exceed"):
+            dmc_sato_bound(degraded_instance(), 25, 3)
+        for grids in ((24, 3), (9, 21), (6, 13), (2, 250)):
+            with pytest.raises(Admitted):
+                dmc_sato_bound(degraded_instance(), *grids)
+
     def test_binary_only(self):
         t = np.full((2, 2, 3, 2), 1.0 / 6.0)
         ch = DmcWthi(2, 2, 3, 2, t)
@@ -644,7 +662,8 @@ def assert_sato_search_is_exhaustive(ch: DmcWthi, coupling_grid: int, input_grid
         if coupling_slice is not None:  # witness and survivor passes cross slice boundaries
             mp.setattr(dmc, "_COUPLING_SLICE", coupling_slice)
         laws = dmc._sato_laws(ch, *dmc._binary_laws(input_grid))
-        assert dmc._least_coupling(ch, coupling_grid, *laws) == expected
+        table = dmc._coupling_tensors(ch, np.linspace(0.0, 1.0, coupling_grid)[:, None])
+        assert dmc._least_coupling(table, *laws) == expected
         assert dmc_sato_bound(ch, coupling_grid, input_grid).value == expected[1]
 
 

@@ -115,3 +115,27 @@ def test_source_stays_below_the_roadmap_ceiling():
     # the library's line budget: growth past it has to be paid for with removals
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SOURCES)
     assert lines < 2067, lines
+
+
+def test_every_private_module_name_is_read():
+    # a helper left behind when its last caller is folded away is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):  # imported by a sibling module
+                read.update(alias.name for alias in node.names)
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            else:
+                targets = [t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                           if isinstance(t, ast.Name)]
+            defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+    assert len(defined) > 20 and [d for d in defined if d[1] not in read] == []
