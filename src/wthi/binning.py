@@ -16,11 +16,11 @@ Trials run in chunks: a chunk draws its trials' indices and channel outputs,
 then scores them.  The log-likelihood of a codeword pair is computed from
 exact joint-type counts: for each distinct value of the log table, how many
 symbols k of the pair hit a cell (x1_k, x2_k, y_k) holding that value.  The
-counts are GEMMs of 0/1 indicator matrices (small integers, exact in float64
-whatever the BLAS build or thread count) and are contracted with the table
-values in a fixed elementwise order.  Pairs with equal joint types, or more
-generally hitting the same multiset of table values, therefore score
-bit-identically, so ML ties really go to the lowest flat (transmitter,
+counts are float32 GEMMs of 0/1 indicators (integers of at most n, exact in
+float32 whatever the BLAS build or thread count), cast to float64 and
+contracted with the table values in a fixed elementwise order.  Pairs hitting
+the same multiset of table values (equal joint types in particular) therefore
+score bit-identically, so ML ties really go to the lowest flat (transmitter,
 interferer) index, and a trial's results do not depend on which chunk it is
 scored in.  A chunk holds at most ``_CHUNK_ELEMENTS`` (trial, pair) scores
 plus indicators, one trial at n = 14.
@@ -29,27 +29,21 @@ The receiver scores only the transmitter rows that can still win: U, the
 sum over symbols of the best log-likelihood over x2, bounds a row's scores
 from above, and the best pair of the row with the largest U bounds the
 maximum from below.  Rows with U under that floor, less a slack for float
-rounding, stay -inf; the others get the exact count-based scores, so the
-decision and its tie-break are those of an exhaustive search.  The
-eavesdropper's posterior needs every pair, so it scores them all.
-
-The eavesdropper's pair scores are turned into H(W1 | y2) for the whole
-chunk at once: each trial's scores are shifted by their maximum and
-exponentiated in place, summed per secret bin, and normalized, and the bin
-posteriors go through the library's one entropy helper.  A trial whose y2
-is impossible under every pair keeps the flat posterior, log2(m1s) bits.
+rounding, are skipped, and the decision is taken from the exact scores of
+the others with the tie-break of an exhaustive search.  The eavesdropper's
+posterior needs every pair, so it scores them all: each trial's scores are
+shifted by their maximum and exponentiated in place, summed per secret bin,
+and normalized, and the bin posteriors go through the library's one entropy
+helper.  A y2 impossible under every pair keeps the flat posterior.
 
 Randomness comes from numpy's counter-based Philox4x64-10 generator.
 Seeds are taken mod 2^64.  The codebooks are drawn from
-``Generator(Philox(key=(seed, 0)))``.  All trials share one stream of key
-(seed, 1): with k = ceil((5 + n) / 4), trial ``t`` reads the 4k doubles of
-counters t*k + 1 .. (t + 1)*k.  Its five indices are floor(u * m) of the
-first five doubles, the inverse-CDF rule the channel outputs use; an
-index's law deviates from uniform by at most m * 2^-53 relative, at most
-2^-33 at the 2^20 size cap.  The next n doubles are the channel uniforms.
-A chunk draws its trials in one ``random`` call at the counter offset of its
-first trial, so every result is bit-reproducible per (seed, trial), does not
-depend on the chunk size, and a shorter run is a prefix of a longer one.
+``Generator(Philox(key=(seed, 0)))``.  The trials are read in order from one
+generator of key (seed, 1), built once per ``simulate`` call: with
+k = ceil((5 + n) / 4), trial ``t`` reads the 4k doubles of counters
+t*k + 1 .. (t + 1)*k, five indices and n channel uniforms (see
+``_trial_draws``).  Every result is bit-reproducible per (seed, trial), does
+not depend on the chunk size, and a shorter run is a prefix of a longer one.
 
 Sizes are the rounded powers ``round(2^(n*rate))``; all entropy
 normalizations use the realized size ``m1s`` rather than the nominal rate.
@@ -70,7 +64,7 @@ RNG_ALGORITHM = "philox4x64"
 _MAX_BLOCKLENGTH = 14
 _MAX_PAIRS = 1 << 20
 _CHUNK_ELEMENTS = 1 << 17  # per chunk: trials x m1 x (m2 + nx2 * n)
-_GEMM_ELEMENTS = 1 << 18   # OpenBLAS runs a product of at most this size on one thread
+_GEMM_ELEMENTS = 1 << 19   # about half the largest product OpenBLAS runs on one thread
 
 
 def _size(n: int, rate: float) -> int:
@@ -149,32 +143,30 @@ class SimResult:
     errors: np.ndarray = field(compare=False, repr=False)  # decoding-error flags
 
 
-def _stream(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
+def _stream(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _trial_draws(seed: int, start: int, count: int, sizes: tuple[int, ...],
+def _trial_draws(rng: np.random.Generator, count: int, sizes: tuple[int, ...],
                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (count, len(sizes)) and uniforms (count, n) of trials start .. start + count - 1.
+    """Indices (count, len(sizes)) and uniforms (count, n) of the next ``count`` trials of ``rng``.
 
-    All trials share the stream of key (seed mod 2^64, 1).  With
-    k = ceil((len(sizes) + n) / 4), trial t reads the 4k doubles of Philox
-    counters t*k + 1 .. (t + 1)*k: index j is floor(u_j * m_j) for the j-th
-    size m_j, and the next n doubles are the channel uniforms.  This is the
-    inverse-CDF rule of the channel outputs; an index's law deviates from
-    uniform by at most m * 2^-53 relative, and the largest double below 1
-    maps to m - 1 for every m up to 2^21.
+    With k = ceil((len(sizes) + n) / 4), a trial reads the next 4k doubles,
+    k whole Philox counters, so trial t of a stream reads counters t*k + 1 ..
+    (t + 1)*k however the trials are split between calls.  Index j is
+    floor(u_j * m_j) for the j-th size m_j, the inverse-CDF rule of the
+    channel outputs, and the next n doubles are the channel uniforms.  An
+    index's law deviates from uniform by at most m * 2^-53 relative, and the
+    largest double below 1 maps to m - 1 for every m up to 2^21.
     """
     k = -(-(len(sizes) + n) // 4)  # Philox counters of four words: one word per index and per use
-    u = _stream(seed, 1, start * k).random((count, 4 * k))
+    u = rng.random((count, 4 * k))
     draws = (u[:, :len(sizes)] * np.asarray(sizes)).astype(np.int64)
     return draws, u[:, len(sizes):len(sizes) + n]
 
 
-def build_codebooks(
-    ch: DmcWthi, inp: ProductInput, spec: CodebookSpec, seed: int
-) -> Codebooks:
+def build_codebooks(ch: DmcWthi, inp: ProductInput, spec: CodebookSpec, seed: int) -> Codebooks:
     """Draw both codebooks i.i.d. from the input laws; deterministic in ``seed``."""
     _check_input_sizes(ch, inp)
     m1s, m1p, m1pp, m2p, m2pp = spec.sizes
@@ -192,9 +184,10 @@ def _log_table(p: np.ndarray) -> np.ndarray:
 def _gemm(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     """out = left @ right, in row blocks of at most ``_GEMM_ELEMENTS`` multiply-adds.
 
-    Products this small run on one BLAS thread.  On a 2-core host, threaded
-    products of these shapes took up to 8 ms instead of 0.2 ms whenever the
-    other core was busy.
+    Products this small run on one BLAS thread: with 2 threads, OpenBLAS
+    0.3.31 ran float32 and float64 products of up to 998,400 multiply-adds on
+    one.  On a 2-core host, threaded products of these shapes took up to 8 ms
+    instead of 15-30 us whenever the other core was busy.
     """
     step = max(1, _GEMM_ELEMENTS // right.size)
     for lo in range(0, left.shape[0], step):
@@ -211,29 +204,35 @@ def _pair_scores(log_p: np.ndarray, cells: np.ndarray, c2f: np.ndarray,
     score depends on its symbols only through how many of them hit each
     distinct value v of the table: with v0 the smallest finite value, score =
     n*v0 + sum over v > v0, in increasing order, of (v - v0) * M_v.  The
-    counts M_v are GEMMs of 0/1 indicators, small integers that are exact in
-    float64 whatever the BLAS.  So pairs that hit the same multiset of table
-    values (equal joint types in particular) score bit-identically, and a
-    row's scores do not depend on the other rows.  A pair that hits a
-    zero-probability cell scores -inf.
+    counts M_v are float32 GEMMs of 0/1 indicators, exact whatever the BLAS,
+    cast to float64 before they meet v - v0.  So pairs that hit the same
+    multiset of table values score bit-identically, and a row's scores do
+    not depend on the other rows.  A pair that hits a zero-probability cell
+    scores -inf, as does every pair when no cell is finite.
     """
     n, m2, nx2 = cells.shape[-1], c2f.shape[0], log_p.shape[1]
     by_cell = log_p.transpose(0, 2, 1).reshape(-1, nx2)  # [(x1, y), x2]
     hit = np.take(by_cell, cells, axis=0).reshape(-1, n * nx2)
-    right = (c2f.T[:, None] == np.arange(nx2)[:, None]).reshape(n * nx2, m2).astype(float)
+    right = (c2f.T[:, None] == np.arange(nx2)[:, None]).reshape(n * nx2, m2).astype(np.float32)
     values = sorted(set(log_p.ravel().tolist()))  # np.unique costs more on tables this small
     finite = [v for v in values if v > -math.inf]
 
     score = np.empty(cells.shape[:-1] + (m2,)) if out is None else out
-    score.fill(n * finite[0])
     flat = score.reshape(-1, m2)
-    counts = np.empty_like(flat)
-    for v in finite[1:]:
-        _gemm((hit == v).astype(float), right, counts)
-        counts *= v - finite[0]
-        flat += counts
+    indicator = np.empty(hit.shape, dtype=np.float32)
+    counts = np.empty(flat.shape, dtype=np.float32)
+    term = np.empty_like(flat) if len(finite) > 2 else None
+    if len(finite) < 2:
+        flat.fill(n * finite[0] if finite else -np.inf)
+    for k, v in enumerate(finite[1:]):
+        _gemm(np.equal(hit, v, out=indicator), right, counts)
+        if k == 0:  # (v - v0) * M_v + n*v0 is n*v0 + (v - v0) * M_v: IEEE addition commutes
+            np.multiply(counts, v - finite[0], out=flat, dtype=float)
+            flat += n * finite[0]
+        else:
+            flat += np.multiply(counts, v - finite[0], out=term, dtype=float)
     if values[0] == -math.inf:
-        _gemm((hit == -math.inf).astype(float), right, counts)
+        _gemm(np.equal(hit, -math.inf, out=indicator), right, counts)
         flat[counts > 0.0] = -np.inf
     return score
 
@@ -256,16 +255,23 @@ def _survivors(log_p: np.ndarray, cells: np.ndarray, c2f: np.ndarray
     return np.nonzero(upper >= (floor - 1e-9 * (1.0 + np.abs(floor)))[:, None])
 
 
-def _ml_index(log_p: np.ndarray, cells: np.ndarray, c2f: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
+def _ml_index(log_p: np.ndarray, cells: np.ndarray, c2f: np.ndarray) -> np.ndarray:
     """Flat (transmitter, interferer) index of each trial's ML pair, ties to the lowest.
 
-    Only the surviving rows are scored; the others stay -inf in ``out`` (T, m1, m2).
+    Only the surviving rows are scored.  A trial's pair is the first
+    maximising column of its first surviving row that reaches the trial's
+    maximum, and 0 when every score is -inf: the flat argmax of an
+    exhaustive search.  Each trial keeps at least its row of largest U.
     """
-    out.fill(-np.inf)
     t, i = _survivors(log_p, cells, c2f)
-    out[t, i] = _pair_scores(log_p, cells[t, i], c2f)
-    return out.reshape(len(out), -1).argmax(axis=1)
+    scores = _pair_scores(log_p, cells[t, i], c2f)
+    col = scores.argmax(axis=1)
+    best = scores[np.arange(len(t)), col]
+    trials = np.arange(len(cells))
+    top = np.maximum.reduceat(best, np.searchsorted(t, trials))
+    win = np.flatnonzero(best == top[t])
+    win = win[np.searchsorted(t[win], trials)]  # each trial's first row at its maximum
+    return np.where(top > -np.inf, i[win] * scores.shape[1] + col[win], 0)
 
 
 def _score_chunk(log_y1: np.ndarray, log_y2: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
@@ -276,18 +282,17 @@ def _score_chunk(log_y1: np.ndarray, log_y2: np.ndarray, c1f: np.ndarray, c2f: n
     The receiver decodes by ML over all codeword pairs, scoring only the rows
     that can win, ties to the lowest flat (transmitter, interferer) index;
     ``c1f`` rows are ordered bin by bin.
-    The eavesdropper's pair scores overwrite the receiver's in ``out`` and
+    The eavesdropper's pair scores are written to ``out`` (T, m1, m2) and
     become posterior weights in place.  A trial whose y2 is impossible under
     every pair gets the flat posterior, log2(m1s) bits.
     """
     trials = y1.shape[0]
     m1, m2 = c1f.shape[0], c2f.shape[0]
-    ll = np.empty((trials, m1, m2)) if out is None else out
-    flat = _ml_index(log_y1, c1f * log_y1.shape[2] + y1[:, None], c2f, ll)
+    flat = _ml_index(log_y1, c1f * log_y1.shape[2] + y1[:, None], c2f)
     w1_hat = flat // m2 // (m1 // m1s)
     if m1s == 1:
         return w1_hat, np.zeros(trials)
-    w = _pair_scores(log_y2, c1f * log_y2.shape[2] + y2[:, None], c2f, ll).reshape(trials, -1)
+    w = _pair_scores(log_y2, c1f * log_y2.shape[2] + y2[:, None], c2f, out).reshape(trials, -1)
     shift = w.max(axis=1)
     seen = shift > -np.inf  # False where every pair makes y2 impossible
     np.exp(np.subtract(w, np.where(seen, shift, 0.0)[:, None], out=w), out=w)
@@ -296,13 +301,8 @@ def _score_chunk(log_y1: np.ndarray, log_y2: np.ndarray, c1f: np.ndarray, c2f: n
     return w1_hat, np.where(seen, _entropy_rows(per_bin / total[:, None]), math.log2(m1s))
 
 
-def simulate(
-    ch: DmcWthi,
-    inp: ProductInput,
-    spec: CodebookSpec,
-    seed: int,
-    trials: int,
-) -> SimResult:
+def simulate(ch: DmcWthi, inp: ProductInput, spec: CodebookSpec, seed: int,
+             trials: int) -> SimResult:
     """Monte Carlo error probability and exact equivocation, with the per-trial arrays.
 
     Per trial: the secret message and all dithering indices are drawn
@@ -333,10 +333,11 @@ def simulate(
     h_max = math.log2(m1s) if m1s > 1 else 0.0
     chunk = max(1, _CHUNK_ELEMENTS // (m1 * (m2 + ch.nx2 * spec.n)))
     buf = np.empty(min(chunk, trials) * m1 * m2)
+    rng = _stream(seed, 1)
 
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        draws, uniforms = _trial_draws(seed, start, size, spec.sizes, spec.n)
+        draws, uniforms = _trial_draws(rng, size, spec.sizes, spec.n)
         idx1 = (draws[:, 0] * m1p + draws[:, 1]) * m1pp + draws[:, 2]
         row_cdf = cdf[c1f[idx1], c2f[draws[:, 3] * m2pp + draws[:, 4]]]  # (size, n, ny1*ny2)
         out = np.minimum((row_cdf <= uniforms[:, :, None]).sum(axis=2), row_cdf.shape[2] - 1)
@@ -361,14 +362,13 @@ def simulate_detailed(ch: DmcWthi, inp: ProductInput, spec: CodebookSpec, seed: 
     return res, res.h_bits, res.errors
 
 
-def result_record(spec: CodebookSpec, seed: int, result: SimResult, runtime_ms: float) -> dict:
-    """JSON-ready record of one simulation run, with RNG provenance."""
+def result_record(spec: CodebookSpec, seed: int, result: SimResult) -> dict:
+    """JSON-ready record of one simulation run, with RNG provenance and no timing."""
     return {
         "spec": asdict(spec),
         "seed": seed,
         "trials": result.trials,
         "p_e": result.p_e,
         "equivocation_ratio": result.equivocation_ratio,
-        "runtime_ms": runtime_ms,
         "rng": RNG_ALGORITHM,
     }

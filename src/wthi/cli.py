@@ -20,7 +20,8 @@ lines carrying the tool version, units and the full resolved configuration;
 single-point outputs are JSON that echoes it under ``config``.  The writers
 add the configuration and pick the destination, so each runner only
 computes.  Floats in CSV are printed with 12 significant digits, so outputs
-are byte-reproducible for a fixed configuration and version.  A result with
+are byte-reproducible for a fixed configuration and version; ``simulate``
+prints its wall time to stderr, not into its JSON.  A result with
 an infinite or NaN value has neither form, so it is a validation error.
 
 Exit codes: 0 success, 2 validation error, 1 runtime error.
@@ -290,8 +291,8 @@ def run_simulate(cfg: SweepConfig) -> str:
     inp = ProductInput.uniform(ch.nx1, ch.nx2)
     t0 = time.perf_counter()
     result = simulate(ch, inp, spec, cfg.seed, cfg.trials)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    return write_json(cfg, result_record(spec, cfg.seed, result, runtime_ms))
+    print(f"runtime_ms {(time.perf_counter() - t0) * 1e3:.3f}", file=sys.stderr)
+    return write_json(cfg, result_record(spec, cfg.seed, result))
 
 
 # Per subcommand: its runner, the ``SweepConfig`` fields it reads (its flags,

@@ -9,9 +9,11 @@ Mutual informations are recomputed from joint entropies of the full joint
 pmf, where the library takes differences of conditional entropies (for the
 DMC Sato objective, entropies of p(y1, y2) and constants of the coupling).
 Simulator pair scores are summed symbol by symbol with ``math.fsum``, where
-the library contracts joint-type counts, and the eavesdropper's posterior
-entropy is summed per trial with ``math.fsum``, where the library batches a
-chunk of trials.  The decodable-rate regions are the docstring inequalities
+the library contracts joint-type counts.  A second reference forms the
+library's count-based sum from integer counts per table value, where the
+library counts with float32 products, so that the scores are checked bit for
+bit.  The eavesdropper's posterior entropy is summed per trial with
+``math.fsum``, where the library batches a chunk of trials.  The decodable-rate regions are the docstring inequalities
 evaluated in exact rational arithmetic.  One reference shares code on
 purpose: the exhaustive Sato coupling scan reads the library's objective
 (``dmc._sato_blocks``) at every (law, coupling) pair, so that it checks only
@@ -191,6 +193,26 @@ def pair_loglik_reference(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
         for j, x2 in enumerate(c2f):
             out[i, j] = math.fsum(log_p[x1, x2, y])
     return out
+
+
+def pair_count_scores_reference(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
+                                y: np.ndarray) -> np.ndarray:
+    """The count-based pair scores of one trial, (m1, m2), as the simulator must form them.
+
+    M_v, the number of a pair's symbols whose cell holds the value v, is an
+    integer count.  With v0 the smallest finite value of the table, a score
+    is n*v0 + (v - v0) * M_v over the finite v > v0 in increasing order,
+    one float64 rounding per operation; -inf where the pair hits a -inf cell,
+    and everywhere when no cell is finite.
+    """
+    hits = log_p[c1f[:, None, :], c2f[None, :, :], y]  # (m1, m2, n): each symbol's cell value
+    finite = sorted({float(v) for v in log_p.ravel()} - {-math.inf})
+    if not finite:
+        return np.full(hits.shape[:2], -np.inf)
+    out = np.full(hits.shape[:2], len(y) * finite[0])
+    for v in finite[1:]:
+        out = out + (v - finite[0]) * np.count_nonzero(hits == v, axis=2)
+    return np.where(np.isneginf(hits).any(axis=2), -np.inf, out)
 
 
 def posterior_entropy_reference(ll: np.ndarray, m1s: int) -> float:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wthi import binning
@@ -26,7 +26,7 @@ from channels import (
     perfect_eavesdropper_channel,
     trend_channel,
 )
-from oracles import pair_loglik_reference, posterior_entropy_reference
+from oracles import pair_count_scores_reference, pair_loglik_reference, posterior_entropy_reference
 
 UNIFORM = ProductInput.uniform(2, 2)
 
@@ -52,6 +52,15 @@ def random_table(sizes: tuple, rng: np.random.Generator, sparse: bool) -> np.nda
         p[p < 0.4] = 0.0
         p[..., 0] += p.sum(axis=2) == 0.0
     return binning._log_table(p / p.sum(axis=2, keepdims=True))
+
+
+def table_of_kind(kind: str, sizes: tuple, rng: np.random.Generator) -> np.ndarray:
+    """A "dense" or "sparse" ``random_table``, or a "ties" table of few values."""
+    if kind == "ties":  # two or three distinct values, -inf among them half the time
+        levels = -rng.exponential(size=int(rng.integers(2, 4)))
+        levels[0] = -np.inf if rng.random() < 0.5 else levels[0]
+        return rng.choice(levels, size=sizes)
+    return random_table(sizes, rng, kind == "sparse")
 
 
 class TestCodebookSpec:
@@ -213,13 +222,13 @@ class TestSimulate:
         chunks = []
         trial_draws = binning._trial_draws
 
-        def recording(seed, start, count, *args):
-            chunks.append((start, count))
-            return trial_draws(seed, start, count, *args)
+        def recording(rng, count, *args):
+            chunks.append(count)
+            return trial_draws(rng, count, *args)
 
         monkeypatch.setattr(binning, "_trial_draws", recording)
         full = simulate(ch, UNIFORM, SHORT_SPEC, 9, 12000)
-        chunk = chunks[0][1]
+        chunk = chunks[0]
         assert len(chunks) >= 2 and chunk < 12000 // 2
         for short in (chunk - 1, chunk + chunk // 3 + 1):
             res = simulate(ch, UNIFORM, SHORT_SPEC, 9, short)
@@ -287,22 +296,25 @@ class TestTrialDraws:
     @settings(max_examples=200, deadline=None)
     def test_trials_read_one_stream_in_order(self, seed, start, count, sizes, n):
         # trial t is row t of one generator of key words (seed mod 2^64, 1) read
-        # from counter 0, ceil((5 + n) / 4) counters of four doubles a row
-        draws, u = binning._trial_draws(seed, start, count, sizes, n)
+        # from counter 0, ceil((5 + n) / 4) counters of four doubles a row,
+        # whether the trials before it were read in one call or several
+        rng = binning._stream(seed, 1)
+        for before in (start // 3, start - start // 3):
+            binning._trial_draws(rng, before, sizes, n)
+        draws, u = binning._trial_draws(rng, count, sizes, n)
         rng = np.random.Generator(np.random.Philox(key=seed % 2**64 + 2**64))
         rows = rng.random((start + count, 4 * math.ceil((5 + n) / 4)))[start:]
         assert np.array_equal(draws, np.floor(rows[:, :5] * np.array(sizes)).astype(np.int64))
         assert np.array_equal(u, rows[:, 5:5 + n])
 
-    def test_the_largest_uniform_maps_below_every_size(self, monkeypatch):
+    def test_the_largest_uniform_maps_below_every_size(self):
         # 1 - 2^-53 times m rounds below m for every size _size can return
         class Top:
             def random(self, shape):
                 return np.full(shape, np.nextafter(1.0, 0.0))
 
-        monkeypatch.setattr(binning, "_stream", lambda *args: Top())
         sizes = np.arange(1, (1 << binning._MAX_PAIRS.bit_length()) + 1)
-        draws, _ = binning._trial_draws(0, 0, 1, sizes, 1)
+        draws, _ = binning._trial_draws(Top(), 1, sizes, 1)
         assert np.array_equal(draws[0], sizes - 1)
 
     def test_simulation_uses_each_trials_own_draws(self, monkeypatch):
@@ -314,9 +326,9 @@ class TestTrialDraws:
         blocks = []
         trial_draws = binning._trial_draws
 
-        def recording(seed, start, count, *args):
+        def recording(rng, count, *args):
             blocks.append(count)
-            return trial_draws(seed, start, count, *args)
+            return trial_draws(rng, count, *args)
 
         monkeypatch.setattr(binning, "_trial_draws", recording)
         monkeypatch.setattr(binning, "_CHUNK_ELEMENTS", 8 * per_trial)
@@ -326,6 +338,20 @@ class TestTrialDraws:
         assert blocks == [8] * 125 + [1000]
         assert np.array_equal(small.h_bits, one.h_bits)
         assert np.array_equal(small.errors, one.errors)
+
+    def test_each_call_builds_two_generators(self, monkeypatch):
+        # one for the codebooks and one that every chunk reads, in runs of 1
+        # chunk and of 125 (the chunk sizes of the test above)
+        ch = trend_channel()
+        per_trial = SHORT_SPEC.sizes[0] * (SHORT_SPEC.sizes[4] + ch.nx2 * SHORT_SPEC.n)
+        streams = []
+        stream = binning._stream
+        monkeypatch.setattr(binning, "_stream",
+                            lambda seed, kind: streams.append(kind) or stream(seed, kind))
+        for per_chunk in (1000, 8):
+            monkeypatch.setattr(binning, "_CHUNK_ELEMENTS", per_chunk * per_trial)
+            simulate(ch, UNIFORM, SHORT_SPEC, 4, 1000)
+        assert streams == [0, 1, 0, 1]
 
 
 class TestPairScores:
@@ -362,6 +388,37 @@ class TestPairScores:
         got = binning._pair_scores(log_p, c1f * ch.ny1 + y[:, None], c2f)[0]
         want = pair_loglik_reference(log_p, c1f, c2f, y[0])
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=3)] * 3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["dense", "sparse", "ties"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_count_oracle_bit_for_bit(self, sizes, seed, kind):
+        rng = np.random.default_rng(seed)
+        log_p = table_of_kind(kind, sizes, rng)
+        n, m1, m2, trials = (int(v) for v in rng.integers(1, [15, 9, 9, 4]))
+        c1f = rng.integers(sizes[0], size=(m1, n))
+        c2f = rng.integers(sizes[1], size=(m2, n))
+        y = rng.integers(sizes[2], size=(trials, n))
+        got = binning._pair_scores(log_p, c1f * sizes[2] + y[:, None], c2f)
+        for t in range(trials):
+            assert np.array_equal(got[t], pair_count_scores_reference(log_p, c1f, c2f, y[t]))
+
+    @pytest.mark.parametrize("marginal", ["receiver_marginal", "eavesdropper_marginal"])
+    def test_equals_the_count_oracle_at_full_size(self, marginal):
+        # criterion-9 sizes, with the count products in several row blocks
+        ch = trend_channel()
+        books = build_codebooks(ch, UNIFORM, HEAVY_SPEC, 1)
+        c1f = books.c1.reshape(-1, HEAVY_SPEC.n)
+        c2f = books.c2.reshape(-1, HEAVY_SPEC.n)
+        log_p = binning._log_table(getattr(ch, marginal)())
+        y = np.random.default_rng(2).integers(log_p.shape[2], size=(2, HEAVY_SPEC.n))
+        got = binning._pair_scores(log_p, c1f * log_p.shape[2] + y[:, None], c2f)
+        assert c1f.shape[0] * got.shape[2] * HEAVY_SPEC.n * ch.nx2 > binning._GEMM_ELEMENTS
+        for t in range(len(y)):
+            assert np.array_equal(got[t], pair_count_scores_reference(log_p, c1f, c2f, y[t]))
 
     def test_equal_joint_types_tie_to_the_lowest_index(self):
         # The arrangements put two ones in each half of y, so against one
@@ -437,17 +494,13 @@ class TestPrunedDecoder:
         st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
+    @example(sizes=(2, 2, 2), seed=172, kind="ties", n=4, trials=1, impossible=False)  # no finite cell
     def test_matches_the_exhaustive_argmax(self, sizes, seed, kind, n, trials, impossible):
         rng = np.random.default_rng(seed)
         nx1, nx2, ny = sizes
-        if kind == "ties":  # two or three distinct values, -inf among them half the time
-            levels = -rng.exponential(size=int(rng.integers(2, 4)))
-            levels[0] = -np.inf if rng.random() < 0.5 else levels[0]
-            log_p = rng.choice(levels, size=sizes)
-        else:
-            log_p = random_table(sizes, rng, kind == "sparse")
         # no input pair emits y = ny
-        log_p = np.concatenate([log_p, np.full((nx1, nx2, 1), -np.inf)], axis=2)
+        log_p = np.concatenate([table_of_kind(kind, sizes, rng), np.full((nx1, nx2, 1), -np.inf)],
+                               axis=2)
         m1, m2 = (int(v) for v in rng.integers(1, 10, size=2))
         c1f = rng.integers(nx1, size=(m1, n))
         c2f = rng.integers(nx2, size=(m2, n))
@@ -458,7 +511,7 @@ class TestPrunedDecoder:
         exhaustive = binning._pair_scores(log_p, cells, c2f).reshape(trials, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = binning._ml_index(log_p, cells, c2f, np.empty((trials, m1, m2)))
+            got = binning._ml_index(log_p, cells, c2f)
         assert np.array_equal(got, exhaustive.argmax(axis=1))
         if impossible:
             assert got[0] == 0
@@ -470,7 +523,7 @@ class TestPrunedDecoder:
         cells, c2f = np.array([[[2, 2, 3], [2, 3, 2]]]), np.zeros((1, 3), dtype=int)
         sums = log_p.ravel()[cells[0]].sum(axis=1)
         assert sums[0] < sums[1]
-        assert binning._ml_index(log_p, cells, c2f, np.empty((1, 2, 1)))[0] == 0
+        assert binning._ml_index(log_p, cells, c2f)[0] == 0
 
     def test_scores_few_rows_at_criterion_9_sizes(self, monkeypatch):
         kept, rows = [], []
@@ -538,11 +591,11 @@ class TestEquivocation:
 class TestResultRecord:
     def test_fields(self):
         res = simulate(blind_eavesdropper_channel(), UNIFORM, BLIND_SPEC, 2, 10)
-        record = result_record(BLIND_SPEC, 2, res, 12.5)
+        record = result_record(BLIND_SPEC, 2, res)
         assert record["seed"] == 2
         assert record["trials"] == 10
         assert record["p_e"] == res.p_e
         assert record["equivocation_ratio"] == res.equivocation_ratio
-        assert record["runtime_ms"] == 12.5
+        assert "runtime_ms" not in record  # a wall time would make the record irreproducible
         assert record["rng"] == RNG_ALGORITHM
         assert record["spec"]["n"] == BLIND_SPEC.n

@@ -2,7 +2,11 @@ import argparse
 import io
 import json
 import math
+import os
 import re
+import shlex
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wthi
 from wthi import cli
 from wthi.bounds import bound_main_channel, bound_sato, bound_z_channel
 from wthi.cli import main
@@ -20,7 +25,7 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
 from wthi.power import optimal_power
 
-from channels import channel_document, noiseless_blind_channel
+from channels import channel_document, noiseless_blind_channel, trend_channel
 
 # Arbitrary JSON values; json.dumps writes a non-finite float as NaN or Infinity.
 JSON_VALUES = st.recursive(
@@ -162,7 +167,7 @@ class TestDmcAndSimulate:
         assert doc["equivocation_ratio"] == pytest.approx(1.0)
         assert doc["rng"] == "philox4x64"
         assert doc["trials"] == 50
-        assert "runtime_ms" in doc
+        assert "runtime_ms" not in doc  # the wall time goes to stderr
         assert doc["spec"]["n"] == 12
 
     def test_simulate_negative_seed(self, tmp_path, channel_file):
@@ -334,10 +339,10 @@ BAD_DOCUMENT_IDS = [f"{what}_{name}" for what in ("config", "channel")
 class TestOutputContract:
     """The keys, headers and error lines that scripts reading the CLI rely on."""
 
-    def run_json(self, capsys, args):
+    def run_json(self, capsys, args, err_pattern=""):
         assert run_cli(args) == 0
         out, err = capsys.readouterr()
-        assert err == ""
+        assert re.fullmatch(err_pattern, err)
         doc = json.loads(out)
         assert set(doc["config"]) == CONFIG_KEYS
         return doc
@@ -370,9 +375,9 @@ class TestOutputContract:
 
     def test_simulate_keys(self, capsys, channel_file):
         doc = self.run_json(capsys, ["simulate", "--channel", str(channel_file), "--n", "4",
-                                     "--r1s", "0.5", "--trials", "3"])
+                                     "--r1s", "0.5", "--trials", "3"], r"runtime_ms \d+\.\d{3}\n")
         assert set(doc) == {"config", "spec", "seed", "trials", "p_e", "equivocation_ratio",
-                            "runtime_ms", "rng"}
+                            "rng"}
         assert set(doc["spec"]) == {"n", "r1s", "r1d_prime", "r1d_dprime", "r2", "r2_prime",
                                     "r2_dprime"}
 
@@ -513,3 +518,32 @@ def test_docs_list_the_parser_subcommands():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     in_readme = re.findall(r"^\| `([a-z-]+)`", readme.read_text(encoding="utf-8"), re.MULTILINE)
     assert in_docstring == in_readme == list(action.choices)
+
+
+def readme_examples() -> list[list[str]]:
+    """The arguments of each ``wthi`` command in README's example block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("Examples:\n\n```sh\n", 1)[1].split("```")[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("wthi ")]
+
+
+def test_readme_examples_are_byte_identical_across_blas_threads(tmp_path):
+    # Each example runs in its own process, under 1 and under 2 BLAS threads;
+    # stdout and every file written must match byte for byte.  Only the
+    # installed numpy and its OpenBLAS run here; other BLAS builds are untested.
+    examples = readme_examples()
+    assert len(examples) == 7 and sum("--out" in args for args in examples) == 3
+    src = str(Path(wthi.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        (cwd / "channel.json").write_text(json.dumps(channel_document(trend_channel())))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        stdout = [subprocess.run([sys.executable, "-m", "wthi.cli", *args], cwd=cwd, env=env,
+                                 capture_output=True, check=True).stdout for args in examples]
+        runs.append((stdout, {path.name: path.read_bytes() for path in cwd.iterdir()}))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 4 and sum(out != b"" for out in runs[0][0]) == 4
