@@ -54,7 +54,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import DeskScaleError, DomainError, RegimeMismatchError, _check_budget, _count
-from .gaussian import RateSplit, Regime
+from .gaussian import _SILENT_SPLIT, RateSplit, Regime
 
 _SIMPLEX_TOL = 1e-12
 
@@ -290,7 +290,7 @@ def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSpl
     rates, r2s, r1ds = _breakpoint_search(np.asarray([astuple(prof)]))
     rate, r2, r1d = float(rates[0]), float(r2s[0]), float(r1ds[0])
     if rate == 0.0:
-        return 0.0, RateSplit(r2=0.0, r1s=0.0, r1d=0.0, regime=Regime.SILENT)
+        return 0.0, _SILENT_SPLIT
     if r2 == 0.0:
         regime = Regime.NO_INTERFERER
     elif r2 > prof.i_x2_y1_given_x1:
@@ -474,41 +474,41 @@ def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
     """Couplings q(y1, y2 | x1, x2) with the channel's marginals, binary outputs.
 
     ``params`` holds, per (x1, x2) pair, the position t in [0, 1] of
-    q(0,0|x1,x2) inside its Frechet interval.  Shape (n, 4) -> (n, 4, 2, 2),
-    the input cells in (x1, x2) order; (n, 1) puts every cell at the same t.
-    Each cell's coupling depends only on its own t.
+    q(0,0|x1,x2) inside its Frechet interval.  Shape (n, cells) ->
+    (n, cells, 2, 2), the input cells in (x1, x2) order; (n, 1) puts every
+    cell at the same t.  Each cell's coupling depends only on its own t.
     """
     m1 = ch.receiver_marginal()[..., 0].ravel()  # p(y1=0 | x1, x2)
     m2 = ch.eavesdropper_marginal()[..., 0].ravel()
     lo = np.maximum(0.0, m1 + m2 - 1.0)
-    q00 = lo + params * (np.minimum(m1, m2) - lo)  # (n, 4)
+    q00 = lo + params * (np.minimum(m1, m2) - lo)  # (n, cells)
     q = np.stack([q00, m1 - q00, m2 - q00, 1.0 - m1 - m2 + q00], axis=-1)
-    return np.clip(q, 0.0, 1.0).reshape(-1, 4, 2, 2)
+    return np.clip(q, 0.0, 1.0).reshape(*q00.shape, 2, 2)
 
 
-# Most (input law, coupling, cell) entries in one chunk of the Sato table; a
-# chunk holds at least one input law.
+# Most (input law, coupling, cell) entries in one chunk of the Sato table; a chunk
+# holds at least one law, and ``_sliced_max`` gathers the couplings filling one at a law.
 _SATO_CHUNK = 2**16
-# Most couplings ``dmc_sato_bound`` gathers at once: one input law fills a chunk.
-_COUPLING_SLICE = _SATO_CHUNK // 4
 
 
 def _couplings(table: np.ndarray, index) -> np.ndarray:
-    """Grid couplings ``index`` (n, 4, 2, 2) from the cell table, the last cell's digit fastest."""
-    digits = np.stack(np.unravel_index(index, (len(table),) * 4), axis=-1)
-    return np.take(table.reshape(-1, 2, 2), digits * 4 + np.arange(4), axis=0)
+    """Grid couplings ``index`` (n, cells, y1, y2) from the cell table, the last digit fastest."""
+    grid, cells = table.shape[:2]
+    digits = np.stack(np.unravel_index(index, (grid,) * cells), axis=-1)
+    return np.take(table.reshape(-1, *table.shape[2:]), digits * cells + np.arange(cells), axis=0)
 
 
-def _sato_laws(ch: DmcWthi, px1: np.ndarray, px2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell weights w(x) = p(x1)p(x2), (k, 4), of the laws px1[k] x px2[k], and I(X1,X2;Y2).
+def _sato_laws(ch: DmcWthi, px1s: np.ndarray, px2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weights w(x) = p(x1)p(x2) of the laws px1s[i] x px2s[k], and I(X1,X2;Y2).
 
-    The sums over x run in cell order, without BLAS, as in ``_sato_blocks``.
+    Rows run px1 slow, px2 fast, as in ``_law_rows``; the sums over x run in
+    cell order, without BLAS, as in ``_sato_blocks``.
     """
-    w = (px1[:, :, None] * px2[:, None, :]).reshape(-1, 4)
-    m2 = ch.eavesdropper_marginal().reshape(4, -1)  # p(y2|x) in cell order
+    w = (px1s[:, None, :, None] * px2s[None, :, None, :]).reshape(len(px1s) * len(px2s), -1)
+    m2 = ch.eavesdropper_marginal().reshape(w.shape[1], -1)  # p(y2|x) in cell order
     h = _entropy_rows(m2)
-    return w, (_entropy_rows(sum(w[:, x, None] * m2[x] for x in range(4)))
-               - sum(w[:, x] * h[x] for x in range(4)))
+    return w, (_entropy_rows(sum(w[:, x, None] * m2[x] for x in range(len(m2))))
+               - sum(w[:, x] * h[x] for x in range(len(m2))))
 
 
 def _sato_blocks(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
@@ -520,20 +520,15 @@ def _sato_blocks(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
     Yields (chunk, n) blocks in law order; the sums over x run in cell order,
     so a (law, coupling) value depends on no other law or coupling.
     """
-    c = _entropy_rows(q.reshape(-1, 4, 4))  # H(Y1~,Y2~|x), (n, 4)
+    n, cells = q.shape[:2]
+    c = _entropy_rows(q.reshape(n, cells, -1))  # H(Y1~,Y2~|x), (n, cells)
     qt = np.ascontiguousarray(np.moveaxis(q, 0, -1))[:, :, :, None, :]  # (x, y1, y2, 1, n)
-    step = max(1, _SATO_CHUNK // (4 * len(q)))
+    step = max(1, _SATO_CHUNK // (cells * n))
     for s in range(0, len(w), step):
         wk = w[s : s + step, :, None]
-        mix = sum(wk[:, x] * qt[x] for x in range(4))  # (y1, y2, chunk, n)
-        yield (_entropy_rows(np.moveaxis(mix.reshape(4, *mix.shape[2:]), 0, -1))
-               - sum(wk[:, x] * c[:, x] for x in range(4)) - i_y2[s : s + step, None])
-
-
-def _binary_laws(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Laws [t1, 1 - t1] and [t2, 1 - t2] of every pair on a ``points``-grid, t1 slower."""
-    t1, t2 = np.meshgrid(*[np.linspace(0.0, 1.0, points)] * 2, indexing="ij")
-    return tuple(np.stack([t.ravel(), 1.0 - t.ravel()], axis=-1) for t in (t1, t2))
+        mix = sum(wk[:, x] * qt[x] for x in range(cells))  # (y1, y2, chunk, n)
+        yield (_entropy_rows(np.moveaxis(mix.reshape(-1, *mix.shape[2:]), 0, -1))
+               - sum(wk[:, x] * c[:, x] for x in range(cells)) - i_y2[s : s + step, None])
 
 
 def _grid_max(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> np.ndarray:
@@ -542,9 +537,10 @@ def _grid_max(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> np.ndarray:
 
 
 def _sliced_max(table: np.ndarray, idx: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
-    """``_grid_max`` of the grid couplings ``idx``, gathered ``_COUPLING_SLICE`` at a time."""
-    return np.concatenate([_grid_max(_couplings(table, part), w, i_y2) for part
-                           in np.split(idx, range(_COUPLING_SLICE, len(idx), _COUPLING_SLICE))])
+    """``_grid_max`` of the grid couplings ``idx``, gathered so that one law fills a chunk."""
+    step = _SATO_CHUNK // table.shape[1]
+    return np.concatenate([_grid_max(_couplings(table, part), w, i_y2)
+                           for part in np.split(idx, range(step, len(idx), step))])
 
 
 def _least_coupling(table: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> tuple[int, float]:
@@ -557,7 +553,7 @@ def _least_coupling(table: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> tuple
     ``lb`` in full and prune by the rule of ``dmc_sato_bound``; then every
     survivor is evaluated, in grid order.
     """
-    idx, lb = np.arange(len(table)**4), -np.inf
+    idx, lb = np.arange(len(table) ** table.shape[1]), -np.inf
     witness, upper, incumbent = [len(w) // 2], math.inf, 0
     for _ in range(3):
         lb = np.maximum(lb, _sliced_max(table, idx, w[witness], i_y2[witness]))
@@ -578,12 +574,13 @@ def dmc_sato_bound(
     Minimizes, over a grid of noise couplings whose marginals match the
     channel, the grid maximum over product inputs of the genie-aided
     conditional mutual information.  Binary alphabets only; the coupling
-    space has one free parameter per input pair, discretized with
-    ``coupling_grid`` points, and the inner maximization uses ``input_grid``
-    points per input coordinate, read from constants of the coupling in
-    bounded chunks (``_sato_blocks``).  The per-cell couplings of every grid
-    position, a (coupling_grid, 4, 2, 2) table, are built once; each pass
-    gathers its couplings from it, ``_COUPLING_SLICE`` at a time.
+    space has one free parameter per input cell (x1, x2), discretized with
+    ``coupling_grid`` points, and the inner maximization runs over the
+    product of the ``simplex_grid`` laws with ``input_grid`` points per
+    coordinate, read from constants of the coupling in bounded chunks
+    (``_sato_blocks``).  The per-cell couplings of every grid position, a
+    (coupling_grid, cells, ny1, ny2) table, are built once; each pass
+    gathers its couplings from it, ``_SATO_CHUNK // cells`` at a time.
 
     The outer min is an exact branch and bound (``_least_coupling``).  The
     objective at any grid law is a lower bound ``lb`` on a coupling's grid
@@ -596,34 +593,36 @@ def dmc_sato_bound(
     coupling and ``value`` are that scan's.  ``_ENUMERATION_BUDGET`` counts
     the worst case, where every coupling survives: three witness passes,
     three incumbent columns, the full pass, the perturbed couplings and the
-    refined surface.  ``DmcSatoBound`` says what the tolerances cover.
+    refined surface, 2,924,496 at the default (9, 21).  ``DmcSatoBound`` says
+    what the tolerances cover.
     """
     if (ch.nx1, ch.nx2, ch.ny1, ch.ny2) != (2, 2, 2, 2):
         raise DeskScaleError("the Sato minimax search supports binary alphabets only")
     coupling_grid = _count("coupling_grid", coupling_grid, 2)
     input_grid = _count("input_grid", input_grid, 3)
-    m = 4 * (input_grid - 1) + 1
-    # g^4 couplings at 3 witness laws and at every law, 3 incumbent columns and
-    # 8 perturbed couplings on the coarse laws, then the refined surface
-    _check_budget(3 * coupling_grid**4 + (coupling_grid**4 + 11) * input_grid**2 + m * m,
+    cells, m = ch.nx1 * ch.nx2, 4 * (input_grid - 1) + 1
+    n_laws = math.prod(math.comb(input_grid + n - 2, n - 1) for n in (ch.nx1, ch.nx2))
+    # every coupling at every law and at 3 witness laws, 3 incumbent columns and
+    # 2 perturbed couplings per cell on the coarse laws, then the refined surface
+    _check_budget(coupling_grid**cells * (n_laws + 3) + (3 + 2 * cells) * n_laws + m * m,
                   "Sato objective evaluations")
 
     t = np.linspace(0.0, 1.0, coupling_grid)
     table = _coupling_tensors(ch, t[:, None])  # (grid position, cell, y1, y2)
-    laws = _sato_laws(ch, *_binary_laws(input_grid))
+    laws = _sato_laws(ch, *(simplex_grid(n, input_grid) for n in (ch.nx1, ch.nx2)))
     best_idx, value = _least_coupling(table, *laws)
-    best = t[list(np.unravel_index(best_idx, (coupling_grid,) * 4))]
+    best = t[list(np.unravel_index(best_idx, (coupling_grid,) * cells))]
 
-    # Inner-max quality at the winning coupling: refine the input grid 4x and
-    # add the local variation of the refined surface as a Lipschitz cushion.
-    q_best, fine_laws = _couplings(table, [best_idx]), _sato_laws(ch, *_binary_laws(m))
+    # Inner-max quality at the winning coupling: refine the binary input grid
+    # 4x and add the local variation of the refined surface as a Lipschitz cushion.
+    q_best, fine_laws = _couplings(table, [best_idx]), _sato_laws(ch, *[simplex_grid(2, m)] * 2)
     surface = np.concatenate(list(_sato_blocks(q_best, *fine_laws))).reshape(m, m)
     local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))
     inner_tol = max(0.0, float(surface.max()) - value) + local_var
 
     # Outer-min sensitivity: half-step perturbations of the winning coupling.
-    # Rows: -half, +half on parameter 0, then on 1, 2, 3.
-    half_steps = np.kron(np.eye(4), [[-1.0], [1.0]]) * (0.5 / (coupling_grid - 1))
+    # Rows: -half, +half on the parameter of cell 0, then of each later cell.
+    half_steps = np.kron(np.eye(cells), [[-1.0], [1.0]]) * (0.5 / (coupling_grid - 1))
     perturbed = np.clip(best + half_steps, 0.0, 1.0)
     pert_max = _grid_max(_coupling_tensors(ch, perturbed), *laws)
     coupling_tol = max(0.0, value - float(pert_max.min()))

@@ -39,7 +39,7 @@ def _count(name: str, value, least: int) -> int:
 
 # Most input laws, Sato objective evaluations, oracle grid points or trials one
 # call may enumerate: 4-ary inputs at grid 21 are 1771**2 = 3.1M laws,
-# dmc_sato_bound(9, 21) evaluates 2.9M objectives, and 4M trials take 36 MB.
+# dmc_sato_bound(9, 21) counts at most 2,924,496 objectives, 4M trials take 36 MB.
 _ENUMERATION_BUDGET = 4_000_000
 
 

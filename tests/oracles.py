@@ -102,13 +102,17 @@ def joint_entropy_profile(transition: np.ndarray, px1: np.ndarray, px2: np.ndarr
 
 
 def sato_inner_reference(coupling: np.ndarray, px1: np.ndarray, px2: np.ndarray) -> float:
-    """I(X1,X2; Y1~ | Y2~) of a binary coupling q[x1][x2][y1][y2] under the law px1 x px2.
+    """I(X1,X2; Y1~ | Y2~) of a coupling q[x1][x2][y1][y2] under the law px1 x px2.
 
-    Builds the 16-cell joint pmf and takes I(X; Y1~, Y2~) - I(X; Y2~) with
-    X = (X1, X2), each from joint entropies.
+    Builds the joint pmf of (X, Y1~, Y2~) with X = (X1, X2), its alphabet
+    sizes read from the coupling's shape, and takes I(X; Y1~, Y2~) - I(X; Y2~),
+    each from joint entropies.
     """
-    joint = (px1[:, None, None, None] * px2[None, :, None, None] * coupling).reshape(4, 2, 2)
-    return mutual_information_bits(joint.reshape(4, 4)) - mutual_information_bits(joint.sum(axis=1))
+    nx1, nx2, ny1, ny2 = coupling.shape
+    joint = (px1[:, None, None, None] * px2[None, :, None, None] * coupling).reshape(
+        nx1 * nx2, ny1, ny2)
+    return (mutual_information_bits(joint.reshape(nx1 * nx2, ny1 * ny2))
+            - mutual_information_bits(joint.sum(axis=1)))
 
 
 def sato_coupling_scan(ch: DmcWthi, coupling_grid: int, input_grid: int) -> tuple[int, float]:
@@ -119,8 +123,9 @@ def sato_coupling_scan(ch: DmcWthi, coupling_grid: int, input_grid: int) -> tupl
     first coupling in grid order.  The couplings are built from their own
     parameter rows (last parameter fastest), not gathered from a cell table.
     """
-    laws = dmc._sato_laws(ch, *dmc._binary_laws(input_grid))
-    digits = np.stack(np.unravel_index(np.arange(coupling_grid**4), (coupling_grid,) * 4), axis=-1)
+    laws = dmc._sato_laws(ch, *(dmc.simplex_grid(n, input_grid) for n in (ch.nx1, ch.nx2)))
+    shape = (coupling_grid,) * (ch.nx1 * ch.nx2)  # one grid digit per input cell
+    digits = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=-1)
     q = dmc._coupling_tensors(ch, np.linspace(0.0, 1.0, coupling_grid)[digits])
     inner_max = np.concatenate(list(dmc._sato_blocks(q, *laws))).max(axis=0)
     k = int(np.argmin(inner_max))

@@ -636,10 +636,11 @@ class TestDmcSatoBound:
                 dmc_sato_bound(degraded_instance(), *grids)
 
     def test_binary_only(self):
-        t = np.full((2, 2, 3, 2), 1.0 / 6.0)
-        ch = DmcWthi(2, 2, 3, 2, t)
-        with pytest.raises(DeskScaleError):
-            dmc_sato_bound(ch)
+        # the law grid and the cell counts take any alphabet; only the guard refuses these
+        for sizes in ((2, 2, 3, 2), (3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 3)):
+            ch = DmcWthi(*sizes, np.full(sizes, 1.0 / math.prod(sizes[2:])))
+            with pytest.raises(DeskScaleError, match="binary alphabets only"):
+                dmc_sato_bound(ch)
 
     def test_rate_below_unconstrained_receiver_capacity(self):
         rng = np.random.default_rng(77)
@@ -660,8 +661,8 @@ def assert_sato_search_is_exhaustive(ch: DmcWthi, coupling_grid: int, input_grid
     expected = sato_coupling_scan(ch, coupling_grid, input_grid)
     with pytest.MonkeyPatch.context() as mp:
         if coupling_slice is not None:  # witness and survivor passes cross slice boundaries
-            mp.setattr(dmc, "_COUPLING_SLICE", coupling_slice)
-        laws = dmc._sato_laws(ch, *dmc._binary_laws(input_grid))
+            mp.setattr(dmc, "_SATO_CHUNK", 4 * coupling_slice)  # 4 cells a coupling
+        laws = dmc._sato_laws(ch, *[simplex_grid(2, input_grid)] * 2)
         table = dmc._coupling_tensors(ch, np.linspace(0.0, 1.0, coupling_grid)[:, None])
         assert dmc._least_coupling(table, *laws) == expected
         assert dmc_sato_bound(ch, coupling_grid, input_grid).value == expected[1]
@@ -707,16 +708,28 @@ class TestSatoObjective:
         px1, px2 = np.stack([t1, 1 - t1], axis=-1), np.stack([t2, 1 - t2], axis=-1)
         got = np.concatenate(list(dmc._sato_blocks(q, *dmc._sato_laws(ch, px1, px2))))
         expected = [[sato_inner_reference(qn.reshape(2, 2, 2, 2), a, b) for qn in q]
-                    for a, b in zip(px1, px2)]
+                    for a in px1 for b in px2]
+        assert got == pytest.approx(np.asarray(expected), abs=1e-12)
+        # beyond binary alphabets, under the independent coupling p(y1|x) p(y2|x)
+        ch = random_channel((3, 2, 2, 3), seed, sparse=True)
+        q = ch.receiver_marginal()[..., None] * ch.eavesdropper_marginal()[..., None, :]
+        px1, px2 = simplex_grid(3, 3), simplex_grid(2, 3)
+        got = np.concatenate(list(dmc._sato_blocks(q.reshape(1, 6, 2, 3),
+                                                   *dmc._sato_laws(ch, px1, px2))))
+        expected = [[sato_inner_reference(q, a, b)] for a in px1 for b in px2]
         assert got == pytest.approx(np.asarray(expected), abs=1e-12)
 
     def test_law_constant_is_the_eavesdropper_information(self):
-        # the chain-rule term I(X1,X2;Y2) is the profile's i_x1x2_y2
-        ch = random_binary_channel(np.random.default_rng(4))
-        px1, px2 = dmc._binary_laws(5)
-        _, i_y2 = dmc._sato_laws(ch, px1, px2)
-        expected = [mi_profile(ch, ProductInput(a, b)).i_x1x2_y2 for a, b in zip(px1, px2)]
-        assert i_y2 == pytest.approx(expected, abs=1e-15)
+        # the chain-rule term I(X1,X2;Y2) is the profile's i_x1x2_y2, and the cell
+        # weights of row k are the outer product of the law of row k
+        for ch in (random_binary_channel(np.random.default_rng(4)),
+                   random_channel((3, 2, 2, 2), 4, False), random_channel((4, 3, 3, 2), 5, True)):
+            px1s, px2s = simplex_grid(ch.nx1, 5), simplex_grid(ch.nx2, 5)
+            w, i_y2 = dmc._sato_laws(ch, px1s, px2s)
+            laws = [dmc._law_at(px1s, px2s, k) for k in range(len(w))]
+            expected = [mi_profile(ch, ProductInput(a, b)).i_x1x2_y2 for a, b in laws]
+            assert i_y2 == pytest.approx(expected, abs=1e-15)
+            assert all(np.array_equal(row, np.outer(a, b).ravel()) for row, (a, b) in zip(w, laws))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.lists(st.integers(min_value=0, max_value=49), min_size=1, max_size=60))
@@ -727,7 +740,7 @@ class TestSatoObjective:
         rng = np.random.default_rng(seed)
         ch = random_binary_channel(rng)
         q = dmc._coupling_tensors(ch, rng.random((50, 4)))
-        laws = dmc._sato_laws(ch, *dmc._binary_laws(9))
+        laws = dmc._sato_laws(ch, *[simplex_grid(2, 9)] * 2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dmc, "_SATO_CHUNK", 1000)
             whole = np.concatenate(list(dmc._sato_blocks(q, *laws)))
@@ -738,7 +751,7 @@ class TestSatoObjective:
         rng = np.random.default_rng(9)
         ch = random_binary_channel(rng)
         q = dmc._coupling_tensors(ch, rng.random((50, 4)))
-        w, i_y2 = dmc._sato_laws(ch, *dmc._binary_laws(7))
+        w, i_y2 = dmc._sato_laws(ch, *[simplex_grid(2, 7)] * 2)
         blocks = list(dmc._sato_blocks(q, w, i_y2))
         assert len(blocks) == 1
         whole = blocks[0]
