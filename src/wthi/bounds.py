@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .gaussian import _LN2, GaussianWthi, PowerAllocation, _check_pairing, awgn_capacity, rate_wiretap
 
 
@@ -34,16 +35,14 @@ class BoundKind(enum.Enum):
 class SatoEvaluation:
     """Result of minimizing the Sato objective over the noise correlation.
 
-    rho_star is the closed-form minimizer, where the objective was evaluated;
-    discriminant is the nonnegative radicand of that closed form.
-    ``degenerate`` marks the zero-signal corner where the correlation is
-    immaterial and the bound is reported as its limit value 0.
+    rho_star is the closed-form minimizer, where the objective was evaluated.
+    ``degenerate`` marks the zero-signal corner s = 0, where the correlation
+    is immaterial; the value there is C(p1), the limit of the bound.
     """
 
     rho_star: float
-    discriminant: float
     value: float
-    degenerate: bool = False
+    degenerate: bool
 
 
 def bound_main_channel(ch: GaussianWthi) -> float:
@@ -59,36 +58,34 @@ def sato_minimize(ch: GaussianWthi, alloc: PowerAllocation) -> SatoEvaluation:
         [(1+p1+b*p2)(1+a*p1+p2) - (rho + s)^2] / [(1-rho^2)(1+a*p1+p2)].
     The stationarity condition is the quadratic
         s*rho^2 - q*rho + s = 0,   q = (1+a)p1 + (1+b)p2 + (sqrt(ab)-1)^2 p1 p2,
-    with s = sqrt(a)p1 + sqrt(b)p2; its root inside the unit interval is
-        rho_star = (q - sqrt(q^2 - 4 s^2)) / (2 s),
-    and the radicand factors into two nonnegative sums, which is how the
-    discriminant is computed here.  At the stationary point the objective
-    collapses to (1/2) log2[(rho_star + s) / (rho_star (1 + a*p1 + p2))],
-    which stays finite as rho_star -> 1 (a symmetric-gain corner where the
-    bound tends to 0).
-
-    With s = 0 (zero powers, or both gains zero) the correlation is
-    immaterial and a degenerate evaluation with value 0 is returned.
+    with s = sqrt(a)p1 + sqrt(b)p2.  Its discriminant q^2 - 4s^2 factors into
+    the two nonnegative sums f_lo = q - 2s and f_hi = q + 2s, so its root is
+    taken as sqrt(f_lo) * sqrt(f_hi), which does not overflow before the
+    bound does.  The two roots multiply to 1, so the one in the unit
+    interval is
+        rho_star = 2s / (q + root),
+    which reaches 1 only where f_lo = 0 and the bound is 0.  At it
+    (rho_star + s) / rho_star = 1 + (q + root)/2, so the minimum is
+        (1/2) log2[(1 + (q + root)/2) / (1 + a*p1 + p2)],
+    clamped at 0.  No step divides by s or rho_star: the formula holds on the
+    whole closed domain, and at s = 0 (zero powers, or both gains zero) it
+    gives C(p1), with rho_star = 0.  A value that overflows a float raises
+    ``DomainError``.
     """
     _check_pairing(ch, alloc)
     a, b = ch.a, ch.b
     p1, p2 = alloc.p1, alloc.p2
     s = math.sqrt(a) * p1 + math.sqrt(b) * p2
-    if s <= 0.0:
-        return SatoEvaluation(rho_star=0.0, discriminant=0.0, value=0.0, degenerate=True)
-
-    sab = math.sqrt(a * b)
-    cross = (sab - 1.0) ** 2 * p1 * p2
+    cross = (math.sqrt(a * b) - 1.0) ** 2 * p1 * p2
     q = (1.0 + a) * p1 + (1.0 + b) * p2 + cross
     f_lo = (math.sqrt(a) - 1.0) ** 2 * p1 + (math.sqrt(b) - 1.0) ** 2 * p2 + cross
     f_hi = (math.sqrt(a) + 1.0) ** 2 * p1 + (math.sqrt(b) + 1.0) ** 2 * p2 + cross
-    disc = f_lo * f_hi
-    rho_star = (q - math.sqrt(disc)) / (2.0 * s)
-    rho_star = min(rho_star, 1.0 - 1e-12)  # open-interval cap for degenerate corners
-
-    value = 0.5 * math.log((rho_star + s) / (rho_star * (1.0 + a * p1 + p2))) / _LN2
-    value = max(value, 0.0)
-    return SatoEvaluation(rho_star=rho_star, discriminant=disc, value=value)
+    q_root = q + math.sqrt(f_lo) * math.sqrt(f_hi)
+    value = 0.5 * math.log((1.0 + 0.5 * q_root) / (1.0 + a * p1 + p2)) / _LN2
+    if not math.isfinite(value):
+        raise DomainError(f"the Sato bound overflows at {ch} and {alloc}")
+    return SatoEvaluation(rho_star=2.0 * s / q_root if s > 0.0 else 0.0,
+                          value=max(value, 0.0), degenerate=s == 0.0)
 
 
 def bound_sato(ch: GaussianWthi) -> float:

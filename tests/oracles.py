@@ -186,6 +186,29 @@ def sato_grid(a: float, b: float, p1: float, p2: float, points: int = 1001
     return rho, _sato(a, b, p1, p2, rho)
 
 
+def sato_minimum_reference(a: float, b: float, p1: float, p2: float) -> float:
+    """Minimum over rho of the Sato objective at 40 decimal digits, in bits.
+
+    Works from the objective's definition, (1/2) log2 of
+    [A*D - (rho + s)^2] / [(1 - rho^2) * D] with A = 1 + p1 + b*p2,
+    D = 1 + a*p1 + p2 and s = sqrt(a)*p1 + sqrt(b)*p2.  Its derivative
+    vanishes where s*rho^2 - (A*D - 1 - s^2)*rho + s = 0, and the objective
+    falls up to the smaller root and rises after it, so that root, from the
+    textbook quadratic formula, is the minimizer (rho = 0 when s = 0).  When
+    it is the double root rho = 1, the infimum is the objective's limit at the
+    edge, (1/2) log2[(1 + s) / D].
+    """
+    with mp.workdps(40):
+        a, b, p1, p2 = (mp.mpf(x) for x in (a, b, p1, p2))
+        big_a, d = 1 + p1 + b * p2, 1 + a * p1 + p2
+        s = mp.sqrt(a) * p1 + mp.sqrt(b) * p2
+        q = big_a * d - 1 - s**2
+        rho = (q - mp.sqrt(max(q**2 - 4 * s**2, 0))) / (2 * s) if s else mp.mpf(0)
+        if rho >= 1:
+            return float(mp.log((1 + s) / d, 2) / 2)
+        return float(mp.log((big_a * d - (rho + s) ** 2) / ((1 - rho**2) * d), 2) / 2)
+
+
 def pair_loglik_reference(log_p: np.ndarray, c1f: np.ndarray, c2f: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
     """Sum_k log p(y_k | x1_k, x2_k) for every codeword pair of one trial, (m1, m2).

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from wthi.bounds import (
@@ -16,7 +18,33 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import optimal_power
 
-from oracles import half_log2, sato_grid, sato_objective
+from oracles import half_log2, sato_grid, sato_minimum_reference, sato_objective
+
+
+def policy_rate(ch: GaussianWthi) -> float:
+    return rate_achievable(ch, optimal_power(ch)[0])[0]
+
+
+# Points where the Sato minimizer once failed: rho_star = (q - sqrt(disc)) / (2s)
+# cancelled to 0 (a ZeroDivisionError), it put the bound 0.16 bits below the
+# policy rate, and at s = 0 with positive powers it gave 0 instead of C(p1)
+SATO_NAMED_POINTS = [
+    (1.7271181809105776e-12, 7.336561898096473e-12, 514.6325513362392, 723.8177627688348),
+    (4.5e-11, 1.2e-11, 619.0, 964.0),
+    (0.0, 0.0, 10.0, 10.0),
+]
+
+
+# Gains from zero or 1e-12..10, powers from zero or 1e-3..1e3, and b also on
+# the regime seams b = 1 and b = 1 + p1
+GAINS = st.just(0.0) | st.floats(1e-12, 10.0)
+POWERS = st.just(0.0) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def closed_domain_channels(draw) -> GaussianWthi:
+    a, b, p1, p2 = draw(GAINS), draw(GAINS), draw(POWERS), draw(POWERS)
+    return GaussianWthi(a, draw(st.sampled_from([b, 1.0, 1.0 + p1])), p1, p2)
 
 
 def random_draw(rng):
@@ -125,6 +153,29 @@ class TestSatoMinimize:
             f2 = sato_objective(ch, PowerAllocation(p1, p2 + 1.0), rho)
             assert f1 >= f0 - 1e-12
             assert f2 >= f0 - 1e-12
+
+
+class TestSatoClosedDomain:
+    def test_slice_matches_reference_and_dominates_policy(self):
+        # the closed-domain slice: 400 log-uniform draws from seed 7 over gains
+        # 1e-12..10 and powers 1e-3..1e3, then the named points
+        rng = np.random.default_rng(7)
+        draws = [(*10.0 ** rng.uniform(-12.0, 1.0, 2), *10.0 ** rng.uniform(-3.0, 3.0, 2))
+                 for _ in range(400)]
+        for gains in draws + SATO_NAMED_POINTS:
+            ch = GaussianWthi(*gains)
+            value = bound_sato(ch)
+            assert policy_rate(ch) <= value + 1e-9, gains
+            assert abs(value - sato_minimum_reference(*gains)) <= 1e-12, gains
+
+    @settings(max_examples=200, deadline=None)
+    @given(closed_domain_channels())
+    def test_every_bound_dominates_policy(self, ch):
+        rate = policy_rate(ch)
+        sato = bound_sato(ch)
+        for bound in (sato, bound_z_channel(ch), bound_main_channel(ch), bound_best(ch)[0]):
+            assert rate <= bound + 1e-9
+        assert abs(sato - sato_minimum_reference(ch.a, ch.b, ch.p1_max, ch.p2_max)) <= 1e-12
 
 
 class TestZChannelBound:

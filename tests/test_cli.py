@@ -134,6 +134,14 @@ class TestPointQueries:
         assert doc["bound_z"] == pytest.approx(0.0, abs=1e-12)
         assert doc["best_kind"] == "sato"
 
+    def test_bounds_sato_is_main_at_zero_gains(self, tmp_path):
+        # s = 0 with positive powers: the Sato bound is its limit C(p1_max)
+        out = tmp_path / "bd0.json"
+        assert run_cli(["bounds", "--a", "0", "--b", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["sato"]["degenerate"]
+        assert doc["bound_sato"] == doc["bound_main"] > 0.0
+
     def test_bounds_match_library(self, tmp_path):
         out = tmp_path / "bd2.json"
         run_cli(["bounds", "--a", "0.5", "--b", "10", "--p1-max", "10",
@@ -365,7 +373,7 @@ class TestOutputContract:
         doc = self.run_json(capsys, ["bounds", *gains])
         assert set(doc) == {"config", "bound_main", "bound_sato", "bound_z", "best",
                             "best_kind", "sato"}
-        assert set(doc["sato"]) == {"rho_star", "discriminant", "value", "degenerate"}
+        assert set(doc["sato"]) == {"rho_star", "value", "degenerate"}
         assert doc["sato"]["value"] == doc["bound_sato"]
 
     def test_dmc_keys(self, capsys, channel_file):

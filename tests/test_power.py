@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wthi import power
-from wthi.bounds import bound_main_channel, bound_z_channel
+from wthi.bounds import bound_best, bound_main_channel, bound_sato, bound_z_channel, sato_minimize
 from wthi.errors import DeskScaleError, DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import (
@@ -238,6 +238,33 @@ class TestClosedDomain:
         assert [str(w.message) for w in caught] == []
         # most channels have an answer; every bound_main_channel call does
         assert min(outputs.values()) > 9000 and outputs["bound_main_channel"] == 10**4
+
+    def test_extreme_grid_sato_is_finite_or_domain_error(self):
+        # the Sato operations on every channel of EXTREMES^4: a finite number or
+        # DomainError, no warning, and bound_best is the least of the three bounds
+        operations = {
+            "sato_minimize": lambda ch: sato_minimize(ch, ch.full_power()).value,
+            "bound_sato": bound_sato,
+            "bound_best": lambda ch: bound_best(ch)[0],
+        }
+        outputs = {name: 0 for name in operations}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for gains in itertools.product(EXTREMES, repeat=4):
+                ch = GaussianWthi(*gains)
+                for name, op in operations.items():
+                    try:
+                        out = op(ch)
+                    except DomainError:
+                        continue
+                    assert math.isfinite(out), (name, gains, out)
+                    outputs[name] += 1
+                    if name == "bound_best":
+                        assert out == min(bound_sato(ch), bound_z_channel(ch),
+                                          bound_main_channel(ch)), gains
+        assert [str(w.message) for w in caught] == []
+        # the Sato sums overflow on more channels than the other operations do
+        assert len(set(outputs.values())) == 1 and outputs["bound_sato"] > 6000
 
     @pytest.mark.parametrize("gains", [(1e300, 5e-324, 0.0, 0.0), (1.7e308, 5e-324, 2.0, 1.0)])
     def test_squared_gain_overflow(self, gains):
