@@ -30,10 +30,10 @@ is a difference of four conditional entropies:
 
 H(Y|x1,x2) is a constant of the channel, H(Y|x2) one of p(x1) and H(Y|x1)
 one of p(x2).  Every grid search reads these profiles from one table, in
-blocks of whole rows of the input-law grid (a row is one p(x1) with every
-p(x2)); p(y|x1) and H(Y|x1) are formed once per search.  The output
-marginals p(y1|x1,x2) and p(y2|x1,x2) sum the other output in canonical
-(sorted) order, so cells that sum the same terms are the same double.  The
+blocks of whole p(x1) rows of the law grid, with p(y|x1) and H(Y|x1) formed
+once; the rate search scores only the laws whose I(X1;Y1|X2) can reach the
+best rate, yet finds the exhaustive scan's winner.  The output marginals sum
+the other output in sorted order: cells of equal terms are equal doubles.  The
 Sato objective uses the chain rule I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) -
 I(X1,X2;Y2): every coupling keeps the channel's Y2 marginal, so the second
 term is computed once per input law.  Each coupling takes one grid position
@@ -278,25 +278,26 @@ def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSpl
     dummy rate r2 with slopes in {0, +-1}, so the supremum over r2 >= 0 is
     attained at a breakpoint of either piecewise form (or at a crossing,
     where the clamped objective is zero); ``_breakpoint_search`` evaluates
-    that finite set.
-
-    The returned split uses r1d equal to the redundancy requirement at the
-    winning r2 and r1 = r1s + r1d, which the receiver supports by
-    construction.  Regime tags: ``SILENT`` when no positive rate exists,
-    ``NO_INTERFERER`` when the winning dummy rate is zero, ``TREAT_AS_NOISE``
-    when it exceeds the receiver's conditional capacity for the interferer,
-    ``JOINT_DECODE`` otherwise.
+    that finite set, and ``_split`` says what the returned split is.
     """
-    rates, r2s, r1ds = _breakpoint_search(np.asarray([astuple(prof)]))
-    rate, r2, r1d = float(rates[0]), float(r2s[0]), float(r1ds[0])
+    table = np.asarray([astuple(prof)])
+    return _split(table[0], *(column[0] for column in _breakpoint_search(table)))
+
+
+def _split(row: np.ndarray, rate: float, r2: float, r1d: float) -> tuple[float, RateSplit]:
+    """The rate and split of one ``_breakpoint_search`` result, at profile-table ``row``.
+
+    The split uses r1d equal to the redundancy requirement at the winning r2
+    and r1 = r1s + r1d, which the receiver supports by construction.  Regime
+    tags: ``SILENT`` when no positive rate exists, ``NO_INTERFERER`` when the
+    winning dummy rate is zero, ``TREAT_AS_NOISE`` when it exceeds the
+    receiver's conditional capacity for the interferer, ``JOINT_DECODE`` otherwise.
+    """
+    rate, r2, r1d = float(rate), float(r2), float(r1d)
     if rate == 0.0:
         return 0.0, _SILENT_SPLIT
-    if r2 == 0.0:
-        regime = Regime.NO_INTERFERER
-    elif r2 > prof.i_x2_y1_given_x1:
-        regime = Regime.TREAT_AS_NOISE
-    else:
-        regime = Regime.JOINT_DECODE
+    regime = (Regime.NO_INTERFERER if r2 == 0.0 else
+              Regime.TREAT_AS_NOISE if r2 > row[1] else Regime.JOINT_DECODE)
     return rate, RateSplit(r2=r2, r1s=rate, r1d=r1d, regime=regime)
 
 
@@ -349,37 +350,42 @@ def _law_rows(ch: DmcWthi, grid_per_dim: int):
         yield px1s, px2s, _profile_table(*laws, px1s, px2s)
 
 
-def achievable_rate(
-    ch: DmcWthi, grid_per_dim: int = 21
-) -> tuple[float, ProductInput, RateSplit]:
+def achievable_rate(ch: DmcWthi, grid_per_dim: int = 21) -> tuple[float, ProductInput, RateSplit]:
     """Achievable secrecy rate maximized over a grid of product input laws.
 
     Each input simplex is discretized with ``grid_per_dim`` points per free
-    coordinate.  Every pair is scored by ``_breakpoint_search``, a block of
-    the law grid at a time (``_law_rows``), and only the winner's split is
-    built, by ``achievable_rate_fixed_input``.  Iteration order is
-    deterministic and a later law wins only by more than 1e-15, so ties keep
-    the first (lexicographically smallest) grid point.  A winner exceeds
-    every earlier rate, so each block is scanned in order only at its strict
-    running records.  Desk scale only: alphabets of size at most 4 and at
-    most ``_ENUMERATION_BUDGET`` laws.
+    coordinate, and the grid is read a block at a time (``_law_rows``).  The
+    order is deterministic and a later law wins only by more than 1e-15, so
+    ties keep the first (lexicographically smallest) grid point.  Desk scale
+    only: alphabets of size at most 4 and at most ``_ENUMERATION_BUDGET`` laws.
+
+    A law's rate is at most I(X1;Y1|X2), as cap(r2) is and required(r2) >= 0,
+    so a block scores only the laws whose I(X1;Y1|X2) + 1e-12 (for rounding)
+    reaches ``floor``: the best rate so far or at three probe laws (the block's
+    maxima of I(X1;Y1|X2), delta1 and delta2 of ``weak_regime_rate``), less a
+    margin of 2e-15 per grid law.  The result is the exhaustive scan's: every
+    skipped rate is below M - margin, M the grid's best, and the grid's running
+    records climb from below it to M in at most one step per law, so one at or
+    above M - margin beats every earlier law, skipped or not, by over 1e-15;
+    both scans take it, and no skipped law can win after it.  Scored laws are
+    scanned at their running records, and the winner's split is its own.
     """
     grid_per_dim = _count("grid_per_dim", grid_per_dim, 3)
+    margin = 2e-15 * math.prod(math.comb(grid_per_dim + n - 2, n - 1) for n in (ch.nx1, ch.nx2))
     best_rate, best = -math.inf, None
     for px1s, px2s, table in _law_rows(ch, grid_per_dim):
-        rates = _breakpoint_search(table)[0]
+        a1 = table[:, 0]
+        probes = [np.argmax(a1), np.argmax(a1 - table[:, 4]), np.argmax(table[:, 3] - table[:, 7])]
+        floor = max(best_rate, _breakpoint_search(table[probes])[0].max()) - margin
+        kept = np.flatnonzero(a1 + 1e-12 >= floor)
+        rates, r2s, r1ds = _breakpoint_search(table[kept])
         earlier = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
-        for k in np.flatnonzero(rates > earlier):  # the only laws that can win
-            if rates[k] > best_rate + 1e-15:
-                best_rate, best = float(rates[k]), (*_law_at(px1s, px2s, k), table[k])
-    px1, px2, row = best
-    rate, split = achievable_rate_fixed_input(MutualInfoProfile(*row.tolist()))
-    return rate, ProductInput(px1, px2), split
-
-
-def _law_at(px1s: np.ndarray, px2s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The law (px1, px2) of row ``k`` of a ``_law_rows`` block."""
-    return px1s[k // len(px2s)], px2s[k % len(px2s)]
+        for j in np.flatnonzero(rates > earlier):  # the only laws that can win
+            if rates[j] > best_rate + 1e-15:
+                i, k = divmod(int(kept[j]), len(px2s))
+                best_rate, best = rates[j], (px1s[i], px2s[k], table[kept[j]], r2s[j], r1ds[j])
+    rate, split = _split(best[2], best_rate, *best[3:])
+    return rate, ProductInput(*best[:2]), split
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +398,9 @@ _REGIME_SLACK = 1e-9
 def _require_regime(name: str, fails: np.ndarray, px1s: np.ndarray, px2s: np.ndarray) -> None:
     """Raise at the first law of the block where the regime condition fails."""
     if fails.any():
-        px1, px2 = _law_at(px1s, px2s, int(np.argmax(fails)))
-        raise RegimeMismatchError(
-            f"{name}-regime condition fails at px1={px1.tolist()}, px2={px2.tolist()}"
-        )
+        i, k = divmod(int(np.argmax(fails)), len(px2s))
+        raise RegimeMismatchError(f"{name}-regime condition fails at "
+                                  f"px1={px1s[i].tolist()}, px2={px2s[k].tolist()}")
 
 
 def weak_regime_rate(ch: DmcWthi, grid_per_dim: int = 21) -> float:

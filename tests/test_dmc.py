@@ -370,13 +370,50 @@ def search(ch: DmcWthi, grid: int) -> tuple:
     return rate, inp.px1.tolist(), inp.px2.tolist(), split
 
 
+def family_channel(sizes: tuple, seed: int, family: str) -> DmcWthi:
+    """A random channel that is dense, sparse, blind to one input, or deterministic."""
+    if family in ("dense", "sparse"):
+        return random_channel(sizes, seed, family == "sparse")
+    t = random_channel(sizes, seed, False).transition
+    if family == "x1_irrelevant":
+        t = np.broadcast_to(t[:1], sizes)
+    elif family == "x2_irrelevant":
+        t = np.broadcast_to(t[:, :1], sizes)
+    else:  # each input pair names one output pair
+        t = np.eye(sizes[2] * sizes[3])[t.reshape(*sizes[:2], -1).argmax(axis=-1)]
+    return DmcWthi(*sizes, np.reshape(t, sizes))
+
+
 class TestAchievableRate:
     @pytest.mark.parametrize("n, grid", [(2, 11), (3, 6), (4, 4)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_matches_reference_loop(self, n, grid, seed, sparse):
-        ch = random_channel((n, n, n, n), seed, sparse)
-        assert search(ch, grid) == reference_search(ch, grid)
+    @pytest.mark.parametrize("family", ["dense", "sparse", "x2_irrelevant"])
+    def test_matches_reference_loop(self, monkeypatch, n, grid, seed, family):
+        ch = family_channel((n, n, n, n), seed, family)
+        expected = reference_search(ch, grid)
+        scored, real = [], dmc._breakpoint_search
+        monkeypatch.setattr(dmc, "_breakpoint_search", lambda t: scored.append(len(t)) or real(t))
+        # one- and three-row blocks make blocks where no law reaches the floor:
+        # the last row is the point mass p(x1) = [1, 0, ...], where I(X1;Y1|X2) = 0
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(dmc, "_LAW_BLOCK", rows * len(simplex_grid(n, grid)))
+            scored.clear()
+            assert search(ch, grid) == expected, rows
+            if rows == 1:  # the last block scores no law once a positive rate is found
+                assert (0 in scored) == (expected[0] > 0.0)
+
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic"]),
+        st.integers(min_value=3, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rate_is_at_most_the_conditional_capacity(self, sizes, seed, family, grid):
+        # the bound the pruned law search rests on, at every law of the grid
+        for _, _, table in dmc._law_rows(family_channel(sizes, seed, family), grid):
+            assert np.all(dmc._breakpoint_search(table)[0] <= table[:, 0] + 1e-12)
 
     def test_ties_go_to_the_first_law_in_grid_order(self):
         # x1 = 1 and x1 = 2 are the same input, so swapping their
@@ -477,6 +514,39 @@ def running_records(rates: np.ndarray) -> int:
     return int(np.sum(rates > earlier))
 
 
+def sequential_winner(rates: np.ndarray) -> int:
+    """The law a sequential scan keeps when a later law wins only by more than 1e-15."""
+    best, winner = -math.inf, None
+    for k, rate in enumerate(rates):
+        if rate > best + 1e-15:
+            best, winner = rate, k
+    return winner
+
+
+def inject_rates(monkeypatch, rates: np.ndarray) -> list:
+    """Give grid law k the secrecy rate and I(X1;Y1|X2) ``rates[k]``, in any call order.
+
+    Returns the list of table lengths that ``_breakpoint_search`` scores.
+    """
+    real_rows, scored = dmc._law_rows, []
+
+    def law_rows(ch, grid):
+        start = 0
+        for px1s, px2s, table in real_rows(ch, grid):
+            table = table.copy()
+            table[:, 0] = rates[start : start + len(table)]
+            start += len(table)
+            yield px1s, px2s, table
+
+    def search_rates(table):  # the rate of a row is its I(X1;Y1|X2), at dummy rate 0
+        scored.append(len(table))
+        return table[:, 0], np.zeros(len(table)), np.zeros(len(table))
+
+    monkeypatch.setattr(dmc, "_law_rows", law_rows)
+    monkeypatch.setattr(dmc, "_breakpoint_search", search_rates)
+    return scored
+
+
 def grid_outcomes(ch: DmcWthi, grid: int) -> list:
     """The four grid searches of ``ch``; a regime mismatch gives its message."""
     out = [search(ch, grid)]
@@ -526,26 +596,31 @@ class TestLawBlocks:
         ch, grid = gated_channel(), 20
         px1s, px2s = simplex_grid(ch.nx1, grid), simplex_grid(ch.nx2, grid)
         climb = 0.6e-15 * np.arange(len(px1s) * len(px2s))
-        scored, real = [0], dmc._breakpoint_search
-
-        def climbing(table):
-            start = scored[0]
-            if start == len(climb):  # the winner's split, after the grid
-                return real(table)
-            scored[0] += len(table)
-            _, r2s, r1ds = real(table)
-            return climb[start : start + len(table)], r2s, r1ds
-
-        monkeypatch.setattr(dmc, "_breakpoint_search", climbing)
+        inject_rates(monkeypatch, climb)
         monkeypatch.setattr(dmc, "_LAW_BLOCK", rows * len(px2s))
-        best, expected = -math.inf, None
-        for k, rate in enumerate(climb):
-            if rate > best + 1e-15:
-                best, expected = rate, k
+        expected = sequential_winner(climb)
         assert expected == len(climb) - 2
         _, inp, _ = achievable_rate(ch, grid)
         assert inp.px1.tolist() == px1s[expected // len(px2s)].tolist()
         assert inp.px2.tolist() == px2s[expected % len(px2s)].tolist()
+
+    @pytest.mark.parametrize("grid", [60, 61])
+    @pytest.mark.parametrize("step", [0.0, 1.0])
+    def test_margin_keeps_the_first_wins_chain(self, monkeypatch, grid, step):
+        # rates climb by 0.6e-15 a law, so a floor without the margin would skip
+        # the laws where the sequential first-wins chain starts (and with a rise
+        # of 1 bit half way, the floor skips the first half of the grid)
+        ch = gated_channel()
+        px1s, px2s = simplex_grid(ch.nx1, grid), simplex_grid(ch.nx2, grid)
+        n = len(px1s) * len(px2s)
+        rates = 0.6e-15 * np.arange(n) + step * (np.arange(n) >= n // 2)
+        scored = inject_rates(monkeypatch, rates)
+        expected = sequential_winner(rates)
+        rate, inp, _ = achievable_rate(ch, grid)
+        assert (rate, inp.px1.tolist(), inp.px2.tolist()) == (
+            rates[expected], px1s[expected // len(px2s)].tolist(),
+            px2s[expected % len(px2s)].tolist())
+        assert (sum(scored[1::2]) < n) == (step > 0.0)  # the calls after the probes
 
     @pytest.mark.parametrize("grid", [5, 7, 21])
     def test_regime_mismatch_names_the_first_failing_law(self, monkeypatch, grid):
@@ -726,7 +801,7 @@ class TestSatoObjective:
                    random_channel((3, 2, 2, 2), 4, False), random_channel((4, 3, 3, 2), 5, True)):
             px1s, px2s = simplex_grid(ch.nx1, 5), simplex_grid(ch.nx2, 5)
             w, i_y2 = dmc._sato_laws(ch, px1s, px2s)
-            laws = [dmc._law_at(px1s, px2s, k) for k in range(len(w))]
+            laws = [(px1s[k // len(px2s)], px2s[k % len(px2s)]) for k in range(len(w))]
             expected = [mi_profile(ch, ProductInput(a, b)).i_x1x2_y2 for a, b in laws]
             assert i_y2 == pytest.approx(expected, abs=1e-15)
             assert all(np.array_equal(row, np.outer(a, b).ravel()) for row, (a, b) in zip(w, laws))
