@@ -6,8 +6,7 @@ the maximizing allocation over the box [0, p1_max] x [0, p2_max] is given by
 a small case analysis: it compares the gains (a, b) with 1 and 1/a, and the
 power caps with the levels of ``_branch_points``.  It prescribes one entry of
 ``_menu``, and on a branch boundary each distinct menu entry is rated once.
-``grid_oracle_detailed`` provides an independent exhaustive check,
-with the same levels as extra grid lines.
+``grid_oracle_detailed`` checks it on a grid with the same levels as grid lines.
 """
 
 from __future__ import annotations
@@ -187,14 +186,22 @@ def _axis(limit: float, n: int, extras: tuple[float | None, ...]) -> np.ndarray:
 
 
 def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult:
-    """Exhaustive maximization of ``rate_achievable`` over the power box.
+    """Best rate over the power box, ``==`` to rating every point of the grid.
 
-    The uniform n1 x n2 grid is augmented with the policy's candidate points
-    and branch thresholds as extra grid lines, then refined once (10x finer)
-    in a one-cell neighborhood of the argmax.  The reported ``eps_grid`` is
-    the maximum rate variation between adjacent cells of the refined window,
-    a discretization bound for policy-versus-oracle comparisons.  Ties break
-    to the lowest p1, then the lowest p2; n1 * n2 is at most 4,000,000.
+    The uniform n1 x n2 grid gains the policy's candidate points and branch
+    thresholds as grid lines.  The p1-derivative signs of the rate pieces are
+    free of p1: 1 + p2 - a (decode-and-cancel), 1 + p2 - a - ab*p2 (joint
+    decoding, treat-as-noise), 1 - a (wiretap); the piece changes only at the
+    grid line b - 1, and the rate is 0 at p1 = 0, never below.  So each column
+    peaks on row b - 1 (clipped to the box) or p1_max, and a column whose peak
+    there trails the best by over a relative 1e-12 is not rated.  A nan or inf
+    reaches row p1_max and keeps every column.  An a*p1 that overflows (a > 1)
+    zeroes its row, where the rate rises only below b - 1, or from p1 = 0 if
+    b < 1: row b - 1 bounds each column, or every edge rate is 0.  ``eps_grid``
+    is the largest rate step between adjacent cells of a 10x finer window
+    refined once around the argmax, a discretization bound for comparing the
+    policy with the oracle.  Ties break to the lowest p1, then the lowest p2;
+    n1 * n2 is at most 4,000,000.
     """
     n1, n2 = _count("n1", n1, 2), _count("n2", n2, 2)
     _check_budget(n1 * n2, "oracle grid points")
@@ -202,29 +209,22 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     ax1 = _axis(ch.p1_max, n1, p1_levels)
     ax2 = _axis(ch.p2_max, n2, (*p2_levels, intermediates(ch).p2_star))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        rates = _rate_achievable_grid(ch, ax1, ax2)
-        i, j = np.unravel_index(int(np.argmax(rates)), rates.shape)
-
-        # One local refinement pass around the coarse argmax.
-        lo1, hi1 = ax1[max(i - 1, 0)], ax1[min(i + 1, ax1.size - 1)]
-        lo2, hi2 = ax2[max(j - 1, 0)], ax2[min(j + 1, ax2.size - 1)]
-        f1 = np.linspace(lo1, hi1, 21) if hi1 > lo1 else np.asarray([lo1])
-        f2 = np.linspace(lo2, hi2, 21) if hi2 > lo2 else np.asarray([lo2])
+        rows = np.array([min(max(ch.b - 1.0, 0.0), ch.p1_max), ch.p1_max])  # _axis adds b - 1
+        edge = _rate_achievable_grid(ch, rows, ax2).max(axis=0)
+        top = edge.max()
+        cols = np.flatnonzero(~(edge + 1e-12 * (1.0 + abs(top)) < top))
+        rates = _rate_achievable_grid(ch, ax1, ax2[cols])
+        i, k = divmod(int(np.argmax(rates)), cols.size)
+        f1, f2 = (np.linspace(ax[max(m - 1, 0)], ax[min(m + 1, ax.size - 1)], 21)
+                  for ax, m in ((ax1, i), (ax2, cols[k])))
         fine = _rate_achievable_grid(ch, f1, f2)
-        fi, fj = np.unravel_index(int(np.argmax(fine)), fine.shape)
-
-        eps = max((float(np.max(np.abs(np.diff(fine, axis=k)))) for k in (0, 1)
-                   if fine.shape[k] > 1), default=0.0)
-
-    if fine[fi, fj] > rates[i, j]:
-        best = PowerAllocation(float(f1[fi]), float(f2[fj]))
-        rate = float(fine[fi, fj])
-    else:
-        best = PowerAllocation(float(ax1[i]), float(ax2[j]))
-        rate = float(rates[i, j])
+        fi, fj = divmod(int(np.argmax(fine)), 21)
+        eps = float(max(abs(fine[1:] - fine[:-1]).max(), abs(fine[:, 1:] - fine[:, :-1]).max()))
+    p1, p2, rate = ((f1[fi], f2[fj], fine[fi, fj]) if fine[fi, fj] > rates[i, k]
+                    else (ax1[i], ax2[cols[k]], rates[i, k]))
     if not (math.isfinite(rate) and math.isfinite(eps)):
         raise DomainError(f"the rate overflows on the power grid of {ch}")
-    return GridOracleResult(alloc=best, rate=rate, eps_grid=eps)
+    return GridOracleResult(alloc=PowerAllocation(p1, p2), rate=float(rate), eps_grid=eps)
 
 
 def asymptotic_rate(a: float, b: float) -> float:

@@ -14,10 +14,12 @@ library's count-based sum from integer counts per table value, where the
 library counts with float32 products, so that the scores are checked bit for
 bit.  The eavesdropper's posterior entropy is summed per trial with
 ``math.fsum``, where the library batches a chunk of trials.  The decodable-rate regions are the docstring inequalities
-evaluated in exact rational arithmetic.  One reference shares code on
-purpose: the exhaustive Sato coupling scan reads the library's objective
-(``dmc._sato_blocks``) at every (law, coupling) pair, so that it checks only
-the pruning of the library's outer min, whose result must be ``==`` to it.
+evaluated in exact rational arithmetic.  Two references share code on
+purpose, so that each checks only a pruning whose result must be ``==`` to
+it: the exhaustive Sato coupling scan reads the library's objective
+(``dmc._sato_blocks``) at every (law, coupling) pair, and the exhaustive
+Gaussian grid oracle rates every point of the library's power grid with
+``gaussian._rate_achievable_grid``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from wthi import dmc
+from wthi import dmc, power
 from wthi.dmc import DmcWthi, MutualInfoProfile
 from wthi.errors import DomainError
-from wthi.gaussian import GaussianWthi, PowerAllocation
+from wthi.gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid
 
 mp.dps = 50
 
@@ -64,6 +66,37 @@ def rate_achievable_reference(a: float, b: float, p1: float, p2: float) -> float
         else:
             assisted = c(p1 / (1 + b * p2)) - c(a * p1 / (1 + p2))
         return float(max(assisted, c(p1) - c(a * p1), 0))
+
+
+def grid_oracle_reference(ch: GaussianWthi, n1: int, n2: int) -> power.GridOracleResult:
+    """``power.grid_oracle_detailed`` as an exhaustive scan: every grid point is rated.
+
+    The same axes, ``_rate_achievable_grid`` over the whole n1 x n2 grid, the
+    first flat ``np.argmax``, the same 21 x 21 refinement window and the same
+    raise, so the column-pruned oracle must return ``==`` results and raise
+    ``DomainError`` on the same channels.
+    """
+    p1_levels, p2_levels = power._branch_points(ch)
+    ax1 = power._axis(ch.p1_max, n1, p1_levels)
+    ax2 = power._axis(ch.p2_max, n2, (*p2_levels, power.intermediates(ch).p2_star))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = _rate_achievable_grid(ch, ax1, ax2)
+        i, j = np.unravel_index(int(np.argmax(rates)), rates.shape)
+        lo1, hi1 = ax1[max(i - 1, 0)], ax1[min(i + 1, ax1.size - 1)]
+        lo2, hi2 = ax2[max(j - 1, 0)], ax2[min(j + 1, ax2.size - 1)]
+        f1 = np.linspace(lo1, hi1, 21) if hi1 > lo1 else np.asarray([lo1])
+        f2 = np.linspace(lo2, hi2, 21) if hi2 > lo2 else np.asarray([lo2])
+        fine = _rate_achievable_grid(ch, f1, f2)
+        fi, fj = np.unravel_index(int(np.argmax(fine)), fine.shape)
+        eps = max((float(np.max(np.abs(np.diff(fine, axis=k)))) for k in (0, 1)
+                   if fine.shape[k] > 1), default=0.0)
+    if fine[fi, fj] > rates[i, j]:
+        best, rate = PowerAllocation(float(f1[fi]), float(f2[fj])), float(fine[fi, fj])
+    else:
+        best, rate = PowerAllocation(float(ax1[i]), float(ax2[j])), float(rates[i, j])
+    if not (math.isfinite(rate) and math.isfinite(eps)):
+        raise DomainError(f"the rate overflows on the power grid of {ch}")
+    return power.GridOracleResult(alloc=best, rate=rate, eps_grid=eps)
 
 
 def entropy_bits(p: np.ndarray) -> float:

@@ -6,13 +6,13 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wthi import power
 from wthi.bounds import bound_best, bound_main_channel, bound_sato, bound_z_channel, sato_minimize
 from wthi.errors import DeskScaleError, DomainError
-from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
+from wthi.gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid, rate_achievable
 from wthi.power import (
     PolicyIntermediates,
     asymptotic_rate,
@@ -21,7 +21,7 @@ from wthi.power import (
     optimal_power,
 )
 
-from oracles import half_log2
+from oracles import grid_oracle_reference, half_log2
 
 
 def random_channel(rng) -> GaussianWthi:
@@ -151,7 +151,102 @@ class TestIntermediates:
         assert intermediates(GaussianWthi(2.0, 0.0, 5.0, 5.0)).delta is None
 
 
+# Gains and powers from zero through subnormal, unit and huge to near the float maximum
+EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308)
+
+
+# Oracle channels: the bench fleet's ranges, EXTREMES, fleet gains with the flat
+# column 1 + p2 - a - ab*p2 = 0 inside the box, a log-uniform closed domain with
+# exact zeros, and its seams b = 1, b = 1 + p1_max, a = 1, a = 1 + p2_max, ab = 1
+ORACLE_FAMILIES = ("fleet", "extremes", "flat", "closed", "b=1", "b=1+p1", "a=1", "a=1+p2", "ab=1")
+LOG_GAINS = st.just(0.0) | st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)
+LOG_POWERS = st.just(0.0) | st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def oracle_grids(draw) -> tuple[GaussianWthi, int, int]:
+    family = draw(st.sampled_from(ORACLE_FAMILIES))
+    if family == "fleet":
+        a, b = draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0))
+        p1, p2 = draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 50.0))
+    elif family == "extremes":
+        a, b, p1, p2 = (draw(st.sampled_from(EXTREMES)) for _ in range(4))
+    elif family == "flat":  # ab < 1 < a or a < 1 < ab puts (a - 1)/(1 - ab) above 0
+        a = draw(st.floats(0.05, 5.0).filter(lambda x: x != 1.0))
+        b = draw(st.floats(0.01, 0.95) if a > 1.0 else st.floats(1.05, 20.0)) / a
+        p1, p2 = draw(st.floats(0.0, 50.0)), (a - 1.0) / (1.0 - a * b) * draw(st.floats(1.0, 4.0))
+    else:
+        a, b, p1, p2 = draw(LOG_GAINS), draw(LOG_GAINS), draw(LOG_POWERS), draw(LOG_POWERS)
+    seams = {"b=1": (a, 1.0), "b=1+p1": (a, 1.0 + p1), "a=1": (1.0, b), "a=1+p2": (1.0 + p2, b)}
+    a, b = seams.get(family, (a, b))
+    if family == "ab=1":
+        a = a or 1.0
+        b = 1.0 / a
+    return GaussianWthi(a, b, p1, p2), draw(st.integers(2, 60)), draw(st.integers(2, 60))
+
+
+def oracle_outcome(oracle, ch: GaussianWthi, n1: int, n2: int):
+    """The oracle's alloc, rate and eps_grid as hex strings, or "DomainError"."""
+    try:
+        res = oracle(ch, n1, n2)
+    except DomainError:
+        return "DomainError"
+    return tuple(x.hex() for x in (res.alloc.p1, res.alloc.p2, res.rate, res.eps_grid))
+
+
 class TestGridOracle:
+    @given(oracle_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_exhaustive_scan(self, grid):
+        # the oracle rates only the columns that can hold the argmax; its result
+        # is the exhaustive scan's bit for bit, and both raise on the same channels
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert oracle_outcome(grid_oracle_detailed, *grid) == oracle_outcome(
+                grid_oracle_reference, *grid)
+        assert [str(w.message) for w in caught] == []
+
+    def test_extreme_grid_matches_the_exhaustive_scan(self):
+        raised = 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for gains in itertools.product(EXTREMES, repeat=4):
+                ch = GaussianWthi(*gains)
+                got = oracle_outcome(grid_oracle_detailed, ch, 8, 8)
+                assert got == oracle_outcome(grid_oracle_reference, ch, 8, 8), gains
+                raised += got == "DomainError"
+        assert [str(w.message) for w in caught] == []
+        assert 0 < raised < 1000
+
+    @given(oracle_grids())
+    @example((GaussianWthi(2.0, 0.0, 1.7e308, 2.0), 3, 2))
+    @example((GaussianWthi(2.0, 1.5e308, 1.7e308, 2.0), 3, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_edge_rows_bound_every_column(self, grid):
+        # the rate is monotone in p1 on each side of b - 1 and 0 at p1 = 0, so with
+        # no overflow each column is at most its best on the rows b - 1 and p1_max
+        # plus the oracle's slack.  An a*p1 that overflows clamps its whole row to
+        # 0 (the examples), so the column bound fails there, but a column the
+        # oracle skips still holds no value as high as the best edge rate.  The
+        # grid holds the rows next to b - 1 and the flat column p2 = (a-1)/(1-ab),
+        # where no rate piece moves with p1.
+        ch, n1, n2 = grid
+        a, b = ch.a, ch.b
+        seam = min(max(b - 1.0, 0.0), ch.p1_max)
+        near = [math.nextafter(seam, 0.0), math.nextafter(seam, math.inf)]
+        flat = [(a - 1.0) / (1.0 - a * b)] if a * b != 1.0 else []
+        p1s = np.unique(np.clip([*np.linspace(0.0, ch.p1_max, n1), seam, *near], 0.0, ch.p1_max))
+        p2s = np.unique(np.clip([*np.linspace(0.0, ch.p2_max, n2), *flat], 0.0, ch.p2_max))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = _rate_achievable_grid(ch, p1s, p2s)
+            edge = _rate_achievable_grid(ch, np.array([seam, ch.p1_max]), p2s)
+        assert (rates[0] == 0.0).all()
+        peak, top = edge.max(axis=0), edge.max()
+        slack = 1e-12 * (1.0 + abs(top))
+        assert (rates[:, peak + slack < top] < top).all()
+        if np.isfinite([a * ch.p1_max + ch.p2_max, ch.p1_max + b * ch.p2_max]).all():
+            assert (rates <= peak + slack).all()
+
     def test_capacity_overflow_raises(self):
         # p1 + b*p2 overflows a float, as it does for rate_achievable
         with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
@@ -192,10 +287,6 @@ class TestGridOracle:
         alloc, _ = optimal_power(ch)
         assert res.alloc == alloc == PowerAllocation(10.0, 0.0)
         assert res.rate == rate_achievable(ch, alloc)[0] == pytest.approx(half_log2(11))
-
-
-# Gains and powers from zero through subnormal, unit and huge to near the float maximum
-EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308)
 
 
 class TestClosedDomain:
