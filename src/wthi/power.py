@@ -90,7 +90,7 @@ def _branch_points(ch: GaussianWthi) -> tuple[tuple[float, ...], tuple[float, ..
             (a - 1.0, _ratio(a - 1.0, 1.0 - a * b), _ratio(1.0 - a, a * b - 1.0)))
 
 
-# Keys of ``_menu``, in the order a boundary compares its allocations.
+# Keys of ``_menu``, in the order a boundary rates its allocations.
 _SILENT, _TRANSMIT, _FULL, _CANCEL, _STATIONARY = range(5)
 
 
@@ -144,28 +144,21 @@ def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediate
     """Rate-maximizing power pair from the closed-form case analysis.
 
     In the interior of a branch the prescription is returned as-is.  On a
-    branch boundary each distinct allocation of the menu, the prescribed one
-    first, is evaluated once through ``rate_achievable`` and the best is
+    branch boundary each distinct allocation of the menu is rated once
+    through ``rate_achievable``, in menu order, and the exact best is
     returned (the rate is continuous, so boundary assignment cannot lose
-    rate); ties break toward lower total power, then lower p1.
+    rate); equal rates go to the lower p1 + p2, then the lower p1, then the
+    lower p2, so the result does not depend on the menu order.
     """
     inter = intermediates(ch)
     key, on_boundary = _prescribed(ch, inter)
     menu = _menu(ch, inter)
-    best = PowerAllocation(*menu[key])
     if not on_boundary:
-        return best, inter
-
-    best_rate = -math.inf
-    for pair in filter(None, dict.fromkeys((menu[key], *menu))):  # None marks inapplicable
-        cand = PowerAllocation(*pair)
-        r, _ = rate_achievable(ch, cand)
-        better = r > best_rate + 1e-15
-        tied = abs(r - best_rate) <= 1e-15
-        smaller = (cand.p1 + cand.p2, cand.p1) < (best.p1 + best.p2, best.p1)
-        if better or (tied and smaller):
-            best, best_rate = cand, max(r, best_rate)
-    return best, inter
+        return PowerAllocation(*menu[key]), inter
+    rates = {pair: rate_achievable(ch, PowerAllocation(*pair))[0]
+             for pair in filter(None, dict.fromkeys(menu))}  # None marks inapplicable
+    p1, p2 = min(rates, key=lambda pair: (-rates[pair], pair[0] + pair[1], *pair))
+    return PowerAllocation(p1, p2), inter
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -14,14 +15,13 @@ from wthi.bounds import bound_best, bound_main_channel, bound_sato, bound_z_chan
 from wthi.errors import DeskScaleError, DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid, rate_achievable
 from wthi.power import (
-    PolicyIntermediates,
     asymptotic_rate,
     grid_oracle_detailed,
     intermediates,
     optimal_power,
 )
 
-from oracles import grid_oracle_reference, half_log2
+from oracles import grid_oracle_reference, half_log2, rate_achievable_reference
 
 
 def random_channel(rng) -> GaussianWthi:
@@ -125,7 +125,7 @@ class TestOptimalPower:
 
         monkeypatch.setattr(power, "rate_achievable", counting_rate)
         alloc, _ = optimal_power(ch)
-        assert rated == [(0.0, 0.0), (10.0, 0.0), (1.0, 0.0)]  # the prescribed one first
+        assert rated == [(0.0, 0.0), (10.0, 0.0), (1.0, 0.0)]  # in menu order
         assert alloc == PowerAllocation(0.0, 0.0)
 
 
@@ -185,13 +185,89 @@ def oracle_grids(draw) -> tuple[GaussianWthi, int, int]:
     return GaussianWthi(a, b, p1, p2), draw(st.integers(2, 60)), draw(st.integers(2, 60))
 
 
-def oracle_outcome(oracle, ch: GaussianWthi, n1: int, n2: int):
-    """The oracle's alloc, rate and eps_grid as hex strings, or "DomainError"."""
+def outcome(op, *args):
+    """``op(*args)``, or "DomainError" where it raises that."""
     try:
-        res = oracle(ch, n1, n2)
+        return op(*args)
     except DomainError:
         return "DomainError"
-    return tuple(x.hex() for x in (res.alloc.p1, res.alloc.p2, res.rate, res.eps_grid))
+
+
+def oracle_numbers(oracle, ch: GaussianWthi, n1: int, n2: int) -> tuple[float, ...]:
+    res = oracle(ch, n1, n2)
+    return res.alloc.p1, res.alloc.p2, res.rate, res.eps_grid
+
+
+def hexed(out):
+    """An outcome with its floats as hex strings, so that == tells -0.0 from 0.0."""
+    return out if out == "DomainError" else tuple(x.hex() for x in out)
+
+
+def boundary_menu(ch: GaussianWthi) -> dict[tuple[float, float], float] | None:
+    """The rate of each distinct menu allocation where ``_prescribed`` flags a
+    boundary, or None off one; a rate that overflows raises DomainError."""
+    inter = intermediates(ch)
+    if not power._prescribed(ch, inter)[1]:
+        return None
+    return {pair: rate_achievable(ch, PowerAllocation(*pair))[0]
+            for pair in set(power._menu(ch, inter)) - {None}}
+
+
+def assert_exact_menu_best(rates: dict[tuple[float, float], float], alloc: PowerAllocation):
+    # the policy's rate is the largest of the menu's, and of the allocations
+    # that reach it the policy's has the least (p1 + p2, p1)
+    best = max(rates.values())
+    assert rates[alloc.p1, alloc.p2] == best, (rates, alloc)
+    least = min((p1 + p2, p1) for (p1, p2), rate in rates.items() if rate == best)
+    assert (alloc.p1 + alloc.p2, alloc.p1) == least, (rates, alloc)
+
+
+# Operations on every EXTREMES^4 channel, each giving a tuple of floats
+EXTREME_OPERATIONS = {
+    "grid_oracle_detailed": lambda ch: oracle_numbers(grid_oracle_detailed, ch, 8, 8),
+    "grid_oracle_reference": lambda ch: oracle_numbers(grid_oracle_reference, ch, 8, 8),
+    "optimal_power": lambda ch: astuple(optimal_power(ch)[0]),
+    # None marks inapplicable
+    "intermediates": lambda ch: tuple(x for x in astuple(intermediates(ch)) if x is not None),
+    "rate_achievable": lambda ch: rate_achievable(ch, ch.full_power())[:1],
+    "bound_main_channel": lambda ch: (bound_main_channel(ch),),
+    "bound_z_channel": lambda ch: (bound_z_channel(ch),),
+    "bound_sato": lambda ch: (bound_sato(ch),),
+    "bound_best": lambda ch: bound_best(ch)[:1],
+    "sato_minimize": lambda ch: (sato_minimize(ch, ch.full_power()).value,),
+}
+
+
+@functools.cache
+def extreme_sweep() -> dict:
+    """Every EXTREMES^4 outcome, computed once for all the tests that read it.
+
+    Per name of ``EXTREME_OPERATIONS`` and "boundary_menu", the outcome by
+    channel gains; "asymptotic_rate", the outcome by EXTREMES^2 gain pair;
+    "warnings", the message of every warning the sweep emitted.
+    """
+    sweep = {name: {} for name in (*EXTREME_OPERATIONS, "boundary_menu", "asymptotic_rate")}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for gains in itertools.product(EXTREMES, repeat=4):
+            ch = GaussianWthi(*gains)
+            for name, op in EXTREME_OPERATIONS.items():
+                sweep[name][gains] = outcome(op, ch)
+            sweep["boundary_menu"][gains] = outcome(boundary_menu, ch)
+        for a, b in itertools.product(EXTREMES, repeat=2):
+            sweep["asymptotic_rate"][a, b] = outcome(asymptotic_rate, a, b)
+    sweep["warnings"] = [str(w.message) for w in caught]
+    return sweep
+
+
+def answered_finite(*names: str) -> dict[str, int]:
+    """Check that each named operation gave finite floats or DomainError on every
+    EXTREMES^4 channel, and count the channels where it answered."""
+    sweep = extreme_sweep()
+    for name in names:
+        for gains, out in sweep[name].items():
+            assert out == "DomainError" or all(map(math.isfinite, out)), (name, gains, out)
+    return {name: sum(out != "DomainError" for out in sweep[name].values()) for name in names}
 
 
 class TestGridOracle:
@@ -202,20 +278,16 @@ class TestGridOracle:
         # is the exhaustive scan's bit for bit, and both raise on the same channels
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert oracle_outcome(grid_oracle_detailed, *grid) == oracle_outcome(
-                grid_oracle_reference, *grid)
+            assert hexed(outcome(oracle_numbers, grid_oracle_detailed, *grid)) == hexed(
+                outcome(oracle_numbers, grid_oracle_reference, *grid))
         assert [str(w.message) for w in caught] == []
 
     def test_extreme_grid_matches_the_exhaustive_scan(self):
-        raised = 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for gains in itertools.product(EXTREMES, repeat=4):
-                ch = GaussianWthi(*gains)
-                got = oracle_outcome(grid_oracle_detailed, ch, 8, 8)
-                assert got == oracle_outcome(grid_oracle_reference, ch, 8, 8), gains
-                raised += got == "DomainError"
-        assert [str(w.message) for w in caught] == []
+        sweep = extreme_sweep()
+        got, want = sweep["grid_oracle_detailed"], sweep["grid_oracle_reference"]
+        for gains, out in got.items():
+            assert hexed(out) == hexed(want[gains]), gains
+        raised = sum(out == "DomainError" for out in got.values())
         assert 0 < raised < 1000
 
     @given(oracle_grids())
@@ -289,73 +361,78 @@ class TestGridOracle:
         assert res.rate == rate_achievable(ch, alloc)[0] == pytest.approx(half_log2(11))
 
 
+class TestBoundaryMenu:
+    @pytest.mark.parametrize("gains, p1, p2", [
+        ((1.0, 0.0, 1e-12, 1e-12), 1e-12, 1e-12),
+        ((1.0, 1e-300, 1e-12, 1e-12), 1e-12, 1e-12),
+        ((0.0, 0.0, 1e-300, 0.0), 1e-300, 0.0),
+    ])
+    def test_boundary_keeps_a_rate_below_1e_15(self, gains, p1, p2):
+        # on a boundary, a positive rate far below 1e-15 still beats silence;
+        # the library's rate differs from the 30-digit one in the fourth digit
+        # at 1e-12, where two log1p values of nearly equal arguments cancel
+        ch = GaussianWthi(*gains)
+        alloc, _ = optimal_power(ch)
+        assert alloc == PowerAllocation(p1, p2)
+        rate, _ = rate_achievable(ch, alloc)
+        assert rate == pytest.approx(rate_achievable_reference(ch.a, ch.b, p1, p2), rel=1e-3)
+        assert rate > 0.0
+
+    @given(oracle_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_boundary_takes_the_exact_menu_best(self, grid):
+        # where no menu candidate raises
+        ch, _, _ = grid
+        rates = outcome(boundary_menu, ch)
+        if isinstance(rates, dict):
+            assert_exact_menu_best(rates, optimal_power(ch)[0])
+
+    def test_extreme_grid_boundary_takes_the_exact_menu_best(self):
+        sweep = extreme_sweep()
+        checked = 0
+        for gains, rates in sweep["boundary_menu"].items():
+            if isinstance(rates, dict):
+                assert_exact_menu_best(rates, PowerAllocation(*sweep["optimal_power"][gains]))
+                checked += 1
+        assert checked > 4000
+
+
 class TestClosedDomain:
+    # every channel of EXTREMES^4 and gain pair of EXTREMES^2, read from one sweep
+
     def test_extreme_grid_raises_only_domain_error(self):
-        # every channel of EXTREMES^4 and gain pair of EXTREMES^2: each operation
-        # returns finite numbers or raises DomainError, and emits no warning
-        operations = {
-            "optimal_power": lambda ch: optimal_power(ch)[0],
-            "intermediates": intermediates,
-            "grid_oracle_detailed": lambda ch: grid_oracle_detailed(ch, 8, 8),
-            "rate_achievable": lambda ch: rate_achievable(ch, ch.full_power())[0],
-            "bound_main_channel": bound_main_channel,
-            "bound_z_channel": bound_z_channel,
-        }
-        outputs = {name: 0 for name in operations}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for gains in itertools.product(EXTREMES, repeat=4):
-                ch = GaussianWthi(*gains)
-                for name, op in operations.items():
-                    try:
-                        out = op(ch)
-                    except DomainError:
-                        continue
-                    if isinstance(out, PowerAllocation):
-                        out = (out.p1, out.p2)
-                    elif isinstance(out, PolicyIntermediates):  # None marks inapplicable
-                        out = [x for x in astuple(out) if x is not None]
-                    elif not isinstance(out, float):
-                        out = (out.alloc.p1, out.alloc.p2, out.rate, out.eps_grid)
-                    assert all(map(math.isfinite, np.atleast_1d(out))), (name, gains, out)
-                    outputs[name] += 1
-            for a, b in itertools.product(EXTREMES, repeat=2):
-                try:
-                    rate = asymptotic_rate(a, b)
-                except DomainError:
-                    assert a == 0.0 or b == 0.0, (a, b)
-                    continue
-                assert math.isfinite(rate) and rate >= 0.0, (a, b, rate)
-        assert [str(w.message) for w in caught] == []
-        # most channels have an answer; every bound_main_channel call does
-        assert min(outputs.values()) > 9000 and outputs["bound_main_channel"] == 10**4
+        # each operation returns finite numbers or raises DomainError; most
+        # channels have an answer
+        outputs = answered_finite("optimal_power", "intermediates", "grid_oracle_detailed",
+                                  "grid_oracle_reference", "rate_achievable",
+                                  "bound_main_channel", "bound_z_channel")
+        assert min(outputs.values()) > 9000
+
+    def test_extreme_grid_main_channel_bound_always_answers(self):
+        assert answered_finite("bound_main_channel") == {"bound_main_channel": 10**4}
 
     def test_extreme_grid_sato_is_finite_or_domain_error(self):
-        # the Sato operations on every channel of EXTREMES^4: a finite number or
-        # DomainError, no warning, and bound_best is the least of the three bounds
-        operations = {
-            "sato_minimize": lambda ch: sato_minimize(ch, ch.full_power()).value,
-            "bound_sato": bound_sato,
-            "bound_best": lambda ch: bound_best(ch)[0],
-        }
-        outputs = {name: 0 for name in operations}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for gains in itertools.product(EXTREMES, repeat=4):
-                ch = GaussianWthi(*gains)
-                for name, op in operations.items():
-                    try:
-                        out = op(ch)
-                    except DomainError:
-                        continue
-                    assert math.isfinite(out), (name, gains, out)
-                    outputs[name] += 1
-                    if name == "bound_best":
-                        assert out == min(bound_sato(ch), bound_z_channel(ch),
-                                          bound_main_channel(ch)), gains
-        assert [str(w.message) for w in caught] == []
         # the Sato sums overflow on more channels than the other operations do
+        outputs = answered_finite("sato_minimize", "bound_sato", "bound_best")
         assert len(set(outputs.values())) == 1 and outputs["bound_sato"] > 6000
+
+    def test_extreme_grid_best_bound_is_the_least(self):
+        sweep = extreme_sweep()
+        for gains, best in sweep["bound_best"].items():
+            if best != "DomainError":
+                three = [sweep[name][gains] for name in
+                         ("bound_sato", "bound_z_channel", "bound_main_channel")]
+                assert "DomainError" not in three and best == min(three), gains
+
+    def test_extreme_gain_pairs_asymptotic_rate(self):
+        for (a, b), rate in extreme_sweep()["asymptotic_rate"].items():
+            if rate == "DomainError":
+                assert a == 0.0 or b == 0.0, (a, b)
+            else:
+                assert math.isfinite(rate) and rate >= 0.0, (a, b, rate)
+
+    def test_extreme_grid_emits_no_warning(self):
+        assert extreme_sweep()["warnings"] == []
 
     @pytest.mark.parametrize("gains", [(1e300, 5e-324, 0.0, 0.0), (1.7e308, 5e-324, 2.0, 1.0)])
     def test_squared_gain_overflow(self, gains):
