@@ -16,13 +16,15 @@ simulate          Monte Carlo run of the binning code on a channel file
 Configuration precedence: built-in defaults, then the ``--config`` JSON file,
 which may set only the fields of its subcommand's flags and ``out``, then
 explicit command-line flags.  Sweep outputs are CSV with ``#`` comment
-lines carrying the tool version, units and the full resolved configuration;
-single-point outputs are JSON that echoes it under ``config``.  The writers
-add the configuration and pick the destination, so each runner only
-computes.  Floats in CSV are printed with 12 significant digits, so outputs
-are byte-reproducible for a fixed configuration and version; ``simulate``
-prints its wall time to stderr, not into its JSON.  A result with
-an infinite or NaN value has neither form, so it is a validation error.
+lines carrying the tool version, units and the configuration: ``mode`` and
+the fields of the subcommand's flags but ``out``; single-point outputs are
+JSON that echoes it under ``config``.  Without ``mode``, the echo is a config
+file that reproduces the output.  The writers add the configuration and pick
+the destination, so each runner only computes.  Floats in CSV are printed
+with 12 significant digits, so outputs are byte-reproducible for a fixed
+configuration and version; ``simulate`` prints its wall time to stderr, not
+into its JSON.  A result with an infinite or NaN value has neither form, so
+it is a validation error.
 
 Exit codes: 0 success, 2 validation error, 1 runtime error.
 """
@@ -34,7 +36,6 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +52,22 @@ from .power import optimal_power
 _GAINS = ("a", "b", "p1_max", "p2_max")
 _RANGE = ("start", "stop", "points", "spacing")
 _RATES = ("r1s", "r1d_prime", "r1d_dprime", "r2_prime", "r2_dprime")
-# argparse options of the flags that do not take a float; config values get the same types
+# Each flag's default and argparse options; config values get the same types
 _FLAG_OPTIONS = {
-    "points": {"type": int},
-    "spacing": {"choices": ("linear", "log")},
-    "channel": {"help": "channel JSON file"},
-    "out": {"help": "output path (stdout when omitted)"},
-    "grid": {"type": int, "help": "input-distribution grid density"},
-    "seed": {"type": int},
-    "trials": {"type": int},
-    "n": {"type": int},
+    "a": {"type": float, "default": 0.5}, "b": {"type": float, "default": 10.0},
+    "p1_max": {"type": float, "default": 10.0}, "p2_max": {"type": float, "default": 10.0},
+    "p1": {"type": float, "default": None}, "p2": {"type": float, "default": None},
+    "start": {"type": float, "default": 0.1}, "stop": {"type": float, "default": 50.0},
+    "points": {"type": int, "default": 200},
+    "spacing": {"choices": ("linear", "log"), "default": "linear"},
+    "channel": {"help": "channel JSON file", "default": None},
+    "out": {"help": "output path (stdout when omitted)", "default": None},
+    "grid": {"type": int, "help": "input-distribution grid density", "default": 21},
+    "seed": {"type": int, "default": 0}, "trials": {"type": int, "default": 200},
+    "n": {"type": int, "default": 10},
+    "r1s": {"type": float, "default": 0.25},
+    "r1d_prime": {"type": float, "default": 0.0}, "r1d_dprime": {"type": float, "default": 0.0},
+    "r2_prime": {"type": float, "default": 0.0}, "r2_dprime": {"type": float, "default": 0.0},
 }
 
 
@@ -72,59 +79,14 @@ class ConfigError(ValueError):
     """Invalid configuration or command-line input."""
 
 
-@dataclass
-class SweepConfig:
-    mode: str
-    a: float = 0.5
-    b: float = 10.0
-    p1_max: float = 10.0
-    p2_max: float = 10.0
-    p1: float | None = None
-    p2: float | None = None
-    start: float = 0.1
-    stop: float = 50.0
-    points: int = 200
-    spacing: str = "linear"
-    out: str | None = None
-    grid: int = 21
-    seed: int = 0
-    trials: int = 200
-    channel: str | None = None
-    n: int = 10
-    r1s: float = 0.25
-    r1d_prime: float = 0.0
-    r1d_dprime: float = 0.0
-    r2_prime: float = 0.0
-    r2_dprime: float = 0.0
+def load_config(mode: str, config_path: str | None, overrides: dict) -> argparse.Namespace:
+    """Defaults, then config file fields read with their flags' types, then explicit flags.
 
-    def validate(self) -> None:
-        fields = _SUBCOMMANDS[self.mode][1]
-        if "start" in fields:
-            for name in ("start", "stop"):  # each becomes a swept gain or power cap
-                _require_finite_nonneg(name, getattr(self, name))
-            if not self.start < self.stop:
-                raise ConfigError(f"range start must be < stop, got [{self.start}, {self.stop}]")
-            _check_budget(_count("points", self.points, 2), "points", _MAX_POINTS)
-            if self.spacing not in ("linear", "log"):
-                raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-            if self.spacing == "log" and self.start <= 0.0:
-                raise ConfigError("log spacing requires start > 0")
-        if "channel" in fields:
-            if not self.channel:
-                raise ConfigError(f"mode {self.mode!r} requires a channel file")
-        if "grid" in fields:
-            _count("grid", self.grid, 3)
-
-    def axis(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
-
-
-def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepConfig:
-    """Defaults, then config file fields read with their flags' types, then explicit flags."""
+    The configuration holds ``mode``, ``out`` and the fields the subcommand reads.
+    """
     _, fields, defaults = _SUBCOMMANDS[mode]
-    values: dict = {"mode": mode, **defaults}
+    values = {"mode": mode, **{name: _FLAG_OPTIONS[name]["default"] for name in ("out", *fields)},
+              **defaults}
     if config_path is not None:
         doc = _read_object(config_path, "config")
         unknown = set(doc) - {"out", *fields}
@@ -132,9 +94,31 @@ def load_config(mode: str, config_path: str | None, overrides: dict) -> SweepCon
             raise ConfigError(f"config fields that {mode} does not read: {sorted(unknown)}")
         values.update({name: _config_value(name, value) for name, value in doc.items()})
     values.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = SweepConfig(**values)
-    cfg.validate()
+    cfg = argparse.Namespace(**values)
+    _validate(cfg)
     return cfg
+
+
+def _validate(cfg: argparse.Namespace) -> None:
+    if "start" in cfg:
+        for name in ("start", "stop"):  # each becomes a swept gain or power cap
+            _require_finite_nonneg(name, getattr(cfg, name))
+        if not cfg.start < cfg.stop:
+            raise ConfigError(f"range start must be < stop, got [{cfg.start}, {cfg.stop}]")
+        _check_budget(_count("points", cfg.points, 2), "points", _MAX_POINTS)
+        if cfg.spacing not in ("linear", "log"):
+            raise ConfigError(f"spacing must be 'linear' or 'log', got {cfg.spacing!r}")
+        if cfg.spacing == "log" and cfg.start <= 0.0:
+            raise ConfigError("log spacing requires start > 0")
+    if "channel" in cfg and not cfg.channel:
+        raise ConfigError(f"mode {cfg.mode!r} requires a channel file")
+    if "grid" in cfg:
+        _count("grid", cfg.grid, 3)
+
+
+def _axis(cfg: argparse.Namespace) -> np.ndarray:
+    space = np.geomspace if cfg.spacing == "log" else np.linspace
+    return space(cfg.start, cfg.stop, cfg.points)
 
 
 def _read_object(path: str, what: str) -> dict:
@@ -152,8 +136,8 @@ def _read_object(path: str, what: str) -> dict:
 
 def _config_value(name: str, value):
     """A config-file value read with its flag's type; null only where the default is null."""
-    kind = _FLAG_OPTIONS.get(name, {"type": float}).get("type", str)
-    if value is None and getattr(SweepConfig, name) is None:
+    kind = _FLAG_OPTIONS[name].get("type", str)
+    if value is None and _FLAG_OPTIONS[name]["default"] is None:
         return None
     if not (isinstance(value, str) if kind is str
             else _is_integral(value) or kind is float and isinstance(value, float)):
@@ -162,7 +146,7 @@ def _config_value(name: str, value):
     return float(str(value)) if kind is float else kind(value)  # as argparse reads the flag
 
 
-def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> str:
+def write_csv(cfg: argparse.Namespace, header: list[str], rows: list[list[float]]) -> str:
     if not np.isfinite(rows).all():
         raise DomainError(f"{cfg.mode} result is not finite, so it has no CSV form")
     lines = [
@@ -175,7 +159,7 @@ def write_csv(cfg: SweepConfig, header: list[str], rows: list[list[float]]) -> s
     return _write("\n".join(lines) + "\n", cfg.out)
 
 
-def write_json(cfg: SweepConfig, payload: dict) -> str:
+def write_json(cfg: argparse.Namespace, payload: dict) -> str:
     doc = {**payload, "config": _json_config(cfg)}
     try:  # RFC 8259 JSON has no inf or nan
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
@@ -195,10 +179,10 @@ def _write(text: str, path: str | None) -> str:
     return text
 
 
-def _json_config(cfg: SweepConfig) -> dict:
+def _json_config(cfg: argparse.Namespace) -> dict:
     # The output path is not part of the computation, so it is excluded from
     # the embedded config to keep outputs byte-identical across destinations.
-    return {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out"}
+    return {k: v for k, v in vars(cfg).items() if k != "out"}
 
 
 def _policy_rates(chans):
@@ -208,14 +192,14 @@ def _policy_rates(chans):
         yield ch, rate_achievable(ch, alloc)[0]
 
 
-def run_sweep_symmetric(cfg: SweepConfig) -> str:
-    chans = (GaussianWthi(a, a, cfg.p1_max, cfg.p2_max) for a in cfg.axis().tolist())
+def run_sweep_symmetric(cfg: argparse.Namespace) -> str:
+    chans = (GaussianWthi(a, a, cfg.p1_max, cfg.p2_max) for a in _axis(cfg).tolist())
     rows = [[ch.a, rate, rate_wiretap(ch.a, cfg.p1_max)] for ch, rate in _policy_rates(chans)]
     return write_csv(cfg, ["a", "rate_with_interferer", "rate_wiretap"], rows)
 
 
-def run_sweep_interferer(cfg: SweepConfig) -> str:
-    chans = (GaussianWthi(cfg.a, cfg.b, cfg.p1_max, p2m) for p2m in cfg.axis().tolist())
+def run_sweep_interferer(cfg: argparse.Namespace) -> str:
+    chans = (GaussianWthi(cfg.a, cfg.b, cfg.p1_max, p2m) for p2m in _axis(cfg).tolist())
     rows = [[ch.p2_max, rate, bound_main_channel(ch), bound_sato(ch), bound_z_channel(ch)]
             for ch, rate in _policy_rates(chans)]
     return write_csv(cfg, ["p2_max", "achievable", "bound_main", "bound_sato", "bound_z"], rows)
@@ -225,7 +209,7 @@ def _split_dict(split) -> dict:
     return {**dataclasses.asdict(split), "r1": split.r1, "regime": split.regime.value}
 
 
-def run_point(cfg: SweepConfig) -> str:
+def run_point(cfg: argparse.Namespace) -> str:
     p1 = cfg.p1 if cfg.p1 is not None else cfg.p1_max
     p2 = cfg.p2 if cfg.p2 is not None else cfg.p2_max
     ch = GaussianWthi(cfg.a, cfg.b, cfg.p1_max, cfg.p2_max)
@@ -239,7 +223,7 @@ def run_point(cfg: SweepConfig) -> str:
     })
 
 
-def run_power_opt(cfg: SweepConfig) -> str:
+def run_power_opt(cfg: argparse.Namespace) -> str:
     ch = GaussianWthi(cfg.a, cfg.b, cfg.p1_max, cfg.p2_max)
     alloc, inter = optimal_power(ch)
     rate, split = rate_achievable(ch, alloc)
@@ -252,7 +236,7 @@ def run_power_opt(cfg: SweepConfig) -> str:
     })
 
 
-def run_bounds(cfg: SweepConfig) -> str:
+def run_bounds(cfg: argparse.Namespace) -> str:
     ch = GaussianWthi(cfg.a, cfg.b, cfg.p1_max, cfg.p2_max)
     best, kind = bound_best(ch)
     ev = sato_minimize(ch, ch.full_power())
@@ -266,14 +250,14 @@ def run_bounds(cfg: SweepConfig) -> str:
     })
 
 
-def _load_channel(cfg: SweepConfig) -> DmcWthi:
+def _load_channel(cfg: argparse.Namespace) -> DmcWthi:
     try:
         return DmcWthi.from_dict(_read_object(cfg.channel, "channel"))
     except DomainError as exc:
         raise ConfigError(f"invalid channel {cfg.channel}: {exc}") from exc
 
 
-def run_dmc(cfg: SweepConfig) -> str:
+def run_dmc(cfg: argparse.Namespace) -> str:
     ch = _load_channel(cfg)
     rate, inp, split = achievable_rate(ch, cfg.grid)
     return write_json(cfg, {
@@ -284,7 +268,7 @@ def run_dmc(cfg: SweepConfig) -> str:
     })
 
 
-def run_simulate(cfg: SweepConfig) -> str:
+def run_simulate(cfg: argparse.Namespace) -> str:
     ch = _load_channel(cfg)
     rates = {name: getattr(cfg, name) for name in _RATES}
     spec = CodebookSpec(n=cfg.n, r2=cfg.r2_prime + cfg.r2_dprime, **rates)
@@ -295,9 +279,9 @@ def run_simulate(cfg: SweepConfig) -> str:
     return write_json(cfg, result_record(spec, cfg.seed, result))
 
 
-# Per subcommand: its runner, the ``SweepConfig`` fields it reads (its flags,
+# Per subcommand: its runner, the configuration fields it reads (its flags,
 # and the keys its config file may set besides ``out``), and its defaults that
-# differ from the ``SweepConfig`` ones.
+# differ from the flags' ones.
 _SUBCOMMANDS = {
     "sweep-symmetric": (run_sweep_symmetric, ("p1_max", "p2_max", *_RANGE), {"stop": 14.0}),
     "sweep-interferer": (run_sweep_interferer, ("a", "b", "p1_max", *_RANGE), {}),
@@ -320,10 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     for mode, (_, fields, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--out", **_FLAG_OPTIONS["out"])
-        for name in fields:
+        for name in ("out", *fields):  # None marks a flag not given
             p.add_argument("--" + name.replace("_", "-"), dest=name,
-                           **_FLAG_OPTIONS.get(name, {"type": float}))
+                           **{**_FLAG_OPTIONS[name], "default": None})
     return parser
 
 

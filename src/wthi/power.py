@@ -19,10 +19,6 @@ import numpy as np
 from .errors import DomainError, _check_budget, _count
 from .gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid, rate_achievable
 
-# Relative tolerance used to detect that a channel sits exactly on a branch
-# boundary of the policy, where adjacent candidate allocations are compared.
-_BOUNDARY_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PolicyIntermediates:
@@ -67,12 +63,6 @@ def intermediates(ch: GaussianWthi) -> PolicyIntermediates:
     return PolicyIntermediates(b - 1.0 if b >= 1.0 else None, _p2_star(a, b, d), d)
 
 
-def _near(x: float, y: float) -> bool:
-    # False when x or y is not finite: then |x - y| is inf or nan
-    d = abs(x - y)
-    return d <= _BOUNDARY_RTOL * max(1.0, abs(x), abs(y)) and d < math.inf
-
-
 def _ratio(num: float, den: float) -> float:
     """num/den, or +inf where the denominator is not positive."""
     return num / den if den > 0.0 else math.inf
@@ -114,11 +104,13 @@ def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[int, bool
     (cancel1, joint1, harm1), (silent2, noise2, cancel2) = _branch_points(ch)
     # p2_star is None only where it means "unbounded" (b = 0, overflow) on its branches
     stationary = _FULL if inter.p2_star is None else _STATIONARY
-    boundary = a >= 1.0 and _near(a, 1.0)
+    # a comparison within 1e-9 (relative above 1, absolute below) sits on a branch
+    # boundary; every comparison has a finite side, so no two operands are both inf
+    boundary = a >= 1.0 and math.isclose(a, 1.0, rel_tol=1e-9, abs_tol=1e-9)
 
     def gt(x: float, y: float) -> bool:  # x >= y is ``not gt(y, x)``: no operand is nan
         nonlocal boundary
-        boundary = boundary or _near(x, y)
+        boundary = boundary or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
         return x > y
 
     inv_a = _ratio(1.0, a)

@@ -309,10 +309,31 @@ class TestConfigHandling:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# The resolved configuration every output echoes: each ``SweepConfig`` field but ``out``.
-CONFIG_KEYS = {"mode", "a", "b", "p1_max", "p2_max", "p1", "p2", "start", "stop", "points",
-               "spacing", "grid", "seed", "trials", "channel", "n", "r1s", "r1d_prime",
-               "r1d_dprime", "r2_prime", "r2_dprime"}
+# The configuration each output echoes besides ``mode``: the fields its subcommand's
+# flags set, not ``out``.  A swept field is not echoed.
+CONFIG_KEYS = {
+    "sweep-symmetric": {"p1_max", "p2_max", "start", "stop", "points", "spacing"},
+    "sweep-interferer": {"a", "b", "p1_max", "start", "stop", "points", "spacing"},
+    "point": {"a", "b", "p1_max", "p2_max", "p1", "p2"},
+    "power-opt": {"a", "b", "p1_max", "p2_max"},
+    "bounds": {"a", "b", "p1_max", "p2_max"},
+    "dmc": {"channel", "grid"},
+    "simulate": {"channel", "seed", "trials", "n", "r1s", "r1d_prime", "r1d_dprime",
+                 "r2_prime", "r2_dprime"},
+}
+# One invocation of each subcommand, with flags away from their defaults where it has them.
+ROUND_TRIPS = [
+    ["sweep-symmetric", "--p1-max", "5", "--p2-max", "3", "--start", "0.2", "--stop", "4",
+     "--points", "5", "--spacing", "log"],
+    ["sweep-interferer", "--a", "2", "--b", "0.1", "--p1-max", "7", "--points", "6"],
+    ["point", "--a", "2", "--b", "0.1", "--p1", "3", "--p2", "0.5"],
+    ["point", "--a", "0.5", "--b", "10", "--p2-max", "4"],
+    ["power-opt", "--a", "2", "--b", "0.1", "--p2-max", "1"],
+    ["bounds", "--a", "0.5", "--b", "10", "--p1-max", "10", "--p2-max", "3"],
+    ["dmc", "--channel", "{channel}", "--grid", "5"],
+    ["simulate", "--channel", "{channel}", "--n", "4", "--r1s", "0.5", "--r2-dprime", "0.25",
+     "--trials", "3", "--seed", "7"],
+]
 SPLIT_KEYS = {"r1", "r1d", "r1s", "r2", "regime"}
 # the noiseless blind channel's transition with one NaN entry
 NAN_TRANSITION = np.where(np.arange(16).reshape(2, 2, 2, 2) == 4, math.nan,
@@ -352,7 +373,7 @@ class TestOutputContract:
         out, err = capsys.readouterr()
         assert re.fullmatch(err_pattern, err)
         doc = json.loads(out)
-        assert set(doc["config"]) == CONFIG_KEYS
+        assert set(doc["config"]) == {"mode", *CONFIG_KEYS[args[0]]}
         return doc
 
     def test_point_keys(self, capsys):
@@ -390,17 +411,15 @@ class TestOutputContract:
                                     "r2_dprime"}
 
     @pytest.mark.parametrize("mode, header, changes", [
-        ("sweep-symmetric", "a,rate_with_interferer,rate_wiretap", {"stop": 14.0}),
-        ("sweep-interferer", "p2_max,achievable,bound_main,bound_sato,bound_z", {}),
+        ("sweep-symmetric", "a,rate_with_interferer,rate_wiretap",
+         {"p1_max": 10.0, "p2_max": 10.0, "stop": 14.0}),
+        ("sweep-interferer", "p2_max,achievable,bound_main,bound_sato,bound_z",
+         {"a": 0.5, "b": 10.0, "p1_max": 10.0, "stop": 50.0}),
     ])
     def test_sweep_header_lines(self, capsys, mode, header, changes):
         assert run_cli([mode, "--points", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        config = {"mode": mode, "a": 0.5, "b": 10.0, "p1_max": 10.0, "p2_max": 10.0,
-                  "p1": None, "p2": None, "start": 0.1, "stop": 50.0, "points": 3,
-                  "spacing": "linear", "grid": 21, "seed": 0, "trials": 200,
-                  "channel": None, "n": 10, "r1s": 0.25, "r1d_prime": 0.0,
-                  "r1d_dprime": 0.0, "r2_prime": 0.0, "r2_dprime": 0.0, **changes}
+        config = {"mode": mode, "start": 0.1, "points": 3, "spacing": "linear", **changes}
         assert lines[:4] == [
             f"# wthi {cli.__version__}",
             "# units: bits per channel use",
@@ -509,6 +528,28 @@ class TestOutputContract:
         with pytest.raises(DomainError):
             cli.write_json(cfg, {"x": math.nan})
         assert not (tmp_path / "out.json").exists()
+
+    def test_csv_writer_refuses_a_non_finite_cell(self, tmp_path):
+        cfg = cli.load_config("sweep-interferer", None, {"out": str(tmp_path / "out.csv")})
+        with pytest.raises(DomainError):
+            cli.write_csv(cfg, ["p2_max"], [[math.nan]])
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("args", ROUND_TRIPS, ids=[args[0] for args in ROUND_TRIPS])
+    def test_echoed_config_reproduces_the_output(self, tmp_path, channel_file, args):
+        # the echo without ``mode`` is a config file that every subcommand accepts
+        mode, args = args[0], [arg.format(channel=channel_file) for arg in args]
+        first, again, cfg = tmp_path / "first", tmp_path / "again", tmp_path / "cfg.json"
+        assert run_cli([*args, "--out", str(first)]) == 0
+        text = first.read_text()
+        if text.startswith("#"):  # a sweep's CSV
+            config = json.loads(text.splitlines()[2].removeprefix("# config: "))
+        else:
+            config = json.loads(text)["config"]
+        assert config.pop("mode") == mode and set(config) == CONFIG_KEYS[mode]
+        cfg.write_text(json.dumps(config))
+        assert run_cli([mode, "--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_csv_refuses_a_non_finite_cell(self, capsys, tmp_path):
         out = tmp_path / "out.csv"
