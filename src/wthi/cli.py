@@ -15,16 +15,17 @@ simulate          Monte Carlo run of the binning code on a channel file
 
 Configuration precedence: built-in defaults, then the ``--config`` JSON file,
 which may set only the fields of its subcommand's flags and ``out``, then
-explicit command-line flags.  Sweep outputs are CSV with ``#`` comment
-lines carrying the tool version, units and the configuration: ``mode`` and
-the fields of the subcommand's flags but ``out``; single-point outputs are
-JSON that echoes it under ``config``.  Without ``mode``, the echo is a config
-file that reproduces the output.  The writers add the configuration and pick
-the destination, so each runner only computes.  Floats in CSV are printed
-with 12 significant digits, so outputs are byte-reproducible for a fixed
-configuration and version; ``simulate`` prints its wall time to stderr, not
-into its JSON.  A result with an infinite or NaN value has neither form, so
-it is a validation error.
+explicit command-line flags.  Sweep outputs are CSV with ``#`` comment lines
+carrying the tool version, units and the configuration: ``mode`` and the
+fields of the subcommand's flags but ``out``; single-point outputs are JSON
+that echoes it under ``config``.  Without ``mode``, the echo is a config file
+that reproduces the output; ``dmc`` and ``simulate`` echo the channel file's
+path, not its content, so only while that file is unchanged.  The writers add
+the configuration and pick the destination, so each runner only computes.  CSV
+floats have 12 significant digits, so outputs are byte-reproducible for a
+fixed configuration and version; ``simulate`` prints its wall time to stderr,
+not into its JSON.  A result with an infinite or NaN value has neither form,
+so it is a validation error.
 
 Exit codes: 0 success, 2 validation error, 1 runtime error.
 """

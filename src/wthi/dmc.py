@@ -154,7 +154,10 @@ def _check_input_sizes(ch: DmcWthi, inp: ProductInput) -> None:
 
 @dataclass(frozen=True)
 class MutualInfoProfile:
-    """The eight mutual informations that define the decodable-rate regions."""
+    """The eight mutual informations that define the decodable-rate regions.
+
+    Rate searches take an input law's profile: I(X1,X2;Y) = I(X2;Y|X1) + I(X1;Y) up to rounding.
+    """
 
     i_x1_y1_given_x2: float
     i_x2_y1_given_x1: float
@@ -251,17 +254,15 @@ def _breakpoint_search(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     At dummy rate r2 the receiver supports r1 up to cap(r2) and a redundancy
     rate of required(r2) saturates the eavesdropper, both from ``_decodable``.
-    The candidate r2 are scanned in ascending order and a later one wins only
-    by more than 1e-15, so ties break to the smallest r2.  Secrecy and redundancy rates are clamped at 0.
+    The candidates r2 = 0, I(X2;Y1|X1), I(X2;Y2|X1), I(X2;Y1) and I(X2;Y2), each
+    clipped at 0, are scanned in ascending order and a later one wins only by
+    more than 1e-15, so ties break to the smallest r2.  Rates are clamped at 0.
     """
     a1, a2, a12, a1m, b1, b2, b12, b1m = table.T[..., None]  # (n, 1) columns
-    # 0, the breakpoints of both forms, and the four crossings of a constant
-    # piece of one form with the sloped piece of the other
-    r2 = np.concatenate([np.zeros_like(a1), a2, b2, a12 - a1, b12 - b1,
-                         b12 - a1, b12 - a1m, a12 - b1, a12 - b1m], axis=1)
-    r2 = np.sort(np.where(r2 >= 0.0, r2, np.inf), axis=1)  # negatives dropped last
+    r2 = np.concatenate([np.zeros_like(a1), a2, b2, a12 - a1, b12 - b1], axis=1)
+    r2 = np.sort(np.maximum(r2, 0.0), axis=1)
     cap, required = _decodable(table, r2)
-    r1s = np.where(np.isinf(r2), -np.inf, cap - required)
+    r1s = cap - required
     best, pick = np.full(len(table), -np.inf), np.zeros(len(table), dtype=int)
     for k in range(r2.shape[1]):
         wins = r1s[:, k] > best + 1e-15
@@ -274,11 +275,10 @@ def _breakpoint_search(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSplit]:
     """Best secrecy rate of the double-binning scheme at a fixed input law.
 
-    The objective max(0, cap(r2) - required(r2)) is piecewise linear in the
-    dummy rate r2 with slopes in {0, +-1}, so the supremum over r2 >= 0 is
-    attained at a breakpoint of either piecewise form (or at a crossing,
-    where the clamped objective is zero); ``_breakpoint_search`` evaluates
-    that finite set, and ``_split`` says what the returned split is.
+    ``prof`` must be an input law's profile (see ``MutualInfoProfile``).  Then, by the chain
+    rule, cap(r2) and required(r2) are continuous in the dummy rate r2: flat to I(X2;Y) =
+    I(X1,X2;Y) - I(X1;Y|X2), slope -1 to I(X2;Y|X1), then flat.  So the objective peaks at
+    r2 = 0 or at one of these four thresholds, the candidates of ``_breakpoint_search``.
     """
     table = np.asarray([astuple(prof)])
     return _split(table[0], *(column[0] for column in _breakpoint_search(table)))
@@ -506,14 +506,12 @@ def _couplings(table: np.ndarray, index) -> np.ndarray:
 def _sato_laws(ch: DmcWthi, px1s: np.ndarray, px2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell weights w(x) = p(x1)p(x2) of the laws px1s[i] x px2s[k], and I(X1,X2;Y2).
 
-    Rows run px1 slow, px2 fast, as in ``_law_rows``; the sums over x run in
-    cell order, without BLAS, as in ``_sato_blocks``.
+    Rows run px1 slow, px2 fast, as in ``_law_rows``; I(X1,X2;Y2) is the
+    ``_sato_blocks`` objective of p(y2|x) as one coupling, with law constant 0.
     """
     w = (px1s[:, None, :, None] * px2s[None, :, None, :]).reshape(len(px1s) * len(px2s), -1)
-    m2 = ch.eavesdropper_marginal().reshape(w.shape[1], -1)  # p(y2|x) in cell order
-    h = _entropy_rows(m2)
-    return w, (_entropy_rows(sum(w[:, x, None] * m2[x] for x in range(len(m2))))
-               - sum(w[:, x] * h[x] for x in range(len(m2))))
+    m2 = ch.eavesdropper_marginal().reshape(1, w.shape[1], -1, 1)  # p(y2|x) in cell order
+    return w, np.concatenate(list(_sato_blocks(m2, w, np.zeros(len(w)))))[:, 0]
 
 
 def _sato_blocks(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray):

@@ -19,7 +19,9 @@ purpose, so that each checks only a pruning whose result must be ``==`` to
 it: the exhaustive Sato coupling scan reads the library's objective
 (``dmc._sato_blocks``) at every (law, coupling) pair, and the exhaustive
 Gaussian grid oracle rates every point of the library's power grid with
-``gaussian._rate_achievable_grid``.
+``gaussian._rate_achievable_grid``.  A third, the nine-candidate breakpoint
+search, reads the library's decodable-rate forms (``dmc._decodable``), so
+that it checks only the library's choice of five dummy-rate candidates.
 """
 
 from __future__ import annotations
@@ -163,6 +165,32 @@ def sato_coupling_scan(ch: DmcWthi, coupling_grid: int, input_grid: int) -> tupl
     inner_max = np.concatenate(list(dmc._sato_blocks(q, *laws))).max(axis=0)
     k = int(np.argmin(inner_max))
     return k, float(inner_max[k])
+
+
+def breakpoint_reference(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The earlier ``dmc._breakpoint_search``, which scored nine dummy-rate candidates.
+
+    Besides r2 = 0 and the four decoding thresholds it scores the four
+    crossings of a constant piece of one form with the sloped piece of the
+    other, and drops negative candidates with an inf sentinel.  On the
+    profile of an input law the library's five candidates must give the
+    same rates, dummy rates and redundancy rates within the 1e-15 tie window.
+    """
+    a1, a2, a12, a1m, b1, b2, b12, b1m = table.T[..., None]  # (n, 1) columns
+    # 0, the breakpoints of both forms, and the four crossings of a constant
+    # piece of one form with the sloped piece of the other
+    r2 = np.concatenate([np.zeros_like(a1), a2, b2, a12 - a1, b12 - b1,
+                         b12 - a1, b12 - a1m, a12 - b1, a12 - b1m], axis=1)
+    r2 = np.sort(np.where(r2 >= 0.0, r2, np.inf), axis=1)  # negatives dropped last
+    cap, required = dmc._decodable(table, r2)
+    r1s = np.where(np.isinf(r2), -np.inf, cap - required)
+    best, pick = np.full(len(table), -np.inf), np.zeros(len(table), dtype=int)
+    for k in range(r2.shape[1]):
+        wins = r1s[:, k] > best + 1e-15
+        best, pick = np.where(wins, r1s[:, k], best), np.where(wins, k, pick)
+    rows = np.arange(len(table))
+    r1d = required[rows, pick]
+    return np.where(best > 0.0, best, 0.0), r2[rows, pick], np.where(r1d > 0.0, r1d, 0.0)
 
 
 def scan_secrecy_rate(prof: MutualInfoProfile, n1: int = 2000, n2: int = 2000

@@ -38,10 +38,12 @@ from channels import (
     perfect_eavesdropper_channel,
     random_binary_channel,
     strong_instance,
+    trend_channel,
     very_strong_instance,
     weak_instance,
 )
 from oracles import (
+    breakpoint_reference,
     entropy_bits,
     joint_entropy_profile,
     mutual_information_bits,
@@ -637,6 +639,46 @@ class TestLawBlocks:
                     f"px2={px2s[first[1]].tolist()}")
         with pytest.raises(RegimeMismatchError, match=f"^{re.escape(expected)}$"):
             weak_regime_rate(ch, grid)
+
+
+def assert_matches_breakpoint_reference(table: np.ndarray) -> None:
+    """The five-candidate search agrees with the nine-candidate reference within
+    the scan's 1e-15 tie window: in the rate of every row, and in the dummy and
+    redundancy rates of every row where either rate is positive.
+
+    They are not ``==``: where a crossing rounds to within an ulp of a
+    threshold and precedes it, the reference keeps the crossing.
+    """
+    rates, r2s, r1ds = dmc._breakpoint_search(table)
+    ref_rates, ref_r2s, ref_r1ds = breakpoint_reference(table)
+    assert np.all(np.abs(rates - ref_rates) <= 1e-15)
+    positive = np.maximum(rates, ref_rates) > 0.0
+    assert np.all(np.abs(r2s - ref_r2s)[positive] <= 1e-15)
+    assert np.all(np.abs(r1ds - ref_r1ds)[positive] <= 1e-15)
+
+
+class TestBreakpointSearch:
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic"]),
+        st.integers(min_value=3, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_nine_candidate_reference(self, sizes, seed, family, grid):
+        # every grid holds the point-mass laws, where thresholds vanish or coincide
+        for _, _, table in dmc._law_rows(family_channel(sizes, seed, family), grid):
+            assert_matches_breakpoint_reference(table)
+
+    @pytest.mark.parametrize("make", [
+        noiseless_blind_channel, blind_eavesdropper_channel, perfect_eavesdropper_channel,
+        identical_outputs_channel, weak_instance, strong_instance, very_strong_instance,
+        degraded_instance, trend_channel, xor_receiver_channel, gated_channel,
+        leaky_eavesdropper_channel,
+    ])
+    def test_named_channels_match_the_nine_candidate_reference(self, make):
+        for _, _, table in dmc._law_rows(make(), 21):
+            assert_matches_breakpoint_reference(table)
 
 
 class TestRegimeSpecialCases:
