@@ -156,7 +156,9 @@ def _check_input_sizes(ch: DmcWthi, inp: ProductInput) -> None:
 class MutualInfoProfile:
     """The eight mutual informations that define the decodable-rate regions.
 
-    Rate searches take an input law's profile: I(X1,X2;Y) = I(X2;Y|X1) + I(X1;Y) up to rounding.
+    Rate searches take an input law's profile, where on each output Y, up to
+    rounding, I(X1,X2;Y) = I(X2;Y|X1) + I(X1;Y) (the chain rule) and
+    I(X1;Y) <= I(X1;Y|X2) (the inputs are independent).
     """
 
     i_x1_y1_given_x2: float
@@ -254,12 +256,16 @@ def _breakpoint_search(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     At dummy rate r2 the receiver supports r1 up to cap(r2) and a redundancy
     rate of required(r2) saturates the eavesdropper, both from ``_decodable``.
-    The candidates r2 = 0, I(X2;Y1|X1), I(X2;Y2|X1), I(X2;Y1) and I(X2;Y2), each
-    clipped at 0, are scanned in ascending order and a later one wins only by
-    more than 1e-15, so ties break to the smallest r2.  Rates are clamped at 0.
+    On an input law's profile cap is flat up to I(X2;Y1), has slope -1 up to
+    I(X2;Y1|X1), then is flat; required has the same shape with kinks at
+    I(X2;Y2) and I(X2;Y2|X1).  So the slope of cap - required falls only at
+    I(X2;Y1) and I(X2;Y2|X1), and its smallest maximiser is r2 = 0 or one of
+    them.  These three candidates, clipped at 0, are scanned in ascending order
+    and a later one wins only by more than 1e-15, so ties break to the smallest
+    r2.  Rates are clamped at 0.
     """
-    a1, a2, a12, a1m, b1, b2, b12, b1m = table.T[..., None]  # (n, 1) columns
-    r2 = np.concatenate([np.zeros_like(a1), a2, b2, a12 - a1, b12 - b1], axis=1)
+    a1, _, a12, _, _, b2, _, _ = table.T[..., None]  # (n, 1) columns
+    r2 = np.concatenate([np.zeros_like(a1), a12 - a1, b2], axis=1)
     r2 = np.sort(np.maximum(r2, 0.0), axis=1)
     cap, required = _decodable(table, r2)
     r1s = cap - required
@@ -275,12 +281,17 @@ def _breakpoint_search(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def achievable_rate_fixed_input(prof: MutualInfoProfile) -> tuple[float, RateSplit]:
     """Best secrecy rate of the double-binning scheme at a fixed input law.
 
-    ``prof`` must be an input law's profile (see ``MutualInfoProfile``).  Then, by the chain
-    rule, cap(r2) and required(r2) are continuous in the dummy rate r2: flat to I(X2;Y) =
-    I(X1,X2;Y) - I(X1;Y|X2), slope -1 to I(X2;Y|X1), then flat.  So the objective peaks at
-    r2 = 0 or at one of these four thresholds, the candidates of ``_breakpoint_search``.
+    ``prof`` must be an input law's profile, or ``DomainError`` is raised: every
+    field finite and >= 0, and both identities of ``MutualInfoProfile`` within
+    1e-12 on each output.  Then the slope of cap(r2) - required(r2) falls only
+    at I(X2;Y1) and I(X2;Y2|X1), so the best rate is at r2 = 0 or at one of
+    them (``_breakpoint_search``).
     """
-    table = np.asarray([astuple(prof)])
+    table = np.asarray([astuple(prof)], dtype=float)
+    given, other, joint, plain = table.reshape(2, 4).T  # per output: Y1, Y2
+    if not (np.isfinite(table).all() and table.min() >= 0.0 and np.all(
+            (np.abs(joint - other - plain) <= _SIMPLEX_TOL) & (plain <= given + _SIMPLEX_TOL))):
+        raise DomainError(f"not the profile of an input law: {prof}")
     return _split(table[0], *(column[0] for column in _breakpoint_search(table)))
 
 

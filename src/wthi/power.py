@@ -135,6 +135,9 @@ def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[int, bool
 def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediates]:
     """Rate-maximizing power pair from the closed-form case analysis.
 
+    Optimal among single power pairs only: the caps bound average power, so
+    time-sharing two pairs over the block can give a higher rate.
+
     In the interior of a branch the prescription is returned as-is.  On a
     branch boundary each distinct allocation of the menu is rated once
     through ``rate_achievable``, in menu order, and the exact best is

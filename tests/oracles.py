@@ -173,7 +173,7 @@ def breakpoint_reference(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     Besides r2 = 0 and the four decoding thresholds it scores the four
     crossings of a constant piece of one form with the sloped piece of the
     other, and drops negative candidates with an inf sentinel.  On the
-    profile of an input law the library's five candidates must give the
+    profile of an input law the library's three candidates must give the
     same rates, dummy rates and redundancy rates within the 1e-15 tie window.
     """
     a1, a2, a12, a1m, b1, b2, b12, b1m = table.T[..., None]  # (n, 1) columns

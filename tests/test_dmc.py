@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import warnings
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -352,6 +353,33 @@ class TestFixedInputRate:
         assert rate - scan <= resolution + 1e-9
         assert split.r1s == rate
 
+    @pytest.mark.parametrize("fields", [
+        (0, 0, 0, 1, 0.5, 0, 0.5, 0),  # every r2 > 0 would give 1, r2 = 0 gives 0
+        (1, 1, 1.5, 0.5, 0.2, -0.1, 0.1, 0.2),  # both identities hold, one field is negative
+        (1, 1, 1.5, 0.5, 0.2, math.inf, math.inf, 0.2),
+        (1, 1, 1.5, 0.5, 0.2, math.nan, 0.1, 0.2),
+    ])
+    def test_rejects_tuples_of_no_input_law(self, fields):
+        prof = MutualInfoProfile(*fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"input law: {prof}")):
+                achievable_rate_fixed_input(prof)
+
+    @given(
+        st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic"]),
+        st.integers(min_value=3, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_accepts_every_grid_laws_profile(self, sizes, seed, family, grid):
+        # the grid holds the point-mass laws, where fields vanish
+        for _, _, table in dmc._law_rows(family_channel(sizes, seed, family), grid):
+            rates = dmc._breakpoint_search(table)[0]
+            for row, rate in zip(table, rates):
+                assert achievable_rate_fixed_input(MutualInfoProfile(*row))[0] == rate
+
 
 def reference_search(ch: DmcWthi, grid: int) -> tuple:
     """(rate, px1, px2, split) of ``achievable_rate`` by one search per law.
@@ -642,7 +670,7 @@ class TestLawBlocks:
 
 
 def assert_matches_breakpoint_reference(table: np.ndarray) -> None:
-    """The five-candidate search agrees with the nine-candidate reference within
+    """The three-candidate search agrees with the nine-candidate reference within
     the scan's 1e-15 tie window: in the rate of every row, and in the dummy and
     redundancy rates of every row where either rate is positive.
 
@@ -657,6 +685,15 @@ def assert_matches_breakpoint_reference(table: np.ndarray) -> None:
     assert np.all(np.abs(r1ds - ref_r1ds)[positive] <= 1e-15)
 
 
+def assert_picks_a_candidate(table: np.ndarray) -> None:
+    """Where the rate is positive, the dummy rate is 0, I(X2;Y1)+ or I(X2;Y2|X1)."""
+    rates, r2s, _ = dmc._breakpoint_search(table)
+    candidates = np.stack([np.zeros(len(table)), np.maximum(table[:, 2] - table[:, 0], 0.0),
+                           table[:, 5]], axis=1)
+    near = np.abs(r2s[:, None] - candidates) <= 1e-15
+    assert np.all(near.any(axis=1)[rates > 0.0])
+
+
 class TestBreakpointSearch:
     @given(
         st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
@@ -669,6 +706,7 @@ class TestBreakpointSearch:
         # every grid holds the point-mass laws, where thresholds vanish or coincide
         for _, _, table in dmc._law_rows(family_channel(sizes, seed, family), grid):
             assert_matches_breakpoint_reference(table)
+            assert_picks_a_candidate(table)
 
     @pytest.mark.parametrize("make", [
         noiseless_blind_channel, blind_eavesdropper_channel, perfect_eavesdropper_channel,
@@ -679,6 +717,7 @@ class TestBreakpointSearch:
     def test_named_channels_match_the_nine_candidate_reference(self, make):
         for _, _, table in dmc._law_rows(make(), 21):
             assert_matches_breakpoint_reference(table)
+            assert_picks_a_candidate(table)
 
 
 class TestRegimeSpecialCases:
