@@ -61,44 +61,6 @@ from .power import (
     optimal_power,
 )
 
-__all__ = [
-    "BoundKind",
-    "CodebookSpec",
-    "Codebooks",
-    "DeskScaleError",
-    "DmcSatoBound",
-    "DmcWthi",
-    "DomainError",
-    "GaussianWthi",
-    "GridOracleResult",
-    "MutualInfoProfile",
-    "PolicyIntermediates",
-    "PowerAllocation",
-    "ProductInput",
-    "RateSplit",
-    "Regime",
-    "RegimeMismatchError",
-    "SatoEvaluation",
-    "SimResult",
-    "achievable_rate",
-    "achievable_rate_fixed_input",
-    "asymptotic_rate",
-    "awgn_capacity",
-    "bound_best",
-    "bound_main_channel",
-    "bound_sato",
-    "bound_z_channel",
-    "build_codebooks",
-    "dmc_sato_bound",
-    "grid_oracle_detailed",
-    "mi_profile",
-    "optimal_power",
-    "rate_achievable",
-    "rate_wiretap",
-    "result_record",
-    "sato_minimize",
-    "simulate",
-    "strong_regime_rate",
-    "very_strong_eavesdropping",
-    "weak_regime_rate",
-]
+# every class and function imported above, and nothing else (not the submodules)
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

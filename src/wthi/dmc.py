@@ -38,7 +38,8 @@ Sato objective uses the chain rule I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) -
 I(X1,X2;Y2): every coupling keeps the channel's Y2 marginal, so the second
 term is computed once per input law.  Each coupling takes one grid position
 per input cell, so every coupling is gathered from one table of per-cell
-couplings built once per search, and the min over couplings skips every
+couplings built once per search (the half-step perturbations of the winner
+from one of three positions per cell), and the min over couplings skips every
 coupling whose value at a few witness laws already exceeds a coupling's max.
 
 All information quantities are in bits.
@@ -202,17 +203,18 @@ def _profile_table(w: np.ndarray, h_w: np.ndarray, y_x1: np.ndarray, h_x1: np.nd
     ``px1s`` is a block of laws (m, nx1).  Rows run px1 slow, px2 fast.
     p(y|x1) and H(Y|x1) are constants of ``px2s`` and p(y|x2) and H(Y|x2) of
     ``px1s``, so only p(y) is formed per law.  Each field is a difference of
-    conditional entropies, clamped at 0.
+    conditional entropies, clamped at 0, and I(X1;Y) is clamped at I(X1;Y|X2).
     """
     h_x2 = _entropy_rows(np.einsum("mi,oijy->mojy", px1s, w))  # H(Y|x2), (m, output, nx2)
     h_y = _entropy_rows(np.einsum("mi,noiy->mnoy", px1s, y_x1))
     h_y_x1 = np.einsum("mi,noi->mno", px1s, h_x1)
     h_y_x2 = np.einsum("nj,moj->mno", px2s, h_x2)
     h_y_x1x2 = np.einsum("mi,nj,oij->mno", px1s, px2s, h_w)
-    fields = np.stack(
+    fields = np.maximum(np.stack(
         [h_y_x2 - h_y_x1x2, h_y_x1 - h_y_x1x2, h_y - h_y_x1x2, h_y - h_y_x1], axis=-1
-    )  # (m, n, output, 4)
-    return np.maximum(fields, 0.0).reshape(-1, 8)
+    ), 0.0)  # (m, n, output, 4)
+    fields[..., 3] = np.minimum(fields[..., 3], fields[..., 0])
+    return fields.reshape(-1, 8)
 
 
 def mi_profile(ch: DmcWthi, inp: ProductInput) -> MutualInfoProfile:
@@ -509,9 +511,8 @@ _SATO_CHUNK = 2**16
 
 def _couplings(table: np.ndarray, index) -> np.ndarray:
     """Grid couplings ``index`` (n, cells, y1, y2) from the cell table, the last digit fastest."""
-    grid, cells = table.shape[:2]
-    digits = np.stack(np.unravel_index(index, (grid,) * cells), axis=-1)
-    return np.take(table.reshape(-1, *table.shape[2:]), digits * cells + np.arange(cells), axis=0)
+    digits = np.stack(np.unravel_index(index, (len(table),) * table.shape[1]), axis=-1)
+    return table[digits, np.arange(table.shape[1])]
 
 
 def _sato_laws(ch: DmcWthi, px1s: np.ndarray, px2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -545,20 +546,17 @@ def _sato_blocks(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
                - sum(wk[:, x] * c[:, x] for x in range(cells)) - i_y2[s : s + step, None])
 
 
-def _grid_max(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> np.ndarray:
-    """Max of the inner objective over the laws of ``_sato_laws``, for every coupling."""
-    return functools.reduce(np.maximum, (b.max(axis=0) for b in _sato_blocks(q, w, i_y2)))
-
-
 def _sliced_max(table: np.ndarray, idx: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
-    """``_grid_max`` of the grid couplings ``idx``, gathered so that one law fills a chunk."""
+    """Max of the inner objective over the laws of ``_sato_laws`` for each grid coupling ``idx``."""
     step = _SATO_CHUNK // table.shape[1]
-    return np.concatenate([_grid_max(_couplings(table, part), w, i_y2)
-                           for part in np.split(idx, range(step, len(idx), step))])
+    parts = (_sato_blocks(_couplings(table, part), w, i_y2)
+             for part in np.split(idx, range(step, len(idx), step)))
+    return np.concatenate([functools.reduce(np.maximum, (b.max(axis=0) for b in blocks))
+                           for blocks in parts])
 
 
 def _least_coupling(table: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> tuple[int, float]:
-    """First index and value of the least ``_grid_max`` over the grid couplings of ``table``.
+    """First index and value of the least ``_sliced_max`` over the grid couplings of ``table``.
 
     ``table`` is the cell table of ``dmc_sato_bound``.  Three rounds each add
     a witness law to ``lb`` (first law ``len(w) // 2``: the centre law for an
@@ -634,10 +632,11 @@ def dmc_sato_bound(
     local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))
     inner_tol = max(0.0, float(surface.max()) - value) + local_var
 
-    # Outer-min sensitivity: half-step perturbations of the winning coupling.
-    # Rows: -half, +half on the parameter of cell 0, then of each later cell.
-    half_steps = np.kron(np.eye(cells), [[-1.0], [1.0]]) * (0.5 / (coupling_grid - 1))
-    perturbed = np.clip(best + half_steps, 0.0, 1.0)
-    pert_max = _grid_max(_coupling_tensors(ch, perturbed), *laws)
-    coupling_tol = max(0.0, value - float(pert_max.min()))
+    # Outer-min sensitivity: half-step perturbations of the winning coupling, read
+    # from a table of the positions -half, 0 and +half of each cell (digits 0, 1, 2):
+    # one cell at digit 0 or 2 and every other cell at digit 1.
+    shifts = np.array([[-0.5], [0.0], [0.5]]) / (coupling_grid - 1)
+    around = _coupling_tensors(ch, np.clip(best + shifts, 0.0, 1.0))
+    perturbed = (3 ** cells - 1) // 2 + np.outer(3 ** np.arange(cells), [-1, 1]).ravel()
+    coupling_tol = max(0.0, value - float(_sliced_max(around, perturbed, *laws).min()))
     return DmcSatoBound(value=value, inner_tolerance=inner_tol, coupling_tolerance=coupling_tol)

@@ -3,8 +3,22 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from wthi.dmc import DmcWthi
+from wthi.gaussian import GaussianWthi
+
+# The closed Gaussian domain: exact zeros, gains log-uniform on [1e-12, 1e2] and
+# power caps log-uniform on [1e-6, 1e4].  Each test adds its own seams.
+CLOSED_GAINS = st.just(0.0) | st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)
+CLOSED_POWERS = st.just(0.0) | st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+def fleet_channel(rng: np.random.Generator) -> GaussianWthi:
+    """A channel of the benchmark's Gaussian fleet: gains uniform on [0.05, 5], caps on [0, 50]."""
+    a, b = rng.uniform(0.05, 5.0, 2)
+    p1, p2 = rng.uniform(0.0, 50.0, 2)
+    return GaussianWthi(a, b, p1, p2)
 
 
 def bsc(eps: float) -> np.ndarray:

@@ -256,17 +256,21 @@ def sato_minimum_reference(a: float, b: float, p1: float, p2: float) -> float:
     vanishes where s*rho^2 - (A*D - 1 - s^2)*rho + s = 0, and the objective
     falls up to the smaller root and rises after it, so that root, from the
     textbook quadratic formula, is the minimizer (rho = 0 when s = 0).  When
-    it is the double root rho = 1, the infimum is the objective's limit at the
-    edge, (1/2) log2[(1 + s) / D].
+    it is the double root rho = 1 (q = 2s; A*D >= (1 + s)^2 by Cauchy-Schwarz,
+    so q >= 2s), the infimum is the objective's limit at the edge,
+    (1/2) log2[(1 + s) / D].  A discriminant within working precision of 0 is
+    that double root: rounded to a rho just below 1, the closed form would
+    cancel every digit.
     """
     with mp.workdps(40):
         a, b, p1, p2 = (mp.mpf(x) for x in (a, b, p1, p2))
         big_a, d = 1 + p1 + b * p2, 1 + a * p1 + p2
         s = mp.sqrt(a) * p1 + mp.sqrt(b) * p2
         q = big_a * d - 1 - s**2
-        rho = (q - mp.sqrt(max(q**2 - 4 * s**2, 0))) / (2 * s) if s else mp.mpf(0)
-        if rho >= 1:
+        disc = q**2 - 4 * s**2
+        if s and disc <= q**2 * mp.mpf(10) ** (10 - mp.dps):
             return float(mp.log((1 + s) / d, 2) / 2)
+        rho = (q - mp.sqrt(disc)) / (2 * s) if s else mp.mpf(0)
         return float(mp.log((big_a * d - (rho + s) ** 2) / ((1 - rho**2) * d), 2) / 2)
 
 

@@ -18,6 +18,7 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import optimal_power
 
+from channels import CLOSED_GAINS, CLOSED_POWERS, fleet_channel
 from oracles import half_log2, sato_grid, sato_minimum_reference, sato_objective
 
 
@@ -27,33 +28,24 @@ def policy_rate(ch: GaussianWthi) -> float:
 
 # Points where the Sato minimizer once failed: rho_star = (q - sqrt(disc)) / (2s)
 # cancelled to 0 (a ZeroDivisionError), it put the bound 0.16 bits below the
-# policy rate, and at s = 0 with positive powers it gave 0 instead of C(p1)
+# policy rate, and at s = 0 with positive powers it gave 0 instead of C(p1).
+# Then the double root rho* = 1 of the seams b = 1 and a = b = 1, where the
+# 40-digit reference once rounded rho just below 1 and gave -7.2e-6 and -inf.
+DOUBLE_ROOT_POINTS = [(0.0, 1.0, 0.0, 1e-5), (1.0, 1.0, 1.0, 10**-4.5)]
 SATO_NAMED_POINTS = [
     (1.7271181809105776e-12, 7.336561898096473e-12, 514.6325513362392, 723.8177627688348),
     (4.5e-11, 1.2e-11, 619.0, 964.0),
     (0.0, 0.0, 10.0, 10.0),
+    *DOUBLE_ROOT_POINTS,
 ]
-
-
-# Gains from zero or 1e-12..10, powers from zero or 1e-3..1e3, and b also on
-# the regime seams b = 1 and b = 1 + p1
-GAINS = st.just(0.0) | st.floats(1e-12, 10.0)
-POWERS = st.just(0.0) | st.floats(1e-3, 1e3)
 
 
 @st.composite
 def closed_domain_channels(draw) -> GaussianWthi:
-    a, b, p1, p2 = draw(GAINS), draw(GAINS), draw(POWERS), draw(POWERS)
+    # the closed domain, with b also on the regime seams b = 1 and b = 1 + p1
+    a, b = draw(CLOSED_GAINS), draw(CLOSED_GAINS)
+    p1, p2 = draw(CLOSED_POWERS), draw(CLOSED_POWERS)
     return GaussianWthi(a, draw(st.sampled_from([b, 1.0, 1.0 + p1])), p1, p2)
-
-
-def random_draw(rng):
-    return (
-        rng.uniform(0.05, 5.0),
-        rng.uniform(0.05, 5.0),
-        rng.uniform(0.0, 50.0),
-        rng.uniform(0.0, 50.0),
-    )
 
 
 class TestMainChannelBound:
@@ -115,13 +107,12 @@ class TestSatoMinimize:
     def test_value_equals_objective_at_minimizer(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            a, b, p1, p2 = random_draw(rng)
-            ch = GaussianWthi(a, b, p1, p2)
-            ev = sato_minimize(ch, PowerAllocation(p1, p2))
+            ch = fleet_channel(rng)
+            ev = sato_minimize(ch, ch.full_power())
             if ev.degenerate or ev.rho_star > 1.0 - 1e-9:
                 continue
             assert ev.value == pytest.approx(
-                sato_objective(ch, PowerAllocation(p1, p2), ev.rho_star), abs=1e-10
+                sato_objective(ch, ch.full_power(), ev.rho_star), abs=1e-10
             )
 
     def test_symmetric_unit_gains_collapse_to_zero(self):
@@ -132,10 +123,9 @@ class TestSatoMinimize:
     def test_convexity_and_argmin_sampled(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            a, b, p1, p2 = random_draw(rng)
-            ch = GaussianWthi(a, b, p1, p2)
-            ev = sato_minimize(ch, PowerAllocation(p1, p2))
-            rho, f = sato_grid(a, b, p1, p2, points=1001)
+            ch = fleet_channel(rng)
+            ev = sato_minimize(ch, ch.full_power())
+            rho, f = sato_grid(ch.a, ch.b, ch.p1_max, ch.p2_max, points=1001)
             mid = 0.5 * (f[:-2] + f[2:]) - f[1:-1]
             assert float(mid.min()) >= -1e-9
             if not ev.degenerate:
@@ -167,6 +157,18 @@ class TestSatoClosedDomain:
             value = bound_sato(ch)
             assert policy_rate(ch) <= value + 1e-9, gains
             assert abs(value - sato_minimum_reference(*gains)) <= 1e-12, gains
+
+    @pytest.mark.parametrize("gains", DOUBLE_ROOT_POINTS)
+    def test_reference_matches_80_digits_at_the_double_root(self, gains):
+        # the objective falls all the way to rho = 1, so at 80 digits its value
+        # 1e-20 before the edge is the infimum to far better than 1e-12
+        with mp.workdps(80):
+            a, b, p1, p2 = (mp.mpf(x) for x in gains)
+            big_a, d = 1 + p1 + b * p2, 1 + a * p1 + p2
+            s, rho = mp.sqrt(a) * p1 + mp.sqrt(b) * p2, 1 - mp.mpf(10) ** -20
+            near_edge = mp.log((big_a * d - (rho + s) ** 2) / ((1 - rho**2) * d), 2) / 2
+        assert abs(sato_minimum_reference(*gains) - float(near_edge)) <= 1e-12
+        assert bound_sato(GaussianWthi(*gains)) == pytest.approx(float(near_edge), abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(closed_domain_channels())
@@ -201,8 +203,8 @@ class TestZChannelBound:
     def test_epi_term_nonnegative(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
-            a, b, p1, p2 = random_draw(rng)
-            ch = GaussianWthi(a, b, p1, p2)
+            ch = fleet_channel(rng)
+            a, p1 = ch.a, ch.p1_max
             wiretap_term = max(
                 0.0, 0.5 * (math.log2(1 + p1) - math.log2(1 + a * p1))
             )
@@ -231,8 +233,7 @@ class TestBoundBest:
     def test_dominates_achievable(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            a, b, p1m, p2m = random_draw(rng)
-            ch = GaussianWthi(a, b, p1m, p2m)
+            ch = fleet_channel(rng)
             alloc, _ = optimal_power(ch)
             rate, _ = rate_achievable(ch, alloc)
             best, _ = bound_best(ch)

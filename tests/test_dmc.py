@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wthi import dmc
@@ -701,6 +701,9 @@ class TestBreakpointSearch:
         st.sampled_from(["dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic"]),
         st.integers(min_value=3, max_value=8),
     )
+    # a row where I(X1;Y1) rounded above I(X1;Y1|X2), before the profile table
+    # clamped it there, put the reference 1.1e-15 above the kernel
+    @example((4, 4, 4, 4), 3260760689, "x2_irrelevant", 6)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_nine_candidate_reference(self, sizes, seed, family, grid):
         # every grid holds the point-mass laws, where thresholds vanish or coincide
@@ -798,6 +801,31 @@ class TestDmcSatoBound:
             with pytest.raises(DeskScaleError, match="binary alphabets only"):
                 dmc_sato_bound(ch)
 
+    @pytest.mark.parametrize("grids", [(3, 5), (4, 7)])
+    # None is the degraded instance; on the random channels of these seeds each of
+    # the eight perturbed couplings is the unique least one at one of the grids
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 8, 20, 26])
+    def test_tolerances_match_the_joint_entropy_reference(self, seed, grids):
+        # at the scan's winning coupling: the half-step perturbation of each cell in
+        # turn, and the 4x refined law surface, all from sato_inner_reference
+        coupling_grid, input_grid = grids
+        ch = degraded_instance() if seed is None else random_binary_channel(
+            np.random.default_rng(seed))
+        res = dmc_sato_bound(ch, coupling_grid, input_grid)
+        k, _ = sato_coupling_scan(ch, coupling_grid, input_grid)
+        t = np.linspace(0.0, 1.0, coupling_grid)[list(np.unravel_index(k, (coupling_grid,) * 4))]
+        value = law_surface(frechet_coupling(ch, t), input_grid).max()
+        fine = law_surface(frechet_coupling(ch, t), 4 * (input_grid - 1) + 1)
+        half = 0.5 / (coupling_grid - 1)
+        perturbed = min(law_surface(frechet_coupling(ch, np.clip(t + shift, 0.0, 1.0)),
+                                    input_grid).max()
+                        for shift in np.kron(np.eye(4), [[-half], [half]]))
+        local_var = max(np.abs(np.diff(fine, axis=a)).max() for a in (0, 1))
+        assert res.value == pytest.approx(value, abs=1e-12)
+        assert res.coupling_tolerance == pytest.approx(max(0.0, value - perturbed), abs=1e-12)
+        assert res.inner_tolerance == pytest.approx(max(0.0, fine.max() - value) + local_var,
+                                                    abs=1e-12)
+
     def test_rate_below_unconstrained_receiver_capacity(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
@@ -809,6 +837,21 @@ class TestDmcSatoBound:
                 for px2 in simplex_grid(2, 11)
             )
             assert rate <= cap + 1e-9
+
+
+def frechet_coupling(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
+    """The binary coupling q[x1][x2][y1][y2] whose q(0,0|x) sits at params[x] of its
+    Frechet interval, built from the transition tensor's marginals."""
+    m1, m2 = ch.transition[:, :, 0, :].sum(axis=-1), ch.transition[:, :, :, 0].sum(axis=-1)
+    lo = np.maximum(0.0, m1 + m2 - 1.0)
+    q00 = lo + params.reshape(2, 2) * (np.minimum(m1, m2) - lo)
+    return np.stack([q00, m1 - q00, m2 - q00, 1.0 - m1 - m2 + q00], axis=-1).reshape(2, 2, 2, 2)
+
+
+def law_surface(q: np.ndarray, points: int) -> np.ndarray:
+    """``sato_inner_reference`` of the coupling ``q`` at every law of the binary grid, (px1, px2)."""
+    laws = simplex_grid(2, points)
+    return np.array([[sato_inner_reference(q, a, b) for b in laws] for a in laws])
 
 
 def assert_sato_search_is_exhaustive(ch: DmcWthi, coupling_grid: int, input_grid: int,

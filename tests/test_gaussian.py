@@ -17,23 +17,19 @@ from wthi.gaussian import (
     rate_wiretap,
 )
 
+from channels import CLOSED_GAINS, CLOSED_POWERS
 from oracles import half_log2, rate_achievable_reference
 
 gains = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 powers = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
-# The closed domain: zero gains and powers, gains log-uniform in [1e-12, 10],
-# powers up to 1e3, and the seams b = 1, b = 1 + p1 and a = 1 + p2.
-closed_gains = st.one_of(st.just(0.0), st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e))
-closed_powers = st.one_of(st.just(0.0), st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e))
-
-
 @st.composite
 def closed_domain_grids(draw):
-    """A channel and power axes p1s, p2s within its caps, seams included."""
-    p1s = draw(st.lists(closed_powers, min_size=1, max_size=4))
-    p2s = draw(st.lists(closed_powers, min_size=1, max_size=4))
-    a, b = draw(closed_gains), draw(closed_gains)
+    """A channel of the closed domain and power axes p1s, p2s within its caps, with
+    the seams b = 1, b = 1 + p1 and a = 1 + p2."""
+    p1s = draw(st.lists(CLOSED_POWERS, min_size=1, max_size=4))
+    p2s = draw(st.lists(CLOSED_POWERS, min_size=1, max_size=4))
+    a, b = draw(CLOSED_GAINS), draw(CLOSED_GAINS)
     seam = draw(st.sampled_from(("none", "b=1", "b=1+p1", "a=1+p2")))
     if seam == "b=1":
         b = 1.0

@@ -21,16 +21,8 @@ from wthi.power import (
     optimal_power,
 )
 
+from channels import CLOSED_GAINS, CLOSED_POWERS, fleet_channel
 from oracles import grid_oracle_reference, half_log2, rate_achievable_reference
-
-
-def random_channel(rng) -> GaussianWthi:
-    return GaussianWthi(
-        rng.uniform(0.05, 5.0),
-        rng.uniform(0.05, 5.0),
-        rng.uniform(0.1, 50.0),
-        rng.uniform(0.1, 50.0),
-    )
 
 
 class TestOptimalPower:
@@ -79,7 +71,7 @@ class TestOptimalPower:
     def test_policy_never_loses_to_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            ch = random_channel(rng)
+            ch = fleet_channel(rng)
             alloc, _ = optimal_power(ch)
             rate, _ = rate_achievable(ch, alloc)
             res = grid_oracle_detailed(ch, 120, 120)
@@ -138,7 +130,7 @@ class TestIntermediates:
         rng = np.random.default_rng(3)
         seen = 0
         for _ in range(200):
-            ch = random_channel(rng)
+            ch = fleet_channel(rng)
             inter = intermediates(ch)
             if inter.p2_star is not None:
                 seen += 1
@@ -156,11 +148,9 @@ EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308)
 
 
 # Oracle channels: the bench fleet's ranges, EXTREMES, fleet gains with the flat
-# column 1 + p2 - a - ab*p2 = 0 inside the box, a log-uniform closed domain with
-# exact zeros, and its seams b = 1, b = 1 + p1_max, a = 1, a = 1 + p2_max, ab = 1
+# column 1 + p2 - a - ab*p2 = 0 inside the box, the closed domain, and its seams
+# b = 1, b = 1 + p1_max, a = 1, a = 1 + p2_max, ab = 1
 ORACLE_FAMILIES = ("fleet", "extremes", "flat", "closed", "b=1", "b=1+p1", "a=1", "a=1+p2", "ab=1")
-LOG_GAINS = st.just(0.0) | st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)
-LOG_POWERS = st.just(0.0) | st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)
 
 
 @st.composite
@@ -176,7 +166,8 @@ def oracle_grids(draw) -> tuple[GaussianWthi, int, int]:
         b = draw(st.floats(0.01, 0.95) if a > 1.0 else st.floats(1.05, 20.0)) / a
         p1, p2 = draw(st.floats(0.0, 50.0)), (a - 1.0) / (1.0 - a * b) * draw(st.floats(1.0, 4.0))
     else:
-        a, b, p1, p2 = draw(LOG_GAINS), draw(LOG_GAINS), draw(LOG_POWERS), draw(LOG_POWERS)
+        a, b = draw(CLOSED_GAINS), draw(CLOSED_GAINS)
+        p1, p2 = draw(CLOSED_POWERS), draw(CLOSED_POWERS)
     seams = {"b=1": (a, 1.0), "b=1+p1": (a, 1.0 + p1), "a=1": (1.0, b), "a=1+p2": (1.0 + p2, b)}
     a, b = seams.get(family, (a, b))
     if family == "ab=1":
