@@ -1,6 +1,9 @@
-"""Channel constructions shared across the test modules."""
+"""Channel constructions shared across the test modules, and the one home of
+every channel family that the property tests draw."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -8,10 +11,35 @@ from hypothesis import strategies as st
 from wthi.dmc import DmcWthi
 from wthi.gaussian import GaussianWthi
 
-# The closed Gaussian domain: exact zeros, gains log-uniform on [1e-12, 1e2] and
-# power caps log-uniform on [1e-6, 1e4].  Each test adds its own seams.
-CLOSED_GAINS = st.just(0.0) | st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)
-CLOSED_POWERS = st.just(0.0) | st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e)
+# Gains and powers from zero through subnormal, unit and huge to near the float maximum
+EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308)
+
+# The closed Gaussian domain: exact zeros, the subnormal 5e-324 and 1e-300, gains
+# log-uniform on [1e-12, 1e2] and power caps log-uniform on [1e-6, 1e4]
+CLOSED_GAINS = st.sampled_from(EXTREMES[:3]) | st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)
+CLOSED_POWERS = st.sampled_from(EXTREMES[:3]) | st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e)
+
+# The seams between the rate's regimes, where the gains sit on a boundary: b = 1
+# and b = 1 + p1 part the receiver's decoders, a = 1 and a = 1 + p2 the
+# eavesdropper's, and ab = 1 makes the eavesdropper a degraded receiver
+SEAMS = ("none", "b=1", "b=1+p1", "a=1", "a=1+p2", "ab=1")
+
+
+def on_seam(seam: str, a: float, b: float, p1: float, p2: float) -> tuple[float, float]:
+    """The gains (a, b) moved onto ``seam``, one of ``SEAMS``, at powers (p1, p2)."""
+    if seam == "ab=1":
+        a = a if a and math.isfinite(1.0 / a) else 1.0  # so that b = 1/a is a finite gain
+        return a, 1.0 / a
+    return {"none": (a, b), "b=1": (a, 1.0), "b=1+p1": (a, 1.0 + p1),
+            "a=1": (1.0, b), "a=1+p2": (1.0 + p2, b)}[seam]
+
+
+@st.composite
+def closed_channels(draw, seams: tuple[str, ...] = SEAMS) -> GaussianWthi:
+    """A channel of the closed domain, its gains moved onto one of ``seams``."""
+    a, b = draw(CLOSED_GAINS), draw(CLOSED_GAINS)
+    p1, p2 = draw(CLOSED_POWERS), draw(CLOSED_POWERS)
+    return GaussianWthi(*on_seam(draw(st.sampled_from(seams)), a, b, p1, p2), p1, p2)
 
 
 def fleet_channel(rng: np.random.Generator) -> GaussianWthi:
@@ -32,10 +60,34 @@ def channel_document(ch: DmcWthi) -> dict:
             "transition": ch.transition.tolist()}
 
 
-def random_binary_channel(rng: np.random.Generator) -> DmcWthi:
-    t = rng.random((2, 2, 2, 2))
+# The random DMC families: dense, sparse, blind to one input, deterministic, and
+# entries at the extremes of the float range
+DMC_FAMILIES = ("dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic", "extreme")
+
+# The entries of the "extreme" family: zero, subnormal, tiny and one half
+EXTREME_ENTRIES = (0.0, 5e-324, 1e-300, 1e-17, 1e-9, 0.5)
+
+
+def family_channel(sizes: tuple, seed: int | np.random.Generator, family: str) -> DmcWthi:
+    """A random channel of one of ``DMC_FAMILIES``, drawn from
+    ``np.random.default_rng(seed)``: a Generator seed is drawn from, and advanced."""
+    rng = np.random.default_rng(seed)
+    t = rng.choice(EXTREME_ENTRIES, sizes) if family == "extreme" else rng.random(sizes)
+    if family == "sparse":
+        t[t < 0.6] = 0.0
+    t[..., 0, 0] += t.sum(axis=(2, 3)) == 0.0  # an all-zero slice gets 1 at (0, 0)
     t /= t.sum(axis=(2, 3), keepdims=True)
-    return DmcWthi(2, 2, 2, 2, t)
+    if family == "x1_irrelevant":
+        t = np.broadcast_to(t[:1], sizes)
+    elif family == "x2_irrelevant":
+        t = np.broadcast_to(t[:, :1], sizes)
+    elif family == "deterministic":  # each input pair names one output pair
+        t = np.eye(sizes[2] * sizes[3])[t.reshape(*sizes[:2], -1).argmax(axis=-1)]
+    return DmcWthi(*sizes, np.reshape(t, sizes))
+
+
+def random_binary_channel(rng: np.random.Generator) -> DmcWthi:
+    return family_channel((2, 2, 2, 2), rng, "dense")
 
 
 def noiseless_blind_channel() -> DmcWthi:

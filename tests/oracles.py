@@ -21,7 +21,7 @@ it: the exhaustive Sato coupling scan reads the library's objective
 Gaussian grid oracle rates every point of the library's power grid with
 ``gaussian._rate_achievable_grid``.  A third, the nine-candidate breakpoint
 search, reads the library's decodable-rate forms (``dmc._decodable``), so
-that it checks only the library's choice of five dummy-rate candidates.
+that it checks only the library's choice of three dummy-rate candidates.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
 from wthi.bounds import (
@@ -18,7 +17,7 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
 from wthi.power import optimal_power
 
-from channels import CLOSED_GAINS, CLOSED_POWERS, fleet_channel
+from channels import closed_channels, fleet_channel
 from oracles import half_log2, sato_grid, sato_minimum_reference, sato_objective
 
 
@@ -38,14 +37,6 @@ SATO_NAMED_POINTS = [
     (0.0, 0.0, 10.0, 10.0),
     *DOUBLE_ROOT_POINTS,
 ]
-
-
-@st.composite
-def closed_domain_channels(draw) -> GaussianWthi:
-    # the closed domain, with b also on the regime seams b = 1 and b = 1 + p1
-    a, b = draw(CLOSED_GAINS), draw(CLOSED_GAINS)
-    p1, p2 = draw(CLOSED_POWERS), draw(CLOSED_POWERS)
-    return GaussianWthi(a, draw(st.sampled_from([b, 1.0, 1.0 + p1])), p1, p2)
 
 
 class TestMainChannelBound:
@@ -171,7 +162,7 @@ class TestSatoClosedDomain:
         assert bound_sato(GaussianWthi(*gains)) == pytest.approx(float(near_edge), abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(closed_domain_channels())
+    @given(closed_channels())
     def test_every_bound_dominates_policy(self, ch):
         rate = policy_rate(ch)
         sato = bound_sato(ch)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wthi import dmc
+from wthi.binning import CodebookSpec, simulate
 from wthi.dmc import (
     DmcWthi,
     MutualInfoProfile,
@@ -30,10 +31,12 @@ from wthi.errors import DeskScaleError, DomainError, RegimeMismatchError
 from wthi.gaussian import Regime
 
 from channels import (
+    DMC_FAMILIES,
     blind_eavesdropper_channel,
     bsc,
     channel_document,
     degraded_instance,
+    family_channel,
     identical_outputs_channel,
     noiseless_blind_channel,
     perfect_eavesdropper_channel,
@@ -133,11 +136,11 @@ class TestMiProfile:
     @given(
         st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.booleans(),
+        st.sampled_from(DMC_FAMILIES),
     )
     @settings(max_examples=30, deadline=None)
-    def test_grid_rows_match_joint_entropy_reference(self, sizes, seed, sparse):
-        ch = random_channel(sizes, seed, sparse)
+    def test_grid_rows_match_joint_entropy_reference(self, sizes, seed, family):
+        ch = family_channel(sizes, seed, family)
         for px1s, px2s, table in dmc._law_rows(ch, 4):  # the grid holds the point masses
             assert len(table) == len(px1s) * len(px2s)
             for (px1, px2), row in zip(itertools.product(px1s, px2s), table):  # px2 fastest
@@ -257,20 +260,20 @@ class TestRegions:
     @given(
         st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.booleans(),
+        st.sampled_from(DMC_FAMILIES),
         st.booleans(),
         st.one_of(st.floats(min_value=0.0, max_value=2.5), st.integers(0, 9)),
         st.one_of(st.floats(min_value=0.0, max_value=2.5), st.integers(0, 7)),
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_docstring_inequalities(self, sizes, seed, sparse, point_mass, r1, r2):
+    def test_matches_docstring_inequalities(self, sizes, seed, family, point_mass, r1, r2):
         # The regions compare in floating point, so they may differ from the
         # exact inequalities only where rounding decides: within 2^-50 of the
         # boundary, where the exact answer itself flips.
         inp = ProductInput.uniform(sizes[0], sizes[1])
         if point_mass:
             inp = ProductInput(inp.px1, np.eye(sizes[1])[0])
-        prof = mi_profile(random_channel(sizes, seed, sparse), inp)
+        prof = mi_profile(family_channel(sizes, seed, family), inp)
         fields = astuple(prof)
         r2 = fields[r2] if isinstance(r2, int) else r2
         if isinstance(r1, int):
@@ -294,15 +297,6 @@ class TestRegions:
         prof = mi_profile(random_binary_channel(np.random.default_rng(17)), UNIFORM)
         for inside, shrunk in zip(decodable(prof, r1, r2), decodable(prof, r1 * f1, r2 * f2)):
             assert shrunk or not inside
-
-
-def random_channel(sizes: tuple, seed: int, sparse: bool) -> DmcWthi:
-    rng = np.random.default_rng(seed)
-    t = rng.random(sizes)
-    if sparse:
-        t[t < 0.6] = 0.0
-        t[..., 0, 0] += t.sum(axis=(2, 3)) == 0.0
-    return DmcWthi(*sizes, t / t.sum(axis=(2, 3), keepdims=True))
 
 
 class TestFixedInputRate:
@@ -346,7 +340,7 @@ class TestFixedInputRate:
         inp = ProductInput.uniform(sizes[0], sizes[1])
         if point_mass:
             inp = ProductInput(inp.px1, np.eye(sizes[1])[0])
-        prof = mi_profile(random_channel(sizes, seed, sparse=True), inp)
+        prof = mi_profile(family_channel(sizes, seed, "sparse"), inp)
         rate, split = achievable_rate_fixed_input(prof)
         scan, resolution = scan_secrecy_rate(prof)
         assert scan <= rate + 1e-9
@@ -369,7 +363,7 @@ class TestFixedInputRate:
     @given(
         st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from(["dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic"]),
+        st.sampled_from(DMC_FAMILIES),
         st.integers(min_value=3, max_value=5),
     )
     @settings(max_examples=40, deadline=None)
@@ -400,20 +394,6 @@ def search(ch: DmcWthi, grid: int) -> tuple:
     return rate, inp.px1.tolist(), inp.px2.tolist(), split
 
 
-def family_channel(sizes: tuple, seed: int, family: str) -> DmcWthi:
-    """A random channel that is dense, sparse, blind to one input, or deterministic."""
-    if family in ("dense", "sparse"):
-        return random_channel(sizes, seed, family == "sparse")
-    t = random_channel(sizes, seed, False).transition
-    if family == "x1_irrelevant":
-        t = np.broadcast_to(t[:1], sizes)
-    elif family == "x2_irrelevant":
-        t = np.broadcast_to(t[:, :1], sizes)
-    else:  # each input pair names one output pair
-        t = np.eye(sizes[2] * sizes[3])[t.reshape(*sizes[:2], -1).argmax(axis=-1)]
-    return DmcWthi(*sizes, np.reshape(t, sizes))
-
-
 class TestAchievableRate:
     @pytest.mark.parametrize("n, grid", [(2, 11), (3, 6), (4, 4)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -436,7 +416,7 @@ class TestAchievableRate:
     @given(
         st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from(["dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic"]),
+        st.sampled_from(DMC_FAMILIES),
         st.integers(min_value=3, max_value=8),
     )
     @settings(max_examples=100, deadline=None)
@@ -448,7 +428,7 @@ class TestAchievableRate:
     def test_ties_go_to_the_first_law_in_grid_order(self):
         # x1 = 1 and x1 = 2 are the same input, so swapping their
         # probabilities ties every law with another one
-        t = random_channel((2, 2, 2, 2), 0, False).transition[[0, 1, 1]]
+        t = family_channel((2, 2, 2, 2), 0, "dense").transition[[0, 1, 1]]
         ch = DmcWthi(3, 2, 2, 2, t)
         found = search(ch, 7)
         assert found == reference_search(ch, 7)
@@ -486,8 +466,7 @@ class TestAchievableRate:
             achievable_rate(noiseless_blind_channel(), 2)
 
     def test_enumeration_budget(self):
-        t = np.random.default_rng(3).random((4, 4, 4, 4))
-        ch = DmcWthi(4, 4, 4, 4, t / t.sum(axis=(2, 3), keepdims=True))
+        ch = family_channel((4, 4, 4, 4), 3, "dense")
         start = time.perf_counter()
         with pytest.raises(DeskScaleError, match="budget"):
             achievable_rate(ch, 200)
@@ -591,8 +570,8 @@ def grid_outcomes(ch: DmcWthi, grid: int) -> list:
 class TestLawBlocks:
     @pytest.mark.parametrize("ch, grid", [
         (gated_channel(), 21),
-        (random_channel((3, 3, 3, 2), 4, False), 7),
-        (random_channel((4, 3, 2, 4), 5, True), 5),
+        (family_channel((3, 3, 3, 2), 4, "dense"), 7),
+        (family_channel((4, 3, 2, 4), 5, "sparse"), 5),
         (weak_instance(), 9),
         (strong_instance(), 9),
         (very_strong_instance(), 9),
@@ -698,7 +677,7 @@ class TestBreakpointSearch:
     @given(
         st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from(["dense", "sparse", "x1_irrelevant", "x2_irrelevant", "deterministic"]),
+        st.sampled_from(DMC_FAMILIES),
         st.integers(min_value=3, max_value=8),
     )
     # a row where I(X1;Y1) rounded above I(X1;Y1|X2), before the profile table
@@ -766,12 +745,13 @@ class TestDmcSatoBound:
         assert res.value >= rate - res.inner_tolerance
 
     def test_dominates_achievable_rate(self):
-        rng = np.random.default_rng(55)
-        for _ in range(5):
-            ch = random_binary_channel(rng)
-            rate, _, _ = achievable_rate(ch, 13)
-            res = dmc_sato_bound(ch, coupling_grid=7, input_grid=13)
-            assert res.value + res.inner_tolerance >= rate - 1e-9
+        for family in DMC_FAMILIES:
+            rng = np.random.default_rng(55)
+            for _ in range(5):
+                ch = family_channel((2, 2, 2, 2), rng, family)
+                rate, _, _ = achievable_rate(ch, 13)
+                res = dmc_sato_bound(ch, coupling_grid=7, input_grid=13)
+                assert res.value + res.inner_tolerance >= rate - 1e-9, family
 
     def test_identity_coupling_collapses_identical_outputs(self):
         res = dmc_sato_bound(identical_outputs_channel(), coupling_grid=9, input_grid=11)
@@ -839,6 +819,33 @@ class TestDmcSatoBound:
             assert rate <= cap + 1e-9
 
 
+class TestExtremeEntries:
+    # transition entries of 0, 5e-324, 1e-300, 1e-17, 1e-9 and 0.5, so that logs
+    # of subnormal and zero probabilities meet the searches and the simulator;
+    # a warning would mark a silent nan or inf
+    def test_binary_rate_bound_and_simulation_are_finite(self):
+        rng = np.random.default_rng(0)
+        spec = CodebookSpec(n=6, r1s=1 / 3, r1d_prime=0.0, r1d_dprime=0.0, r2=1 / 6,
+                            r2_prime=0.0, r2_dprime=1 / 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(60):
+                ch = family_channel((2, 2, 2, 2), rng, "extreme")
+                rate, _, _ = achievable_rate(ch, 11)
+                sato = dmc_sato_bound(ch, 5, 11)
+                sim = simulate(ch, UNIFORM, spec, seed, 50)
+                values = [rate, *astuple(sato), sim.p_e, sim.equivocation_ratio, *sim.h_bits]
+                assert np.isfinite(values).all(), ch.transition
+
+    def test_ternary_rate_is_finite(self):
+        rng = np.random.default_rng(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                ch = family_channel((3, 3, 3, 3), rng, "extreme")
+                assert math.isfinite(achievable_rate(ch, 5)[0]), ch.transition
+
+
 def frechet_coupling(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
     """The binary coupling q[x1][x2][y1][y2] whose q(0,0|x) sits at params[x] of its
     Frechet interval, built from the transition tensor's marginals."""
@@ -870,12 +877,13 @@ def assert_sato_search_is_exhaustive(ch: DmcWthi, coupling_grid: int, input_grid
 class TestSatoCouplingSearch:
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(DMC_FAMILIES),
         st.sampled_from([(2, 3), (3, 5), (4, 5), (5, 3)]),
         st.sampled_from([None, 7, 2]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_exhaustive_scan(self, seed, grids, coupling_slice):
-        ch = random_binary_channel(np.random.default_rng(seed))
+    def test_matches_the_exhaustive_scan(self, seed, family, grids, coupling_slice):
+        ch = family_channel((2, 2, 2, 2), seed, family)
         assert_sato_search_is_exhaustive(ch, *grids, coupling_slice)
 
     @pytest.mark.parametrize("coupling_slice", [None, 7, 2])
@@ -910,7 +918,7 @@ class TestSatoObjective:
                     for a in px1 for b in px2]
         assert got == pytest.approx(np.asarray(expected), abs=1e-12)
         # beyond binary alphabets, under the independent coupling p(y1|x) p(y2|x)
-        ch = random_channel((3, 2, 2, 3), seed, sparse=True)
+        ch = family_channel((3, 2, 2, 3), seed, "sparse")
         q = ch.receiver_marginal()[..., None] * ch.eavesdropper_marginal()[..., None, :]
         px1, px2 = simplex_grid(3, 3), simplex_grid(2, 3)
         got = np.concatenate(list(dmc._sato_blocks(q.reshape(1, 6, 2, 3),
@@ -922,7 +930,8 @@ class TestSatoObjective:
         # the chain-rule term I(X1,X2;Y2) is the profile's i_x1x2_y2, and the cell
         # weights of row k are the outer product of the law of row k
         for ch in (random_binary_channel(np.random.default_rng(4)),
-                   random_channel((3, 2, 2, 2), 4, False), random_channel((4, 3, 3, 2), 5, True)):
+                   family_channel((3, 2, 2, 2), 4, "dense"),
+                   family_channel((4, 3, 3, 2), 5, "sparse")):
             px1s, px2s = simplex_grid(ch.nx1, 5), simplex_grid(ch.nx2, 5)
             w, i_y2 = dmc._sato_laws(ch, px1s, px2s)
             laws = [(px1s[k // len(px2s)], px2s[k % len(px2s)]) for k in range(len(w))]

@@ -17,27 +17,20 @@ from wthi.gaussian import (
     rate_wiretap,
 )
 
-from channels import CLOSED_GAINS, CLOSED_POWERS
+from channels import CLOSED_GAINS, CLOSED_POWERS, SEAMS, closed_channels, on_seam
 from oracles import half_log2, rate_achievable_reference
 
-gains = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
-powers = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 @st.composite
 def closed_domain_grids(draw):
     """A channel of the closed domain and power axes p1s, p2s within its caps, with
-    the seams b = 1, b = 1 + p1 and a = 1 + p2."""
+    the gains on one of the seams at a point of the axes."""
     p1s = draw(st.lists(CLOSED_POWERS, min_size=1, max_size=4))
     p2s = draw(st.lists(CLOSED_POWERS, min_size=1, max_size=4))
     a, b = draw(CLOSED_GAINS), draw(CLOSED_GAINS)
-    seam = draw(st.sampled_from(("none", "b=1", "b=1+p1", "a=1+p2")))
-    if seam == "b=1":
-        b = 1.0
-    elif seam == "b=1+p1":
-        b = 1.0 + draw(st.sampled_from(p1s))
-    elif seam == "a=1+p2":
-        a = 1.0 + draw(st.sampled_from(p2s))
-    return GaussianWthi(a, b, max(p1s), max(p2s)), np.asarray(p1s), np.asarray(p2s)
+    seam, p1, p2 = (draw(st.sampled_from(x)) for x in (SEAMS, p1s, p2s))
+    ch = GaussianWthi(*on_seam(seam, a, b, p1, p2), max(p1s), max(p2s))
+    return ch, np.asarray(p1s), np.asarray(p2s)
 
 
 class TestAwgnCapacity:
@@ -96,7 +89,7 @@ class TestInterferenceAssisted:
         assert rate == pytest.approx(1.02220, abs=1e-5)
         assert split.regime is Regime.TREAT_AS_NOISE
 
-    @given(gains, powers, powers)
+    @given(CLOSED_GAINS, CLOSED_POWERS, CLOSED_POWERS)
     @settings(max_examples=100, deadline=None)
     def test_continuous_across_joint_decode_seam(self, a, p1, p2):
         # b = 1 + p1 separates decode-cancel from joint decoding.
@@ -106,7 +99,7 @@ class TestInterferenceAssisted:
         r_hi = _rates(a, seam + delta, p1, p2)[0]
         assert abs(r_lo - r_hi) < 1e-9
 
-    @given(gains, powers, powers)
+    @given(CLOSED_GAINS, CLOSED_POWERS, CLOSED_POWERS)
     @settings(max_examples=100, deadline=None)
     def test_continuous_across_treat_as_noise_seam(self, a, p1, p2):
         delta = 1e-10
@@ -128,7 +121,7 @@ class TestInterfererSilent:
         rate, _ = rate_achievable(ch, PowerAllocation(10.0, 0.0))
         assert rate == rate_wiretap(0.5, 10.0)
 
-    @given(st.floats(min_value=0.0, max_value=0.999), powers, powers)
+    @given(st.floats(min_value=0.0, max_value=0.999), CLOSED_POWERS, CLOSED_POWERS)
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_a_and_p1(self, a, p1, p2):
         lo, hi = sorted((p1, p2))
@@ -157,24 +150,22 @@ class TestRateAchievable:
         assert rate == pytest.approx(half_log2(111, 16), abs=1e-12)
         assert split.regime is Regime.JOINT_DECODE
 
-    @given(gains, gains, powers, powers)
+    @given(closed_channels())
     @settings(max_examples=150, deadline=None)
-    def test_nonnegative_and_split_consistent(self, a, b, p1, p2):
-        ch = GaussianWthi(a, b, p1 + 1e-9, p2 + 1e-9)
-        rate, split = rate_achievable(ch, PowerAllocation(p1, p2))
+    def test_nonnegative_and_split_consistent(self, ch):
+        rate, split = rate_achievable(ch, ch.full_power())
         assert rate >= 0.0
         assert split.r1s == rate
         assert abs(split.r1 - (split.r1s + split.r1d)) <= 1e-12
         assert min(split.r1, split.r2, split.r1s, split.r1d) >= 0.0
 
-    @given(gains, gains, powers)
+    @given(closed_channels())
     @settings(max_examples=100, deadline=None)
-    def test_no_interferer_reduction_is_exact(self, a, b, p1):
-        ch = GaussianWthi(a, b, p1 + 1e-9, 0.0)
-        rate, _ = rate_achievable(ch, PowerAllocation(p1, 0.0))
-        assert rate == rate_wiretap(a, p1)
+    def test_no_interferer_reduction_is_exact(self, ch):
+        rate, _ = rate_achievable(ch, PowerAllocation(ch.p1_max, 0.0))
+        assert rate == rate_wiretap(ch.a, ch.p1_max)
 
-    @given(st.floats(min_value=1.0, max_value=60.0), gains, powers)
+    @given(st.floats(min_value=1.0, max_value=60.0), CLOSED_GAINS, CLOSED_POWERS)
     @settings(max_examples=100, deadline=None)
     def test_very_strong_eavesdropping_gives_zero(self, a_excess, b, p2):
         a = 1.0 + p2 + a_excess

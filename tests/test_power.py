@@ -21,7 +21,7 @@ from wthi.power import (
     optimal_power,
 )
 
-from channels import CLOSED_GAINS, CLOSED_POWERS, fleet_channel
+from channels import EXTREMES, SEAMS, closed_channels, fleet_channel
 from oracles import grid_oracle_reference, half_log2, rate_achievable_reference
 
 
@@ -77,18 +77,12 @@ class TestOptimalPower:
             res = grid_oracle_detailed(ch, 120, 120)
             assert rate >= res.rate - res.eps_grid - 1e-12
 
-    @given(
-        st.floats(min_value=0.0, max_value=5.0),
-        st.floats(min_value=0.0, max_value=5.0),
-        st.floats(min_value=0.0, max_value=50.0),
-        st.floats(min_value=0.0, max_value=50.0),
-    )
+    @given(closed_channels())
     @settings(max_examples=200, deadline=None)
-    def test_output_respects_constraints(self, a, b, p1m, p2m):
-        ch = GaussianWthi(a, b, p1m, p2m)
+    def test_output_respects_constraints(self, ch):
         alloc, _ = optimal_power(ch)
-        assert 0.0 <= alloc.p1 <= p1m + 1e-12
-        assert 0.0 <= alloc.p2 <= p2m + 1e-12
+        assert 0.0 <= alloc.p1 <= ch.p1_max + 1e-12
+        assert 0.0 <= alloc.p2 <= ch.p2_max + 1e-12
 
     def test_positivity_condition_with_large_interferer_power(self):
         # with a huge interferer power cap, a positive rate is possible exactly
@@ -143,14 +137,9 @@ class TestIntermediates:
         assert intermediates(GaussianWthi(2.0, 0.0, 5.0, 5.0)).delta is None
 
 
-# Gains and powers from zero through subnormal, unit and huge to near the float maximum
-EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308)
-
-
 # Oracle channels: the bench fleet's ranges, EXTREMES, fleet gains with the flat
-# column 1 + p2 - a - ab*p2 = 0 inside the box, the closed domain, and its seams
-# b = 1, b = 1 + p1_max, a = 1, a = 1 + p2_max, ab = 1
-ORACLE_FAMILIES = ("fleet", "extremes", "flat", "closed", "b=1", "b=1+p1", "a=1", "a=1+p2", "ab=1")
+# column 1 + p2 - a - ab*p2 = 0 inside the box, and the closed domain on each seam
+ORACLE_FAMILIES = ("fleet", "extremes", "flat", *SEAMS)
 
 
 @st.composite
@@ -158,22 +147,17 @@ def oracle_grids(draw) -> tuple[GaussianWthi, int, int]:
     family = draw(st.sampled_from(ORACLE_FAMILIES))
     if family == "fleet":
         a, b = draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0))
-        p1, p2 = draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 50.0))
+        ch = GaussianWthi(a, b, draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 50.0)))
     elif family == "extremes":
-        a, b, p1, p2 = (draw(st.sampled_from(EXTREMES)) for _ in range(4))
+        ch = GaussianWthi(*(draw(st.sampled_from(EXTREMES)) for _ in range(4)))
     elif family == "flat":  # ab < 1 < a or a < 1 < ab puts (a - 1)/(1 - ab) above 0
         a = draw(st.floats(0.05, 5.0).filter(lambda x: x != 1.0))
         b = draw(st.floats(0.01, 0.95) if a > 1.0 else st.floats(1.05, 20.0)) / a
         p1, p2 = draw(st.floats(0.0, 50.0)), (a - 1.0) / (1.0 - a * b) * draw(st.floats(1.0, 4.0))
+        ch = GaussianWthi(a, b, p1, p2)
     else:
-        a, b = draw(CLOSED_GAINS), draw(CLOSED_GAINS)
-        p1, p2 = draw(CLOSED_POWERS), draw(CLOSED_POWERS)
-    seams = {"b=1": (a, 1.0), "b=1+p1": (a, 1.0 + p1), "a=1": (1.0, b), "a=1+p2": (1.0 + p2, b)}
-    a, b = seams.get(family, (a, b))
-    if family == "ab=1":
-        a = a or 1.0
-        b = 1.0 / a
-    return GaussianWthi(a, b, p1, p2), draw(st.integers(2, 60)), draw(st.integers(2, 60))
+        ch = draw(closed_channels((family,)))
+    return ch, draw(st.integers(2, 60)), draw(st.integers(2, 60))
 
 
 def outcome(op, *args):
