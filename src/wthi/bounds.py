@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .gaussian import _LN2, GaussianWthi, PowerAllocation, _check_pairing, awgn_capacity, rate_wiretap
+from .gaussian import (_LN2, GaussianWthi, PowerAllocation, _check_pairing, _Math, _wiretap_rate,
+                       awgn_capacity)
 
 
 class BoundKind(enum.Enum):
@@ -50,6 +51,28 @@ def bound_main_channel(ch: GaussianWthi) -> float:
     return awgn_capacity(ch.p1_max)
 
 
+def _sato(a, b, p1, p2, xp):
+    """(s, q + root, value) of ``sato_minimize``, unchecked for overflow: floats
+    with ``xp = _Math``, or arrays that broadcast together with ``xp = numpy``."""
+    sqrt = xp.sqrt
+    s = sqrt(a) * p1 + sqrt(b) * p2
+    cross = (sqrt(a * b) - 1.0) ** 2 * p1 * p2
+    q = (1.0 + a) * p1 + (1.0 + b) * p2 + cross
+    f_lo = (sqrt(a) - 1.0) ** 2 * p1 + (sqrt(b) - 1.0) ** 2 * p2 + cross
+    f_hi = (sqrt(a) + 1.0) ** 2 * p1 + (sqrt(b) + 1.0) ** 2 * p2 + cross
+    q_root = q + sqrt(f_lo) * sqrt(f_hi)
+    value = 0.5 * xp.log((1.0 + 0.5 * q_root) / (1.0 + a * p1 + p2)) / _LN2
+    return s, q_root, xp.maximum(value, 0.0)  # a nan stays nan
+
+
+def _sato_float(ch: GaussianWthi, p1: float, p2: float) -> tuple[float, float, float]:
+    """``_sato`` at floats; a value that overflows raises."""
+    s, q_root, value = _sato(ch.a, ch.b, p1, p2, _Math)
+    if not math.isfinite(value):
+        raise DomainError(f"the Sato bound overflows at {ch} and {PowerAllocation(p1, p2)}")
+    return s, q_root, value
+
+
 def sato_minimize(ch: GaussianWthi, alloc: PowerAllocation) -> SatoEvaluation:
     """Closed-form minimizer of the Sato objective over rho in (-1, 1).
 
@@ -73,33 +96,28 @@ def sato_minimize(ch: GaussianWthi, alloc: PowerAllocation) -> SatoEvaluation:
     ``DomainError``.
     """
     _check_pairing(ch, alloc)
-    a, b = ch.a, ch.b
-    p1, p2 = alloc.p1, alloc.p2
-    s = math.sqrt(a) * p1 + math.sqrt(b) * p2
-    cross = (math.sqrt(a * b) - 1.0) ** 2 * p1 * p2
-    q = (1.0 + a) * p1 + (1.0 + b) * p2 + cross
-    f_lo = (math.sqrt(a) - 1.0) ** 2 * p1 + (math.sqrt(b) - 1.0) ** 2 * p2 + cross
-    f_hi = (math.sqrt(a) + 1.0) ** 2 * p1 + (math.sqrt(b) + 1.0) ** 2 * p2 + cross
-    q_root = q + math.sqrt(f_lo) * math.sqrt(f_hi)
-    value = 0.5 * math.log((1.0 + 0.5 * q_root) / (1.0 + a * p1 + p2)) / _LN2
-    if not math.isfinite(value):
-        raise DomainError(f"the Sato bound overflows at {ch} and {alloc}")
+    s, q_root, value = _sato_float(ch, alloc.p1, alloc.p2)
     return SatoEvaluation(rho_star=2.0 * s / q_root if s > 0.0 else 0.0,
-                          value=max(value, 0.0), degenerate=s == 0.0)
+                          value=value, degenerate=s == 0.0)
 
 
 def bound_sato(ch: GaussianWthi) -> float:
     """Sato-type bound at full powers (the objective is increasing in both powers)."""
-    return sato_minimize(ch, ch.full_power()).value
+    return _sato_float(ch, ch.p1_max, ch.p2_max)[2]
+
+
+def _z_bound(a, p1, p2, xp):
+    """``bound_z_channel`` at gain a and power caps p1, p2: floats with
+    ``xp = _Math``, or arrays that broadcast together with ``xp = numpy``."""
+    # (1/2)log2[2uv/(u+v)] with u = 1 + a*p1, v = 1 + p2, as -(1/2)log2 of the mean of
+    # 1/u and 1/v, which lies in (0, 1]: no product that can overflow
+    epi_term = -0.5 * xp.log(0.5 / (1.0 + a * p1) + 0.5 / (1.0 + p2)) / _LN2
+    return _wiretap_rate(a, p1, xp) + epi_term
 
 
 def bound_z_channel(ch: GaussianWthi) -> float:
     """One-sided-channel bound: wiretap term plus an entropy-power-inequality term."""
-    a, p1, p2 = ch.a, ch.p1_max, ch.p2_max
-    # (1/2)log2[2uv/(u+v)] with u = 1 + a*p1, v = 1 + p2, as -(1/2)log2 of the mean of
-    # 1/u and 1/v, which lies in (0, 1]: no product that can overflow
-    epi_term = -0.5 * math.log(0.5 / (1.0 + a * p1) + 0.5 / (1.0 + p2)) / _LN2
-    return rate_wiretap(a, p1) + epi_term
+    return _z_bound(ch.a, ch.p1_max, ch.p2_max, _Math)
 
 
 def bound_best(ch: GaussianWthi) -> tuple[float, BoundKind]:

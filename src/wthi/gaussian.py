@@ -113,16 +113,33 @@ class RateSplit:
 _SILENT_SPLIT = RateSplit(r2=0.0, r1s=0.0, r1d=0.0, regime=Regime.SILENT)
 
 
-def _where(cond, x, y):  # np.where for float powers
-    return x if cond else y
+class _Math:
+    """The numpy functions a float-or-array body calls, served for floats by math.
+
+    Each such body takes ``xp``, this class or numpy: floats go through libm,
+    as every scalar result always has, and arrays through numpy's kernels,
+    which can differ from libm by an ulp on a few % of inputs.
+    """
+
+    log, log1p, sqrt, maximum = math.log, math.log1p, math.sqrt, max
+
+    @staticmethod
+    def where(cond, x, y):
+        return x if cond else y
 
 
-def _wiretap_capacities(a, p1, log1p):
+def _wiretap_capacities(a, p1, xp):
     """C(p1) and C(a*p1), the rate pieces of the plain wiretap scheme."""
-    return 0.5 * log1p(p1) / _LN2, 0.5 * log1p(a * p1) / _LN2
+    return 0.5 * xp.log1p(p1) / _LN2, 0.5 * xp.log1p(a * p1) / _LN2
 
 
-def _rates(a, b, p1, p2):
+def _wiretap_rate(a, p1, xp):
+    """[C(p1) - C(a*p1)]+, the secrecy rate of the plain wiretap scheme."""
+    c_p1, c_ap1 = _wiretap_capacities(a, p1, xp)
+    return xp.maximum(0.0, c_p1 - c_ap1)
+
+
+def _rates(a, b, p1, p2, xp):
     """Unclamped rate pieces (assisted, r1d, wiretap, c_ap1) of both schemes.
 
     The assisted scheme has redundancy rate r1d = C(a*p1/(1+p2)) and codebook
@@ -131,32 +148,31 @@ def _rates(a, b, p1, p2):
     C(p1 + b*p2) - C(p2) when it decodes jointly (1 <= b < 1 + p1), and
     C(p1/(1+b*p2)) when it treats it as noise (b < 1); the pieces agree at the
     seams.  The plain wiretap scheme has rate C(p1) - C(a*p1) and redundancy
-    rate c_ap1 = C(a*p1).  The gains are floats; the powers are floats, or
-    arrays that broadcast together and make every piece an array.  Each
+    rate c_ap1 = C(a*p1).  The arguments are floats with ``xp = _Math``, or
+    arrays that broadcast together with ``xp = numpy``; a float b computes
+    only its receiver's form, an array b both forms, picked per point.  Each
     capacity C(x) = 0.5*log1p(x)/ln 2 is written out: a Python call per
     capacity cost about as much as the rest of the function.
     """
-    if isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray):
-        log1p, where = np.log1p, np.where
-    else:
-        log1p, where = math.log1p, _where
-
-    c_p1, c_ap1 = _wiretap_capacities(a, p1, log1p)
+    log1p, where = xp.log1p, xp.where
+    both = isinstance(b, np.ndarray)
+    c_p1, c_ap1 = _wiretap_capacities(a, p1, xp)
     r1d = 0.5 * log1p(a * p1 / (1.0 + p2)) / _LN2
-    if b >= 1.0:
+    decoded = noise = None
+    if both or b >= 1.0:
         joint = 0.5 * log1p(p1 + b * p2) / _LN2 - 0.5 * log1p(a * p1 + p2) / _LN2
-        assisted = where(b >= 1.0 + p1, c_p1 - r1d, joint)
-    else:
-        assisted = 0.5 * log1p(p1 / (1.0 + b * p2)) / _LN2 - r1d
-    return assisted, r1d, c_p1 - c_ap1, c_ap1
+        decoded = where(b >= 1.0 + p1, c_p1 - r1d, joint)
+    if both or b < 1.0:
+        noise = 0.5 * log1p(p1 / (1.0 + b * p2)) / _LN2 - r1d
+    pick = where if both else _Math.where  # a float b computed its receiver's form only
+    return pick(b >= 1.0, decoded, noise), r1d, c_p1 - c_ap1, c_ap1
 
 
 def rate_wiretap(a: float, p1: float) -> float:
     """Secrecy capacity of the plain Gaussian wiretap channel, [C(p1) - C(a*p1)]+."""
     a = _require_finite_nonneg("a", a)
     p1 = _require_finite_nonneg("p1", p1)
-    c_p1, c_ap1 = _wiretap_capacities(a, p1, math.log1p)
-    return max(0.0, c_p1 - c_ap1)
+    return _wiretap_rate(a, p1, _Math)
 
 
 def rate_achievable(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, RateSplit]:
@@ -175,7 +191,7 @@ def rate_achievable(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, Ra
     _check_pairing(ch, alloc)
     if ch.a >= 1.0 and ch.a >= 1.0 + alloc.p2:
         return 0.0, _SILENT_SPLIT
-    assisted, r1d, wiretap, c_ap1 = _rates(ch.a, ch.b, alloc.p1, alloc.p2)
+    assisted, r1d, wiretap, c_ap1 = _rates(ch.a, ch.b, alloc.p1, alloc.p2, _Math)
     if not math.isfinite(assisted + r1d + wiretap + c_ap1):
         raise DomainError(f"a capacity overflows at {ch} and {alloc}")
     v2 = max(0.0, wiretap)
@@ -192,11 +208,15 @@ def rate_achievable(ch: GaussianWthi, alloc: PowerAllocation) -> tuple[float, Ra
     return 0.0, _SILENT_SPLIT
 
 
-def _rate_achievable_grid(ch: GaussianWthi, p1s: np.ndarray, p2s: np.ndarray) -> np.ndarray:
-    """The rate of ``rate_achievable`` on the outer grid p1s x p2s."""
-    p1 = np.asarray(p1s, dtype=float)[:, None]
-    p2 = np.asarray(p2s, dtype=float)[None, :]
-    assisted, _, wiretap, _ = _rates(ch.a, ch.b, p1, p2)
+def _rate_array(a, b, p1, p2, strict: bool = False) -> np.ndarray:
+    """The rate of ``rate_achievable`` at gains and powers that broadcast together
+    into an array: the best of the clamped pieces, zero under very strong
+    eavesdropping.  A piece that a capacity overflow makes -inf is clamped to
+    zero; with ``strict`` the point rates nan instead, where ``rate_achievable``
+    raises."""
+    assisted, r1d, wiretap, c_ap1 = _rates(a, b, p1, p2, np)
     rates = np.maximum(np.maximum(assisted, 0.0), np.maximum(wiretap, 0.0))
-    rates[:, (ch.a >= 1.0) & (ch.a >= 1.0 + p2[0])] = 0.0  # very strong eavesdropping
+    if strict:
+        np.copyto(rates, np.nan, where=~np.isfinite(assisted + r1d + wiretap + c_ap1))
+    np.copyto(rates, 0.0, where=(a >= 1.0) & (a >= 1.0 + p2))  # very strong eavesdropping
     return rates

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_budget, _count
-from .gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid, rate_achievable
+from .gaussian import GaussianWthi, PowerAllocation, _rate_array, rate_achievable
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,14 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     ax2 = _axis(ch.p2_max, n2, (*p2_levels, intermediates(ch).p2_star))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         rows = np.array([min(max(ch.b - 1.0, 0.0), ch.p1_max), ch.p1_max])  # _axis adds b - 1
-        edge = _rate_achievable_grid(ch, rows, ax2).max(axis=0)
+        edge = _rate_array(ch.a, ch.b, rows[:, None], ax2).max(axis=0)
         top = edge.max()
         cols = np.flatnonzero(~(edge + 1e-12 * (1.0 + abs(top)) < top))
-        rates = _rate_achievable_grid(ch, ax1, ax2[cols])
+        rates = _rate_array(ch.a, ch.b, ax1[:, None], ax2[cols])
         i, k = divmod(int(np.argmax(rates)), cols.size)
         f1, f2 = (np.linspace(ax[max(m - 1, 0)], ax[min(m + 1, ax.size - 1)], 21)
                   for ax, m in ((ax1, i), (ax2, cols[k])))
-        fine = _rate_achievable_grid(ch, f1, f2)
+        fine = _rate_array(ch.a, ch.b, f1[:, None], f2)
         fi, fj = divmod(int(np.argmax(fine)), 21)
         eps = float(max(abs(fine[1:] - fine[:-1]).max(), abs(fine[:, 1:] - fine[:, :-1]).max()))
     p1, p2, rate = ((f1[fi], f2[fj], fine[fi, fj]) if fine[fi, fj] > rates[i, k]

@@ -19,9 +19,10 @@ purpose, so that each checks only a pruning whose result must be ``==`` to
 it: the exhaustive Sato coupling scan reads the library's objective
 (``dmc._sato_blocks``) at every (law, coupling) pair, and the exhaustive
 Gaussian grid oracle rates every point of the library's power grid with
-``gaussian._rate_achievable_grid``.  A third, the nine-candidate breakpoint
+``gaussian._rate_array``.  A third, the nine-candidate breakpoint
 search, reads the library's decodable-rate forms (``dmc._decodable``), so
 that it checks only the library's choice of three dummy-rate candidates.
+The time-sharing envelope of a rate curve tries every pair of its points.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from mpmath import mp
 from wthi import dmc, power
 from wthi.dmc import DmcWthi, MutualInfoProfile
 from wthi.errors import DomainError
-from wthi.gaussian import GaussianWthi, PowerAllocation, _rate_achievable_grid
+from wthi.gaussian import GaussianWthi, PowerAllocation, _rate_array
 
 mp.dps = 50
 
@@ -73,7 +74,7 @@ def rate_achievable_reference(a: float, b: float, p1: float, p2: float) -> float
 def grid_oracle_reference(ch: GaussianWthi, n1: int, n2: int) -> power.GridOracleResult:
     """``power.grid_oracle_detailed`` as an exhaustive scan: every grid point is rated.
 
-    The same axes, ``_rate_achievable_grid`` over the whole n1 x n2 grid, the
+    The same axes, ``_rate_array`` over the whole n1 x n2 grid, the
     first flat ``np.argmax``, the same 21 x 21 refinement window and the same
     raise, so the column-pruned oracle must return ``==`` results and raise
     ``DomainError`` on the same channels.
@@ -82,13 +83,13 @@ def grid_oracle_reference(ch: GaussianWthi, n1: int, n2: int) -> power.GridOracl
     ax1 = power._axis(ch.p1_max, n1, p1_levels)
     ax2 = power._axis(ch.p2_max, n2, (*p2_levels, power.intermediates(ch).p2_star))
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = _rate_achievable_grid(ch, ax1, ax2)
+        rates = _rate_array(ch.a, ch.b, ax1[:, None], ax2)
         i, j = np.unravel_index(int(np.argmax(rates)), rates.shape)
         lo1, hi1 = ax1[max(i - 1, 0)], ax1[min(i + 1, ax1.size - 1)]
         lo2, hi2 = ax2[max(j - 1, 0)], ax2[min(j + 1, ax2.size - 1)]
         f1 = np.linspace(lo1, hi1, 21) if hi1 > lo1 else np.asarray([lo1])
         f2 = np.linspace(lo2, hi2, 21) if hi2 > lo2 else np.asarray([lo2])
-        fine = _rate_achievable_grid(ch, f1, f2)
+        fine = _rate_array(ch.a, ch.b, f1[:, None], f2)
         fi, fj = np.unravel_index(int(np.argmax(fine)), fine.shape)
         eps = max((float(np.max(np.abs(np.diff(fine, axis=k)))) for k in (0, 1)
                    if fine.shape[k] > 1), default=0.0)
@@ -99,6 +100,26 @@ def grid_oracle_reference(ch: GaussianWthi, n1: int, n2: int) -> power.GridOracl
     if not (math.isfinite(rate) and math.isfinite(eps)):
         raise DomainError(f"the rate overflows on the power grid of {ch}")
     return power.GridOracleResult(alloc=best, rate=rate, eps_grid=eps)
+
+
+def concave_envelope(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The upper concave envelope of the points (xs, ys), xs ascending, at each x.
+
+    At x_k it is the best chord value over every pair x_i <= x_k <= x_j, the
+    pair i = j = k included: the rate of time-sharing the two points' codes
+    with average x_k.  In one dimension two points suffice (Caratheodory), so
+    trying every pair is the envelope, with no hull construction to get wrong.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    i, j = np.triu_indices(xs.size)
+    out = np.empty_like(ys)
+    for k, x in enumerate(xs):
+        pair = (xs[i] <= x) & (x <= xs[j])
+        lo, hi = i[pair], j[pair]
+        span = xs[hi] - xs[lo]
+        weight = np.divide(xs[hi] - x, span, out=np.ones_like(span), where=span > 0.0)
+        out[k] = (weight * ys[lo] + (1.0 - weight) * ys[hi]).max()
+    return out
 
 
 def entropy_bits(p: np.ndarray) -> float:

@@ -25,7 +25,9 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
 from wthi.power import optimal_power
 
-from channels import channel_document, noiseless_blind_channel, trend_channel
+from channels import (channel_document, closed_channels, fleet_channel, noiseless_blind_channel,
+                      trend_channel)
+from oracles import concave_envelope
 
 # Arbitrary JSON values; json.dumps writes a non-finite float as NaN or Infinity.
 JSON_VALUES = st.recursive(
@@ -102,6 +104,67 @@ class TestSweeps:
         xs = [r[0] for r in rows]
         ratios = [xs[i + 1] / xs[i] for i in range(len(xs) - 1)]
         assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-9)
+
+
+def sweep_columns(mode: str, **fields) -> np.ndarray:
+    """The array a sweep hands to ``write_csv``, at full precision, for ``fields``."""
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "write_csv", lambda cfg, header, rows: captured.append(rows))
+        cli._SUBCOMMANDS[mode][0](cli.load_config(mode, None, fields))
+    return captured[0]
+
+
+# A fleet channel drawn from a hypothesis-chosen seed
+FLEET_CHANNELS = st.integers(0, 2**32 - 1).map(
+    lambda seed: fleet_channel(np.random.default_rng(seed)))
+
+
+class TestSweepColumns:
+    # A sweep evaluates its columns over the whole axis with numpy, where the
+    # scalar functions use libm; numpy's log1p, log and sqrt may differ by an
+    # ulp.  Each cell must equal the scalar function at its row's channel within
+    # 8 ulps of the largest capacity the formulas take, C((1+a)p1 + (1+b)p2).
+    @staticmethod
+    def assert_cells(cells, expected, ch: GaussianWthi):
+        scale = 0.5 * math.log2(1.0 + (1.0 + ch.a) * ch.p1_max + (1.0 + ch.b) * ch.p2_max)
+        assert np.abs(np.subtract(cells, expected)).max() <= 8 * 2.0**-52 * (1.0 + scale)
+
+    @given(closed_channels())
+    @settings(max_examples=150, deadline=None)
+    def test_interferer_columns_match_the_scalar_path(self, ch):
+        cols = sweep_columns("sweep-interferer", a=ch.a, b=ch.b, p1_max=ch.p1_max, start=0.0,
+                             stop=ch.p2_max or 1.0, points=9)
+        for p2_max, *cells in cols.tolist():
+            row = GaussianWthi(ch.a, ch.b, ch.p1_max, p2_max)
+            alloc, _ = optimal_power(row)
+            self.assert_cells(cells, [rate_achievable(row, alloc)[0], bound_main_channel(row),
+                                      bound_sato(row), bound_z_channel(row)], row)
+
+    @given(closed_channels())
+    @settings(max_examples=150, deadline=None)
+    def test_symmetric_columns_match_the_scalar_path(self, ch):
+        # the axis a = b ends on the drawn b, which sits on the drawn seam
+        cols = sweep_columns("sweep-symmetric", p1_max=ch.p1_max, p2_max=ch.p2_max, start=0.0,
+                             stop=ch.b or 1.0, points=9)
+        for a, *cells in cols.tolist():
+            row = GaussianWthi(a, a, ch.p1_max, ch.p2_max)
+            alloc, _ = optimal_power(row)
+            self.assert_cells(cells, [rate_achievable(row, alloc)[0],
+                                      rate_wiretap(a, ch.p1_max)], row)
+
+    @given(closed_channels() | FLEET_CHANNELS)
+    @settings(max_examples=150, deadline=None)
+    def test_time_sharing_stays_under_every_bound(self, ch):
+        # The caps bound average power, so two codes at caps x < y, time-shared
+        # to average x_k, achieve the chord between their rates: the upper concave
+        # envelope of the achievable column over the p2_max axis is achievable,
+        # and each bound column must clear it, to 1e-14 relative (rounding)
+        cols = sweep_columns("sweep-interferer", a=ch.a, b=ch.b, p1_max=ch.p1_max, start=0.0,
+                             stop=ch.p2_max or 1.0, points=33)
+        envelope = concave_envelope(cols[:, 0], cols[:, 1])
+        bounds = cols[:, 2:]
+        assert (envelope[:, None] <= bounds + 1e-14 * (1.0 + bounds)).all()
 
 
 class TestPointQueries:
@@ -578,21 +641,31 @@ def readme_examples() -> list[list[str]]:
 
 
 def test_readme_examples_are_byte_identical_across_blas_threads(tmp_path):
-    # Each example runs in its own process, under 1 and under 2 BLAS threads;
-    # stdout and every file written must match byte for byte.  Only the
-    # installed numpy and its OpenBLAS run here; other BLAS builds are untested.
+    # Each example runs in its own process, under 1 and under 2 BLAS threads, and
+    # under 1 thread with numpy's dispatch to every SIMD feature it found on this
+    # CPU turned off (NPY_DISABLE_CPU_FEATURES; no such leg when it found none).
+    # Stdout and every file written must match the 1-thread run byte for byte,
+    # and a failure names the axis that moved.  Only the installed numpy and its
+    # OpenBLAS run here; other BLAS builds and CPUs are untested.
     examples = readme_examples()
     assert len(examples) == 7 and sum("--out" in args for args in examples) == 3
     src = str(Path(wthi.__file__).resolve().parents[1])
-    runs = []
-    for threads in ("1", "2"):
-        cwd = tmp_path / threads
+    one = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    legs = {"BLAS threads": {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}}
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    dispatched = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+    if dispatched:
+        legs["SIMD level"] = {**one, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
+    runs = {}
+    for k, (leg, extra) in enumerate({"default": one, **legs}.items()):
+        cwd = tmp_path / str(k)
         cwd.mkdir()
         (cwd / "channel.json").write_text(json.dumps(channel_document(trend_channel())))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+        env = {**os.environ, **extra,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         stdout = [subprocess.run([sys.executable, "-m", "wthi.cli", *args], cwd=cwd, env=env,
                                  capture_output=True, check=True).stdout for args in examples]
-        runs.append((stdout, {path.name: path.read_bytes() for path in cwd.iterdir()}))
-    assert runs[0] == runs[1]
-    assert len(runs[0][1]) == 4 and sum(out != b"" for out in runs[0][0]) == 4
+        runs[leg] = (stdout, {path.name: path.read_bytes() for path in cwd.iterdir()})
+    default = runs.pop("default")
+    assert len(default[1]) == 4 and sum(out != b"" for out in default[0]) == 4
+    assert [leg for leg, run in runs.items() if run != default] == []

@@ -10,7 +10,8 @@ from wthi.gaussian import (
     GaussianWthi,
     PowerAllocation,
     Regime,
-    _rate_achievable_grid,
+    _Math,
+    _rate_array,
     _rates,
     awgn_capacity,
     rate_achievable,
@@ -78,7 +79,7 @@ class TestInterferenceAssisted:
 
     def test_treat_as_noise_with_blind_eavesdropper(self):
         # the assisted piece alone: with a = 0 the wiretap scheme wins the rate
-        assisted, r1d, _, _ = _rates(0.0, 0.5, 10.0, 10.0)
+        assisted, r1d, _, _ = _rates(0.0, 0.5, 10.0, 10.0, _Math)
         assert assisted == pytest.approx(half_log2(8, 3), abs=1e-12)
         assert r1d == 0.0
 
@@ -95,16 +96,16 @@ class TestInterferenceAssisted:
         # b = 1 + p1 separates decode-cancel from joint decoding.
         seam = 1.0 + p1
         delta = 1e-10 * max(1.0, seam)
-        r_lo = _rates(a, seam - delta, p1, p2)[0]
-        r_hi = _rates(a, seam + delta, p1, p2)[0]
+        r_lo = _rates(a, seam - delta, p1, p2, _Math)[0]
+        r_hi = _rates(a, seam + delta, p1, p2, _Math)[0]
         assert abs(r_lo - r_hi) < 1e-9
 
     @given(CLOSED_GAINS, CLOSED_POWERS, CLOSED_POWERS)
     @settings(max_examples=100, deadline=None)
     def test_continuous_across_treat_as_noise_seam(self, a, p1, p2):
         delta = 1e-10
-        r_lo = _rates(a, 1.0 - delta, p1, p2)[0]
-        r_hi = _rates(a, 1.0 + delta, p1, p2)[0]
+        r_lo = _rates(a, 1.0 - delta, p1, p2, _Math)[0]
+        r_hi = _rates(a, 1.0 + delta, p1, p2, _Math)[0]
         assert abs(r_lo - r_hi) < 1e-9
 
 
@@ -211,7 +212,7 @@ class TestVectorizedTwin:
             ch = GaussianWthi(a, b, 50.0, 50.0)
             p1s = rng.uniform(0.0, 50.0, 6)
             p2s = rng.uniform(0.0, 50.0, 5)
-            grid = _rate_achievable_grid(ch, p1s, p2s)
+            grid = _rate_array(ch.a, ch.b, p1s[:, None], p2s)
             for i, p1 in enumerate(p1s):
                 for j, p2 in enumerate(p2s):
                     scalar, _ = rate_achievable(ch, PowerAllocation(p1, p2))
@@ -222,7 +223,7 @@ class TestVectorizedTwin:
         ch = GaussianWthi(3.4871134774380947, 25.52121996783805, 0.307563713665154,
                           2.4871134774380947)
         p1s, p2s = np.asarray([0.0, 0.1, ch.p1_max]), np.asarray([0.0, 1.0, ch.p2_max])
-        grid = _rate_achievable_grid(ch, p1s, p2s)
+        grid = _rate_array(ch.a, ch.b, p1s[:, None], p2s)
         assert grid[2, 2] == 0.0
         for i, p1 in enumerate(p1s):
             for j, p2 in enumerate(p2s):
@@ -234,7 +235,7 @@ class TestVectorizedTwin:
         # np.log1p and math.log1p may differ in the last bit, so the two agree
         # on the exact zeros and to 1e-12 elsewhere, not bit for bit
         ch, p1s, p2s = case
-        grid = _rate_achievable_grid(ch, p1s, p2s)
+        grid = _rate_array(ch.a, ch.b, p1s[:, None], p2s)
         for i, p1 in enumerate(p1s):
             for j, p2 in enumerate(p2s):
                 scalar, _ = rate_achievable(ch, PowerAllocation(p1, p2))
