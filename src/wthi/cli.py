@@ -12,22 +12,6 @@ bounds            the three secrecy-capacity upper bounds, the best of them and
                   the Sato minimizer
 dmc               binning achievable rate of a finite-alphabet channel file
 simulate          Monte Carlo run of the binning code on a channel file
-
-Configuration precedence: built-in defaults, then the ``--config`` JSON file,
-which may set only the fields of its subcommand's flags and ``out``, then
-explicit command-line flags.  Sweep outputs are CSV with ``#`` comment lines
-carrying the tool version, units and the configuration: ``mode`` and the
-fields of the subcommand's flags but ``out``; single-point outputs are JSON
-that echoes it under ``config``.  Without ``mode``, the echo is a config file
-that reproduces the output; ``dmc`` and ``simulate`` echo the channel file's
-path, not its content, so only while that file is unchanged.  The writers add
-the configuration and pick the destination, so each runner only computes.  CSV
-floats have 12 significant digits, so outputs are byte-reproducible for a
-fixed configuration and version; ``simulate`` prints its wall time to stderr,
-not into its JSON.  A result with an infinite or NaN value has neither form,
-so it is a validation error.
-
-Exit codes: 0 success, 2 validation error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -50,7 +34,7 @@ from .errors import (DeskScaleError, DomainError, RegimeMismatchError, _check_bu
                      _is_integral, _require_finite_nonneg)
 from .gaussian import (GaussianWthi, PowerAllocation, _rate_array, _wiretap_rate, rate_achievable,
                        rate_wiretap)
-from .power import optimal_power
+from .power import _policy_axis, optimal_power
 
 _GAINS = ("a", "b", "p1_max", "p2_max")
 _RANGE = ("start", "stop", "points", "spacing")
@@ -74,8 +58,8 @@ _FLAG_OPTIONS = {
 }
 
 
-# Most points one sweep evaluates: at the cap, sweep-interferer peaks at 120 MB in 1.9 s and a
-# log-spaced sweep-symmetric at 82 MB in 1.7 s on a Xeon core
+# Most points one sweep evaluates: at the cap, sweep-interferer peaks at 110 MB in 0.6 s and a
+# log-spaced sweep-symmetric at 85 MB in 1.1 s on a Xeon core
 _MAX_POINTS = 2**18
 
 
@@ -118,6 +102,8 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise ConfigError(f"mode {cfg.mode!r} requires a channel file")
     if "grid" in cfg:
         _count("grid", cfg.grid, 3)
+    for name in (name for name in _GAINS if name in cfg):  # a sweep builds no channel per point
+        _require_finite_nonneg(name, getattr(cfg, name))
 
 
 def _axis(cfg: argparse.Namespace) -> np.ndarray:
@@ -193,18 +179,9 @@ def _json_config(cfg: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(cfg).items() if k != "out"}
 
 
-def _policy_powers(chans, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form policy's (p1, p2) at each of ``count`` channels, one channel at a
-    time, streamed into two float arrays."""
-    allocs = (optimal_power(ch)[0] for ch in chans)
-    pairs = np.fromiter(((al.p1, al.p2) for al in allocs), np.dtype((float, 2)), count)
-    return pairs[:, 0], pairs[:, 1]
-
-
 def run_sweep_symmetric(cfg: argparse.Namespace) -> str:
     a = _axis(cfg)
-    chans = (GaussianWthi(x, x, cfg.p1_max, cfg.p2_max) for x in a.tolist())
-    p1, p2 = _policy_powers(chans, a.size)
+    p1, p2 = _policy_axis(a, a, cfg.p1_max, cfg.p2_max)
     with np.errstate(all="ignore"):  # write_csv refuses a non-finite cell
         columns = [a, _rate_array(a, a, p1, p2, strict=True), _wiretap_rate(a, cfg.p1_max, np)]
     return write_csv(cfg, ["a", "rate_with_interferer", "rate_wiretap"], np.column_stack(columns))
@@ -212,8 +189,8 @@ def run_sweep_symmetric(cfg: argparse.Namespace) -> str:
 
 def run_sweep_interferer(cfg: argparse.Namespace) -> str:
     a, b, p1_max, p2_max = cfg.a, cfg.b, cfg.p1_max, _axis(cfg)
-    p1, p2 = _policy_powers((GaussianWthi(a, b, p1_max, x) for x in p2_max.tolist()), p2_max.size)
     main = bound_main_channel(GaussianWthi(a, b, p1_max, 0.0))  # the same at every p2_max
+    p1, p2 = _policy_axis(a, b, p1_max, p2_max)
     with np.errstate(all="ignore"):  # write_csv refuses a non-finite cell
         columns = [p2_max, _rate_array(a, b, p1, p2, strict=True), np.full(p2_max.size, main),
                    _sato(a, b, p1_max, p2_max, np)[2], _z_bound(a, p1_max, p2_max, np)]

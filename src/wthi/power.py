@@ -68,68 +68,51 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
-def _branch_points(ch: GaussianWthi) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _branch_points(a, b, ratio=_ratio) -> tuple[tuple, tuple]:
     """The power levels where the policy changes branch: (p1 levels, p2 levels).
 
     p1: b - 1 (decode-and-cancel), (b-1)/(1-ab), (b-a)/(a(1-b)).  p2: a - 1,
     (a-1)/(1-ab), (1-a)/(ab-1).  A ratio is +inf where its denominator is not
     positive, which routes each such case to the correct limiting branch.
     """
-    a, b = ch.a, ch.b
-    return ((b - 1.0, _ratio(b - 1.0, 1.0 - a * b), _ratio(b - a, a * (1.0 - b))),
-            (a - 1.0, _ratio(a - 1.0, 1.0 - a * b), _ratio(1.0 - a, a * b - 1.0)))
+    return ((b - 1.0, ratio(b - 1.0, 1.0 - a * b), ratio(b - a, a * (1.0 - b))),
+            (a - 1.0, ratio(a - 1.0, 1.0 - a * b), ratio(1.0 - a, a * b - 1.0)))
 
 
 # Keys of ``_menu``, in the order a boundary rates its allocations.
 _SILENT, _TRANSMIT, _FULL, _CANCEL, _STATIONARY = range(5)
 
 
-def _menu(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[tuple[float, float] | None, ...]:
-    """Every (p1, p2) the case analysis can prescribe, by key; ``None`` where inapplicable."""
-    pb1, pb2 = ch.p1_max, ch.p2_max
+def _menu(pb1, pb2, p1_star, p2_star, least=min) -> tuple:
+    """Every (p1, p2) the case analysis can prescribe, by key, over floats or arrays (with
+    ``np.fmin``); ``None`` where inapplicable, but a ``None`` p2_star means unbounded."""
     return ((0.0, 0.0), (pb1, 0.0), (pb1, pb2),
-            None if inter.p1_star is None else (min(pb1, inter.p1_star), pb2),
-            None if inter.p2_star is None else (pb1, min(pb2, inter.p2_star)))
+            None if p1_star is None else (least(pb1, p1_star), pb2),
+            (pb1, pb2 if p2_star is None else least(pb2, p2_star)))
 
 
-def _prescribed(ch: GaussianWthi, inter: PolicyIntermediates) -> tuple[int, bool]:
-    """Closed-form case analysis on the gains and power caps.
-
-    Returns the ``_menu`` key of the prescribed allocation plus a flag saying
-    that a comparison the analysis evaluated sits on (or numerically at) a
-    branch boundary, where the caller compares the whole menu.
-    """
-    a, b = ch.a, ch.b
-    pb1, pb2 = ch.p1_max, ch.p2_max
-    (cancel1, joint1, harm1), (silent2, noise2, cancel2) = _branch_points(ch)
-    # p2_star is None only where it means "unbounded" (b = 0, overflow) on its branches
-    stationary = _FULL if inter.p2_star is None else _STATIONARY
-    # a comparison within 1e-9 (relative above 1, absolute below) sits on a branch
-    # boundary; every comparison has a finite side, so no two operands are both inf
-    boundary = a >= 1.0 and math.isclose(a, 1.0, rel_tol=1e-9, abs_tol=1e-9)
-
-    def gt(x: float, y: float) -> bool:  # x >= y is ``not gt(y, x)``: no operand is nan
-        nonlocal boundary
-        boundary = boundary or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
-        return x > y
-
-    inv_a = _ratio(1.0, a)
-    if a >= 1.0:
+def _prescribed(a, b, pb1, pb2, upper, gt, ratio=_ratio) -> int:
+    """Closed-form case analysis on the gains and power caps: the ``_menu`` key of
+    the prescribed allocation.  ``upper`` says a >= 1 and ``gt(x, y)`` says x > y,
+    so each caller tracks the comparisons that sit on a branch boundary."""
+    (cancel1, joint1, harm1), (silent2, noise2, cancel2) = _branch_points(a, b, ratio)
+    inv_a = ratio(1.0, a)
+    if upper:
         if gt(b, 1.0) and gt(pb2, silent2):
-            return _CANCEL, boundary
+            return _CANCEL
         if gt(inv_a, b) and gt(pb2, noise2):
-            return stationary, boundary
-        return _SILENT, boundary
+            return _STATIONARY
+        return _SILENT
 
     if not gt(inv_a, b) and not gt(cancel1, pb1) and not gt(cancel2, pb2):
-        return _CANCEL, boundary
+        return _CANCEL
     if gt(1.0, b) and not gt(harm1, pb1):
-        return stationary, boundary
+        return _STATIONARY
     if (not gt(1.0, b) and not gt(b, inv_a) and gt(pb1, joint1)) or (
         gt(b, a) and gt(1.0, b) and gt(harm1, pb1)
     ):
-        return _TRANSMIT, boundary
-    return _FULL, boundary
+        return _TRANSMIT
+    return _FULL
 
 
 def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediates]:
@@ -145,15 +128,60 @@ def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediate
     rate); equal rates go to the lower p1 + p2, then the lower p1, then the
     lower p2, so the result does not depend on the menu order.
     """
+    a, pb1, pb2 = ch.a, ch.p1_max, ch.p2_max
+    # a comparison within 1e-9 (relative above 1, absolute below) sits on a branch
+    # boundary; every comparison has a finite side, so no two operands are both inf
+    on_boundary = a >= 1.0 and math.isclose(a, 1.0, rel_tol=1e-9, abs_tol=1e-9)
+
+    def gt(x: float, y: float) -> bool:  # x >= y is ``not gt(y, x)``: no operand is nan
+        nonlocal on_boundary
+        on_boundary = on_boundary or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+        return x > y
+
     inter = intermediates(ch)
-    key, on_boundary = _prescribed(ch, inter)
-    menu = _menu(ch, inter)
+    key = _prescribed(a, ch.b, pb1, pb2, a >= 1.0, gt)
+    menu = _menu(pb1, pb2, inter.p1_star, inter.p2_star)
     if not on_boundary:
         return PowerAllocation(*menu[key]), inter
     rates = {pair: rate_achievable(ch, PowerAllocation(*pair))[0]
              for pair in filter(None, dict.fromkeys(menu))}  # None marks inapplicable
     p1, p2 = min(rates, key=lambda pair: (-rates[pair], pair[0] + pair[1], *pair))
     return PowerAllocation(p1, p2), inter
+
+
+def _policy_axis(a, b, p1_max, p2_max) -> tuple[np.ndarray, np.ndarray]:
+    """``optimal_power``'s (p1, p2), ``==``, at each point of gains and caps that broadcast
+    into one axis.  Each pass follows the first point left through ``_prescribed``; the
+    points that answer its every comparison alike, none within 1e-9 of a tie, take its menu
+    entry.  Near ties go through ``optimal_power`` last, in axis order."""
+    axis = np.broadcast_arrays(*(np.asarray(x, float) for x in (a, b, p1_max, p2_max)))
+    p1, p2, tie, rest = np.empty(axis[0].size), np.empty(axis[0].size), [], np.arange(axis[0].size)
+
+    def ratio(num, den):  # ``_ratio`` over arrays
+        return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
+
+    with np.errstate(all="ignore"):
+        while rest.size:
+            a, b, pb1, pb2 = (x[rest] for x in axis)
+            same, near = np.ones(rest.size, bool), np.zeros(rest.size, bool)
+            def gt(x, y) -> bool:  # as in optimal_power, no two operands are both inf
+                d, answers = abs(x - y), x > y
+                near[:] |= np.isfinite(d) & (d <= 1e-9 * np.maximum(abs(x), abs(y)).clip(1.0))
+                same[:] &= answers == answers[0]
+                return bool(answers[0])
+            key = _prescribed(a, b, pb1, pb2, not gt(1.0, a), gt, ratio)
+            on, p2_star = same & ~near, None
+            if key == _STATIONARY:  # intermediates once per distinct (a, b, p1_max)
+                gains = list(zip(a[on].tolist(), b[on].tolist(), pb1[on].tolist()))
+                star = {g: intermediates(GaussianWthi(*g, 0.0)).p2_star for g in set(gains)}
+                p2_star = np.array([star[g] for g in gains], float)  # None reads as nan
+            p1[rest[on]], p2[rest[on]] = _menu(pb1[on], pb2[on], b[on] - 1.0, p2_star, np.fmin)[key]
+            tie.extend(rest[same & near].tolist())
+            rest = rest[~same]
+    for i in sorted(tie):
+        alloc = optimal_power(GaussianWthi(*(x[i] for x in axis)))[0]
+        p1[i], p2[i] = alloc.p1, alloc.p2
+    return p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +221,7 @@ def grid_oracle_detailed(ch: GaussianWthi, n1: int, n2: int) -> GridOracleResult
     """
     n1, n2 = _count("n1", n1, 2), _count("n2", n2, 2)
     _check_budget(n1 * n2, "oracle grid points")
-    p1_levels, p2_levels = _branch_points(ch)
+    p1_levels, p2_levels = _branch_points(ch.a, ch.b)
     ax1 = _axis(ch.p1_max, n1, p1_levels)
     ax2 = _axis(ch.p2_max, n2, (*p2_levels, intermediates(ch).p2_star))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below

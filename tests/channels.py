@@ -49,6 +49,11 @@ def fleet_channel(rng: np.random.Generator) -> GaussianWthi:
     return GaussianWthi(a, b, p1, p2)
 
 
+# A fleet channel drawn from a hypothesis-chosen seed
+FLEET_CHANNELS = st.integers(0, 2**32 - 1).map(
+    lambda seed: fleet_channel(np.random.default_rng(seed)))
+
+
 def bsc(eps: float) -> np.ndarray:
     """Transition matrix of a binary symmetric channel, rows p(y|x)."""
     return np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])

@@ -79,7 +79,7 @@ def grid_oracle_reference(ch: GaussianWthi, n1: int, n2: int) -> power.GridOracl
     raise, so the column-pruned oracle must return ``==`` results and raise
     ``DomainError`` on the same channels.
     """
-    p1_levels, p2_levels = power._branch_points(ch)
+    p1_levels, p2_levels = power._branch_points(ch.a, ch.b)
     ax1 = power._axis(ch.p1_max, n1, p1_levels)
     ax2 = power._axis(ch.p2_max, n2, (*p2_levels, power.intermediates(ch).p2_star))
     with np.errstate(over="ignore", invalid="ignore"):

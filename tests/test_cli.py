@@ -25,7 +25,7 @@ from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
 from wthi.power import optimal_power
 
-from channels import (channel_document, closed_channels, fleet_channel, noiseless_blind_channel,
+from channels import (FLEET_CHANNELS, channel_document, closed_channels, noiseless_blind_channel,
                       trend_channel)
 from oracles import concave_envelope
 
@@ -113,11 +113,6 @@ def sweep_columns(mode: str, **fields) -> np.ndarray:
         mp.setattr(cli, "write_csv", lambda cfg, header, rows: captured.append(rows))
         cli._SUBCOMMANDS[mode][0](cli.load_config(mode, None, fields))
     return captured[0]
-
-
-# A fleet channel drawn from a hypothesis-chosen seed
-FLEET_CHANNELS = st.integers(0, 2**32 - 1).map(
-    lambda seed: fleet_channel(np.random.default_rng(seed)))
 
 
 class TestSweepColumns:
@@ -505,6 +500,11 @@ class TestOutputContract:
         (["simulate", "--channel", "{tmp}/blind.json", "--r1s", "200"],
          "codebook size 2^2000 exceeds the budget 1048576"),
         (["bounds", "--a", "1" + "0" * 400], "a must be finite and >= 0, got inf"),
+        # a sweep fails as a scalar loop over its axis would, at its first failing point
+        (["sweep-interferer", "--a", "0", "--b", "1", "--p1-max", "1.7e308", "--start", "0",
+          "--stop", "1.7e308", "--points", "5"],
+         "a capacity overflows at GaussianWthi(a=0.0, b=1.0, p1_max=1.7e+308, p2_max=4.25e+307) "
+         "and PowerAllocation(p1=1.7e+308, p2=4.25e+307)"),
         (["sweep-symmetric", "--points", str(2**18 + 1)],
          "262145 points exceed the desk-scale budget 262144"),
         (["simulate", "--channel", "{tmp}/blind.json", "--trials", "4000001"],

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import warnings
 from dataclasses import astuple
 
@@ -20,7 +21,7 @@ from wthi.power import (
     optimal_power,
 )
 
-from channels import EXTREMES, SEAMS, closed_channels, fleet_channel
+from channels import EXTREMES, FLEET_CHANNELS, SEAMS, closed_channels, fleet_channel
 from oracles import grid_oracle_reference, half_log2, rate_achievable_reference
 
 
@@ -178,13 +179,22 @@ def hexed(out):
 
 
 def boundary_menu(ch: GaussianWthi) -> dict[tuple[float, float], float] | None:
-    """The rate of each distinct menu allocation where ``_prescribed`` flags a
-    boundary, or None off one; a rate that overflows raises DomainError."""
-    inter = intermediates(ch)
-    if not power._prescribed(ch, inter)[1]:
+    """The rate of each distinct menu allocation where a comparison of ``_prescribed``
+    sits within 1e-9 of a tie (or a >= 1 does), or None off a boundary; a rate that
+    overflows raises DomainError."""
+    near = [ch.a >= 1.0 and math.isclose(ch.a, 1.0, rel_tol=1e-9, abs_tol=1e-9)]
+
+    def gt(x: float, y: float) -> bool:
+        near.append(math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9))
+        return x > y
+
+    power._prescribed(ch.a, ch.b, ch.p1_max, ch.p2_max, ch.a >= 1.0, gt)
+    if not any(near):
         return None
+    inter = intermediates(ch)
     return {pair: rate_achievable(ch, PowerAllocation(*pair))[0]
-            for pair in set(power._menu(ch, inter)) - {None}}
+            for pair in set(power._menu(ch.p1_max, ch.p2_max, inter.p1_star, inter.p2_star))
+            - {None}}
 
 
 def assert_exact_menu_best(rates: dict[tuple[float, float], float], alloc: PowerAllocation):
@@ -371,6 +381,50 @@ class TestBoundaryMenu:
                 assert_exact_menu_best(rates, PowerAllocation(*sweep["optimal_power"][gains]))
                 checked += 1
         assert checked > 4000
+
+
+class TestPolicyAxis:
+    # The sweeps' array policy returns optimal_power's allocation, ==, at every point
+    # of an axis; where a point raises, it raises the first such point's error
+
+    @staticmethod
+    def assert_matches_optimal_power(a, b, p1_max, p2_max):
+        gains = zip(*(x.tolist() for x in np.broadcast_arrays(a, b, p1_max, p2_max)))
+        try:
+            want = [astuple(optimal_power(GaussianWthi(*g))[0]) for g in gains]
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                power._policy_axis(a, b, p1_max, p2_max)
+            return
+        p1, p2 = power._policy_axis(a, b, p1_max, p2_max)
+        assert list(zip(p1.tolist(), p2.tolist())) == want
+
+    @given(closed_channels() | FLEET_CHANNELS, st.integers(9, 33))
+    @settings(max_examples=300, deadline=None)
+    def test_symmetric_axis(self, ch, points):
+        # the axis a = b ends on the drawn b, which sits on the drawn seam
+        axis = np.linspace(0.0, ch.b or 1.0, points)
+        self.assert_matches_optimal_power(axis, axis, ch.p1_max, ch.p2_max)
+
+    @given(closed_channels() | FLEET_CHANNELS, st.integers(9, 33))
+    @settings(max_examples=300, deadline=None)
+    def test_interferer_cap_axis(self, ch, points):
+        axis = np.linspace(0.0, ch.p2_max or 1.0, points)
+        self.assert_matches_optimal_power(ch.a, ch.b, ch.p1_max, axis)
+
+    @given(st.lists(st.tuples(*[st.sampled_from(EXTREMES)] * 4), min_size=2, max_size=12))
+    # one path's channel, then near ties that raise: one of another path, one of the first's
+    @example([(0.5, 2.0, 1e12, 1e12), (0.0, 1.0, 1.7e308, 1.7e308), (1e-12, 1e12, 1e12, 1e300)])
+    @settings(max_examples=200, deadline=None)
+    def test_extreme_channels_as_one_axis(self, channels):
+        self.assert_matches_optimal_power(*np.array(channels).T)
+
+    def test_extreme_grid_as_one_axis(self):
+        answered = {gains: out for gains, out in extreme_sweep()["optimal_power"].items()
+                    if out != "DomainError"}
+        assert len(answered) > 9000
+        p1, p2 = power._policy_axis(*np.array(list(answered)).T)
+        assert list(zip(p1.tolist(), p2.tolist())) == list(answered.values())
 
 
 class TestClosedDomain:
