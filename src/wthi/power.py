@@ -17,23 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_budget, _count
-from .gaussian import GaussianWthi, PowerAllocation, _rate_array, rate_achievable
+from .gaussian import GaussianWthi, PowerAllocation, _Math, _rate_array, rate_achievable
 
 
 @dataclass(frozen=True)
 class PolicyIntermediates:
-    """Candidate points of the closed-form policy; ``None`` marks inapplicable.
+    """Candidate points of the closed-form policy: ``_candidates`` of the channel, with
+    ``None`` for each value that is not finite (inapplicable, overflowed or NaN).
 
     p1_star: transmitter power that lets the receiver decode-and-cancel the
         interferer, b - 1 (defined only for b >= 1).
     p2_star: stationary interferer power of the treat-as-noise rate at full
         transmitter power (defined only for 0 < b, a*b < 1 and a nonnegative
         real root; every policy branch that uses it falls in that range).
-    delta: constant term (divided by b) of the stationarity quadratic in p2;
-        may be negative.
+    delta: constant term (divided by b) of the stationarity quadratic in p2 at
+        p1 = p1_max, [a - b + a(1-b) p1_max] / b; may be negative.
 
-    A value that overflows or is NaN is ``None`` too; the policy then takes the
-    stationary point as unbounded, which the full-power allocation covers.
+    A ``None`` p2_star reads as unbounded, which the full-power allocation covers.
     """
 
     p1_star: float | None
@@ -41,31 +41,31 @@ class PolicyIntermediates:
     delta: float | None
 
 
-def _p2_star(a: float, b: float, d: float | None) -> float | None:
-    if d is None or a * b >= 1.0:
-        return None
-    disc = (a - 1.0) * (a - 1.0) + (1.0 - a * b) * d
-    if disc < 0.0:
-        return None
-    root = ((a - 1.0) + math.sqrt(disc)) / (1.0 - a * b)
-    # A negative stationary point means the rate is already decreasing at
-    # p2 = 0; no branch uses the candidate there, so flag it inapplicable.
-    return root if root >= 0.0 else None
+def _ratio(num: float, den: float) -> float:
+    """num/den, or +inf where the denominator is not positive."""
+    return num / den if den > 0.0 else math.inf
+
+
+def _candidates(a, b, p1_max, xp=_Math, ratio=_ratio) -> tuple:
+    """(p1_star, p2_star, delta) of ``PolicyIntermediates``, nan where inapplicable, over
+    floats (``xp = _Math``, ``ratio = _ratio``) or arrays (numpy and an array divider).
+    No float operation raises: quotients go through ``ratio`` and the root clips the
+    discriminant at 0; the masks drop what that lets through."""
+    delta = xp.where(b > 0.0, ratio(a, b) * (1.0 + p1_max) - (1.0 + a * p1_max), math.nan)
+    disc = (a - 1.0) * (a - 1.0) + (1.0 - a * b) * delta
+    root = ratio((a - 1.0) + xp.sqrt(xp.maximum(disc, 0.0)), 1.0 - a * b)
+    # A negative stationary point means the rate already falls at p2 = 0, where no branch
+    # uses it; a delta that is not finite leaves p2_star masked or not finite.
+    p2_star = xp.where((disc >= 0.0) & (a * b < 1.0) & (root >= 0.0), root, math.nan)
+    return xp.where(b >= 1.0, b - 1.0, math.nan), p2_star, delta
 
 
 def intermediates(ch: GaussianWthi) -> PolicyIntermediates:
     """Candidate points used by the policy's case analysis."""
-    a, b = ch.a, ch.b
-    # Constant coefficient of the quadratic d/dp2 == 0 at p1 = p1_max,
-    # divided by b:  [a - b + a(1-b) p1_max] / b.
-    d = (a / b) * (1.0 + ch.p1_max) - (1.0 + a * ch.p1_max) if b > 0.0 else None
-    d = d if d is not None and math.isfinite(d) else None
-    return PolicyIntermediates(b - 1.0 if b >= 1.0 else None, _p2_star(a, b, d), d)
-
-
-def _ratio(num: float, den: float) -> float:
-    """num/den, or +inf where the denominator is not positive."""
-    return num / den if den > 0.0 else math.inf
+    p1_star, p2_star, delta = _candidates(ch.a, ch.b, ch.p1_max)
+    return PolicyIntermediates(p1_star if math.isfinite(p1_star) else None,
+                               p2_star if math.isfinite(p2_star) else None,
+                               delta if math.isfinite(delta) else None)
 
 
 def _branch_points(a, b, ratio=_ratio) -> tuple[tuple, tuple]:
@@ -85,7 +85,8 @@ _SILENT, _TRANSMIT, _FULL, _CANCEL, _STATIONARY = range(5)
 
 def _menu(pb1, pb2, p1_star, p2_star, least=min) -> tuple:
     """Every (p1, p2) the case analysis can prescribe, by key, over floats or arrays (with
-    ``np.fmin``); ``None`` where inapplicable, but a ``None`` p2_star means unbounded."""
+    ``np.fmin``, which reads a nan candidate as unbounded); a ``None`` p1_star makes the
+    cancel entry ``None`` (inapplicable), a ``None`` p2_star means unbounded."""
     return ((0.0, 0.0), (pb1, 0.0), (pb1, pb2),
             None if p1_star is None else (least(pb1, p1_star), pb2),
             (pb1, pb2 if p2_star is None else least(pb2, p2_star)))
@@ -170,12 +171,9 @@ def _policy_axis(a, b, p1_max, p2_max) -> tuple[np.ndarray, np.ndarray]:
                 same[:] &= answers == answers[0]
                 return bool(answers[0])
             key = _prescribed(a, b, pb1, pb2, not gt(1.0, a), gt, ratio)
-            on, p2_star = same & ~near, None
-            if key == _STATIONARY:  # intermediates once per distinct (a, b, p1_max)
-                gains = list(zip(a[on].tolist(), b[on].tolist(), pb1[on].tolist()))
-                star = {g: intermediates(GaussianWthi(*g, 0.0)).p2_star for g in set(gains)}
-                p2_star = np.array([star[g] for g in gains], float)  # None reads as nan
-            p1[rest[on]], p2[rest[on]] = _menu(pb1[on], pb2[on], b[on] - 1.0, p2_star, np.fmin)[key]
+            on = same & ~near
+            p1_star, p2_star, _ = _candidates(a[on], b[on], pb1[on], np, ratio)
+            p1[rest[on]], p2[rest[on]] = _menu(pb1[on], pb2[on], p1_star, p2_star, np.fmin)[key]
             tie.extend(rest[same & near].tolist())
             rest = rest[~same]
     for i in sorted(tie):

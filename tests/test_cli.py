@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -20,13 +21,14 @@ import wthi
 from wthi import cli
 from wthi.bounds import bound_main_channel, bound_sato, bound_z_channel
 from wthi.cli import main
-from wthi.dmc import achievable_rate
+from wthi.binning import CodebookSpec, simulate
+from wthi.dmc import ProductInput, achievable_rate, dmc_sato_bound
 from wthi.errors import DomainError
 from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable, rate_wiretap
-from wthi.power import optimal_power
+from wthi.power import grid_oracle_detailed, optimal_power
 
-from channels import (FLEET_CHANNELS, channel_document, closed_channels, noiseless_blind_channel,
-                      trend_channel)
+from channels import (FLEET_CHANNELS, channel_document, closed_channels, degraded_instance,
+                      fleet_channel, noiseless_blind_channel, trend_channel)
 from oracles import concave_envelope
 
 # Arbitrary JSON values; json.dumps writes a non-finite float as NaN or Infinity.
@@ -640,6 +642,13 @@ def readme_examples() -> list[list[str]]:
             if line.startswith("wthi ")]
 
 
+def dispatched_simd_features() -> str:
+    """The SIMD features numpy dispatches to on this CPU, as NPY_DISABLE_CPU_FEATURES
+    takes them."""
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    return " ".join(name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name])
+
+
 def test_readme_examples_are_byte_identical_across_blas_threads(tmp_path):
     # Each example runs in its own process, under 1 and under 2 BLAS threads, and
     # under 1 thread with numpy's dispatch to every SIMD feature it found on this
@@ -652,10 +661,9 @@ def test_readme_examples_are_byte_identical_across_blas_threads(tmp_path):
     src = str(Path(wthi.__file__).resolve().parents[1])
     one = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     legs = {"BLAS threads": {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}}
-    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
-    dispatched = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+    dispatched = dispatched_simd_features()
     if dispatched:
-        legs["SIMD level"] = {**one, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
+        legs["SIMD level"] = {**one, "NPY_DISABLE_CPU_FEATURES": dispatched}
     runs = {}
     for k, (leg, extra) in enumerate({"default": one, **legs}.items()):
         cwd = tmp_path / str(k)
@@ -669,3 +677,52 @@ def test_readme_examples_are_byte_identical_across_blas_threads(tmp_path):
     default = runs.pop("default")
     assert len(default[1]) == 4 and sum(out != b"" for out in default[0]) == 4
     assert [leg for leg, run in runs.items() if run != default] == []
+
+
+ORACLE_CALLS = "grid_oracle_detailed(ch, 50, 50) on 200 fleet channels"
+
+
+def library_calls() -> dict:
+    """Outputs of library calls by call, each array as its bytes: the DMC rate, the Sato
+    bound, the simulator at the rates of acceptance criterion 9, and ``ORACLE_CALLS``."""
+    rate, law, split = achievable_rate(trend_channel(), 21)
+    calls = {"achievable_rate(trend_channel(), 21)":
+             (rate, law.px1.tobytes(), law.px2.tobytes(), split),
+             "dmc_sato_bound(degraded_instance(), 9, 21)":
+             dmc_sato_bound(degraded_instance(), 9, 21)}
+    for n in (6, 10):
+        spec = CodebookSpec(n=n, r1s=0.703, r1d_prime=0.0, r1d_dprime=0.0, r2=0.52,
+                            r2_prime=1 / 14, r2_dprime=0.52 - 1 / 14)
+        res = simulate(trend_channel(), ProductInput.uniform(2, 2), spec, 0, 400)
+        calls[f"simulate(trend_channel(), n={n}, trials=400)"] = (
+            res, res.h_bits.tobytes(), res.errors.tobytes())
+    rng = np.random.default_rng(0)
+    calls[ORACLE_CALLS] = [grid_oracle_detailed(fleet_channel(rng), 50, 50) for _ in range(200)]
+    return calls
+
+
+def test_library_calls_are_bit_identical_across_simd_levels(tmp_path):
+    # ``library_calls`` runs in a child process under 1 BLAS thread, at the default
+    # SIMD level and with numpy's dispatch to every SIMD feature of this CPU turned off.
+    # The DMC rate, the Sato bound and both simulator runs must match bit for bit, and a
+    # failure names the call that moved.  The grid oracle rates through numpy's log1p,
+    # whose bits follow the SIMD level, so each channel must keep its allocation and
+    # match within 1e-14 relative on the rate and 1e-14 on eps_grid.
+    features = dispatched_simd_features()
+    if not features:
+        pytest.skip("numpy dispatches to no SIMD feature on this CPU")
+    path = os.pathsep.join([str(Path(wthi.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")])
+    code = ("import pickle, sys, test_cli\n"
+            "sys.stdout.buffer.write(pickle.dumps(test_cli.library_calls()))")
+    default, disabled = (pickle.loads(subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, check=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+             "PYTHONPATH": path, **extra}).stdout)
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": features}))
+    oracle, oracle_disabled = default.pop(ORACLE_CALLS), disabled.pop(ORACLE_CALLS)
+    assert len(default) == 4 and [call for call in default if disabled[call] != default[call]] == []
+    moved = [k for k, (x, y) in enumerate(zip(oracle, oracle_disabled))
+             if x.alloc != y.alloc or not math.isclose(x.rate, y.rate, rel_tol=1e-14)
+             or abs(x.eps_grid - y.eps_grid) > 1e-14]
+    assert len(oracle) == len(oracle_disabled) == 200 and moved == [], ORACLE_CALLS

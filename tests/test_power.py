@@ -136,6 +136,33 @@ class TestIntermediates:
         assert intermediates(GaussianWthi(2.0, 0.0, 5.0, 5.0)).p2_star is None  # b = 0
         assert intermediates(GaussianWthi(2.0, 0.0, 5.0, 5.0)).delta is None
 
+    @staticmethod
+    def assert_array_body_matches(channels):
+        # the one body over arrays gives each channel's intermediates: finite values
+        # ==, and a non-finite entry exactly where intermediates has None
+        a, b, p1_max = (np.array(x) for x in zip(*((ch.a, ch.b, ch.p1_max) for ch in channels)))
+
+        def ratio(num, den):
+            return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
+
+        with np.errstate(all="ignore"):
+            columns = power._candidates(a, b, p1_max, np, ratio)
+        for ch, *values in zip(channels, *(column.tolist() for column in columns)):
+            got = tuple(x if math.isfinite(x) else None for x in values)
+            assert got == astuple(intermediates(ch)), ch
+
+    @given(st.lists(closed_channels() | FLEET_CHANNELS, min_size=2, max_size=12))
+    # (a - 1)^2 and a/b overflow; a/b overflows alone; ab = 1
+    @example([GaussianWthi(1e300, 5e-324, 0.0, 0.0), GaussianWthi(5.0, 5e-324, 1.0, 1.0),
+              GaussianWthi(0.5, 2.0, 5.0, 5.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_array_body_matches_each_channel(self, channels):
+        self.assert_array_body_matches(channels)
+
+    def test_array_body_matches_on_the_extreme_grid(self):
+        self.assert_array_body_matches([GaussianWthi(*gains)
+                                        for gains in extreme_sweep()["optimal_power"]])
+
 
 # Oracle channels: the bench fleet's ranges, EXTREMES, fleet gains with the flat
 # column 1 + p2 - a - ab*p2 = 0 inside the box, and the closed domain on each seam
@@ -404,6 +431,13 @@ class TestPolicyAxis:
     def test_symmetric_axis(self, ch, points):
         # the axis a = b ends on the drawn b, which sits on the drawn seam
         axis = np.linspace(0.0, ch.b or 1.0, points)
+        self.assert_matches_optimal_power(axis, axis, ch.p1_max, ch.p2_max)
+
+    @given(closed_channels() | FLEET_CHANNELS, st.integers(9, 33))
+    @settings(max_examples=300, deadline=None)
+    def test_log_symmetric_axis(self, ch, points):
+        # every a = b < 1 point of the axis takes the stationary branch, each with its own p2*
+        axis = np.geomspace(1e-6, 1e6, points)
         self.assert_matches_optimal_power(axis, axis, ch.p1_max, ch.p2_max)
 
     @given(closed_channels() | FLEET_CHANNELS, st.integers(9, 33))
