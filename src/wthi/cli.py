@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -32,9 +33,8 @@ from .bounds import (_sato, _z_bound, bound_best, bound_main_channel, bound_sato
 from .dmc import DmcWthi, ProductInput, achievable_rate
 from .errors import (DeskScaleError, DomainError, RegimeMismatchError, _check_budget, _count,
                      _is_integral, _require_finite_nonneg)
-from .gaussian import (GaussianWthi, PowerAllocation, _rate_array, _wiretap_rate, rate_achievable,
-                       rate_wiretap)
-from .power import _policy_axis, optimal_power
+from .gaussian import GaussianWthi, PowerAllocation, _wiretap_rate, rate_achievable, rate_wiretap
+from .power import _policy_rate, optimal_power
 
 _GAINS = ("a", "b", "p1_max", "p2_max")
 _RANGE = ("start", "stop", "points", "spacing")
@@ -181,18 +181,16 @@ def _json_config(cfg: argparse.Namespace) -> dict:
 
 def run_sweep_symmetric(cfg: argparse.Namespace) -> str:
     a = _axis(cfg)
-    p1, p2 = _policy_axis(a, a, cfg.p1_max, cfg.p2_max)
     with np.errstate(all="ignore"):  # write_csv refuses a non-finite cell
-        columns = [a, _rate_array(a, a, p1, p2, strict=True), _wiretap_rate(a, cfg.p1_max, np)]
+        columns = [a, _policy_rate(a, a, cfg.p1_max, cfg.p2_max), _wiretap_rate(a, cfg.p1_max, np)]
     return write_csv(cfg, ["a", "rate_with_interferer", "rate_wiretap"], np.column_stack(columns))
 
 
 def run_sweep_interferer(cfg: argparse.Namespace) -> str:
     a, b, p1_max, p2_max = cfg.a, cfg.b, cfg.p1_max, _axis(cfg)
     main = bound_main_channel(GaussianWthi(a, b, p1_max, 0.0))  # the same at every p2_max
-    p1, p2 = _policy_axis(a, b, p1_max, p2_max)
     with np.errstate(all="ignore"):  # write_csv refuses a non-finite cell
-        columns = [p2_max, _rate_array(a, b, p1, p2, strict=True), np.full(p2_max.size, main),
+        columns = [p2_max, _policy_rate(a, b, p1_max, p2_max), np.full(p2_max.size, main),
                    _sato(a, b, p1_max, p2_max, np)[2], _z_bound(a, p1_max, p2_max, np)]
     return write_csv(cfg, ["p2_max", "achievable", "bound_main", "bound_sato", "bound_z"],
                      np.column_stack(columns))
@@ -285,6 +283,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wthi",

@@ -6,7 +6,10 @@ the maximizing allocation over the box [0, p1_max] x [0, p2_max] is given by
 a small case analysis: it compares the gains (a, b) with 1 and 1/a, and the
 power caps with the levels of ``_branch_points``.  It prescribes one entry of
 ``_menu``, and on a branch boundary each distinct menu entry is rated once.
-``grid_oracle_detailed`` checks it on a grid with the same levels as grid lines.
+The prescription is the best entry of the menu, so over an axis of channels (the
+CLI sweeps) ``_policy_rate`` rates the whole menu with numpy and takes the best
+rate, with no case analysis.  ``grid_oracle_detailed`` checks the policy on a
+grid with the same levels as grid lines.
 """
 
 from __future__ import annotations
@@ -68,15 +71,15 @@ def intermediates(ch: GaussianWthi) -> PolicyIntermediates:
                                delta if math.isfinite(delta) else None)
 
 
-def _branch_points(a, b, ratio=_ratio) -> tuple[tuple, tuple]:
+def _branch_points(a, b) -> tuple[tuple, tuple]:
     """The power levels where the policy changes branch: (p1 levels, p2 levels).
 
     p1: b - 1 (decode-and-cancel), (b-1)/(1-ab), (b-a)/(a(1-b)).  p2: a - 1,
     (a-1)/(1-ab), (1-a)/(ab-1).  A ratio is +inf where its denominator is not
     positive, which routes each such case to the correct limiting branch.
     """
-    return ((b - 1.0, ratio(b - 1.0, 1.0 - a * b), ratio(b - a, a * (1.0 - b))),
-            (a - 1.0, ratio(a - 1.0, 1.0 - a * b), ratio(1.0 - a, a * b - 1.0)))
+    return ((b - 1.0, _ratio(b - 1.0, 1.0 - a * b), _ratio(b - a, a * (1.0 - b))),
+            (a - 1.0, _ratio(a - 1.0, 1.0 - a * b), _ratio(1.0 - a, a * b - 1.0)))
 
 
 # Keys of ``_menu``, in the order a boundary rates its allocations.
@@ -92,13 +95,13 @@ def _menu(pb1, pb2, p1_star, p2_star, least=min) -> tuple:
             (pb1, pb2 if p2_star is None else least(pb2, p2_star)))
 
 
-def _prescribed(a, b, pb1, pb2, upper, gt, ratio=_ratio) -> int:
+def _prescribed(a, b, pb1, pb2, gt) -> int:
     """Closed-form case analysis on the gains and power caps: the ``_menu`` key of
-    the prescribed allocation.  ``upper`` says a >= 1 and ``gt(x, y)`` says x > y,
-    so each caller tracks the comparisons that sit on a branch boundary."""
-    (cancel1, joint1, harm1), (silent2, noise2, cancel2) = _branch_points(a, b, ratio)
-    inv_a = ratio(1.0, a)
-    if upper:
+    the prescribed allocation.  ``gt(x, y)`` says x > y, so each caller tracks the
+    comparisons that sit on a branch boundary."""
+    (cancel1, joint1, harm1), (silent2, noise2, cancel2) = _branch_points(a, b)
+    inv_a = _ratio(1.0, a)
+    if a >= 1.0:
         if gt(b, 1.0) and gt(pb2, silent2):
             return _CANCEL
         if gt(inv_a, b) and gt(pb2, noise2):
@@ -140,7 +143,7 @@ def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediate
         return x > y
 
     inter = intermediates(ch)
-    key = _prescribed(a, ch.b, pb1, pb2, a >= 1.0, gt)
+    key = _prescribed(a, ch.b, pb1, pb2, gt)
     menu = _menu(pb1, pb2, inter.p1_star, inter.p2_star)
     if not on_boundary:
         return PowerAllocation(*menu[key]), inter
@@ -150,36 +153,27 @@ def optimal_power(ch: GaussianWthi) -> tuple[PowerAllocation, PolicyIntermediate
     return PowerAllocation(p1, p2), inter
 
 
-def _policy_axis(a, b, p1_max, p2_max) -> tuple[np.ndarray, np.ndarray]:
-    """``optimal_power``'s (p1, p2), ``==``, at each point of gains and caps that broadcast
-    into one axis.  Each pass follows the first point left through ``_prescribed``; the
-    points that answer its every comparison alike, none within 1e-9 of a tie, take its menu
-    entry.  Near ties go through ``optimal_power`` last, in axis order."""
+def _policy_rate(a, b, p1_max, p2_max) -> np.ndarray:
+    """The rate of ``optimal_power``'s allocation, within rounding, at each point of gains
+    and caps that broadcast into one axis: the best ``_rate_array`` of the four non-silent
+    ``_menu`` entries (the silent one rates 0, which no rate undercuts).  The policy is
+    the best of its menu, and a maximum does not depend on how ties are broken.  Where a
+    menu rate overflows, the point rates ``optimal_power``'s own allocation, in axis
+    order, so a sweep fails at the point and with the error that the policy does."""
     axis = np.broadcast_arrays(*(np.asarray(x, float) for x in (a, b, p1_max, p2_max)))
-    p1, p2, tie, rest = np.empty(axis[0].size), np.empty(axis[0].size), [], np.arange(axis[0].size)
 
     def ratio(num, den):  # ``_ratio`` over arrays
         return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
 
     with np.errstate(all="ignore"):
-        while rest.size:
-            a, b, pb1, pb2 = (x[rest] for x in axis)
-            same, near = np.ones(rest.size, bool), np.zeros(rest.size, bool)
-            def gt(x, y) -> bool:  # as in optimal_power, no two operands are both inf
-                d, answers = abs(x - y), x > y
-                near[:] |= np.isfinite(d) & (d <= 1e-9 * np.maximum(abs(x), abs(y)).clip(1.0))
-                same[:] &= answers == answers[0]
-                return bool(answers[0])
-            key = _prescribed(a, b, pb1, pb2, not gt(1.0, a), gt, ratio)
-            on = same & ~near
-            p1_star, p2_star, _ = _candidates(a[on], b[on], pb1[on], np, ratio)
-            p1[rest[on]], p2[rest[on]] = _menu(pb1[on], pb2[on], p1_star, p2_star, np.fmin)[key]
-            tie.extend(rest[same & near].tolist())
-            rest = rest[~same]
-    for i in sorted(tie):
-        alloc = optimal_power(GaussianWthi(*(x[i] for x in axis)))[0]
-        p1[i], p2[i] = alloc.p1, alloc.p2
-    return p1, p2
+        p1_star, p2_star, _ = _candidates(*axis[:3], np, ratio)
+        menu = _menu(*axis[2:], p1_star, p2_star, np.fmin)[_TRANSMIT:]
+        rates = np.max([_rate_array(a, b, p1, p2, strict=True) for p1, p2 in menu], axis=0)
+        for i in np.flatnonzero(np.isnan(rates)).tolist():
+            alloc = optimal_power(GaussianWthi(*(x[i] for x in axis)))[0]
+            rates[i:i + 1] = _rate_array(*(x[i:i + 1] for x in axis[:2]), alloc.p1, alloc.p2,
+                                         strict=True)
+    return rates
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ def rate_achievable_reference(a: float, b: float, p1: float, p2: float) -> float
         return float(max(assisted, c(p1) - c(a * p1), 0))
 
 
+def sweep_tolerance(a: float, b: float, p1_max: float, p2_max: float) -> float:
+    """How far a sweep's cell, evaluated over the axis with numpy, may sit from the scalar
+    function at its row's channel, evaluated with libm (whose log1p, log and sqrt may differ
+    by an ulp): 8 ulps of the largest capacity the formulas take, C((1+a)p1 + (1+b)p2)."""
+    return 8 * 2.0**-52 * (1.0 + 0.5 * math.log2(1.0 + (1.0 + a) * p1_max + (1.0 + b) * p2_max))
+
+
 def grid_oracle_reference(ch: GaussianWthi, n1: int, n2: int) -> power.GridOracleResult:
     """``power.grid_oracle_detailed`` as an exhaustive scan: every grid point is rated.
 

@@ -29,7 +29,7 @@ from wthi.power import grid_oracle_detailed, optimal_power
 
 from channels import (FLEET_CHANNELS, channel_document, closed_channels, degraded_instance,
                       fleet_channel, noiseless_blind_channel, trend_channel)
-from oracles import concave_envelope
+from oracles import concave_envelope, sweep_tolerance
 
 # Arbitrary JSON values; json.dumps writes a non-finite float as NaN or Infinity.
 JSON_VALUES = st.recursive(
@@ -119,13 +119,12 @@ def sweep_columns(mode: str, **fields) -> np.ndarray:
 
 class TestSweepColumns:
     # A sweep evaluates its columns over the whole axis with numpy, where the
-    # scalar functions use libm; numpy's log1p, log and sqrt may differ by an
-    # ulp.  Each cell must equal the scalar function at its row's channel within
-    # 8 ulps of the largest capacity the formulas take, C((1+a)p1 + (1+b)p2).
+    # scalar functions use libm.  Each cell must equal the scalar function at its
+    # row's channel within ``sweep_tolerance``.
     @staticmethod
     def assert_cells(cells, expected, ch: GaussianWthi):
-        scale = 0.5 * math.log2(1.0 + (1.0 + ch.a) * ch.p1_max + (1.0 + ch.b) * ch.p2_max)
-        assert np.abs(np.subtract(cells, expected)).max() <= 8 * 2.0**-52 * (1.0 + scale)
+        tolerance = sweep_tolerance(ch.a, ch.b, ch.p1_max, ch.p2_max)
+        assert np.abs(np.subtract(cells, expected)).max() <= tolerance
 
     @given(closed_channels())
     @settings(max_examples=150, deadline=None)
@@ -632,6 +631,22 @@ def test_docs_list_the_parser_subcommands():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     in_readme = re.findall(r"^\| `([a-z-]+)`", readme.read_text(encoding="utf-8"), re.MULTILINE)
     assert in_docstring == in_readme == list(action.choices)
+
+
+def test_one_parser_serves_every_call_and_keeps_no_flag(capsys):
+    # main parses with one cached parser; each of two calls in a row writes the bytes it
+    # writes alone in a fresh process, so a flag of the first does not reach the second
+    assert cli.build_parser() is cli.build_parser()
+    calls = [["sweep-symmetric", "--p1-max", "3"], ["sweep-symmetric"]]
+    src = str(Path(wthi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    alone = [subprocess.run([sys.executable, "-m", "wthi.cli", *args], env=env,
+                            capture_output=True, check=True).stdout for args in calls]
+    in_turn = []
+    for args in calls:
+        assert main(args) == 0
+        in_turn.append(capsys.readouterr().out.encode())
+    assert in_turn == alone and alone[0] != alone[1]
 
 
 def readme_examples() -> list[list[str]]:

@@ -22,7 +22,8 @@ from wthi.power import (
 )
 
 from channels import EXTREMES, FLEET_CHANNELS, SEAMS, closed_channels, fleet_channel
-from oracles import grid_oracle_reference, half_log2, rate_achievable_reference
+from oracles import (grid_oracle_reference, half_log2, rate_achievable_reference,
+                     sweep_tolerance)
 
 
 class TestOptimalPower:
@@ -215,7 +216,7 @@ def boundary_menu(ch: GaussianWthi) -> dict[tuple[float, float], float] | None:
         near.append(math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9))
         return x > y
 
-    power._prescribed(ch.a, ch.b, ch.p1_max, ch.p2_max, ch.a >= 1.0, gt)
+    power._prescribed(ch.a, ch.b, ch.p1_max, ch.p2_max, gt)
     if not any(near):
         return None
     inter = intermediates(ch)
@@ -410,21 +411,28 @@ class TestBoundaryMenu:
         assert checked > 4000
 
 
-class TestPolicyAxis:
-    # The sweeps' array policy returns optimal_power's allocation, ==, at every point
-    # of an axis; where a point raises, it raises the first such point's error
+class TestPolicyRate:
+    # The sweeps' rate over an axis is the rate of optimal_power's allocation: nan at the
+    # same points, never below it, and within the sweeps' rounding tolerance above it
+    # (the best menu rate can round higher); where a point raises, it raises the first
+    # such point's error
 
     @staticmethod
     def assert_matches_optimal_power(a, b, p1_max, p2_max):
-        gains = zip(*(x.tolist() for x in np.broadcast_arrays(a, b, p1_max, p2_max)))
+        axis = np.broadcast_arrays(*(np.asarray(x, float) for x in (a, b, p1_max, p2_max)))
         try:
-            want = [astuple(optimal_power(GaussianWthi(*g))[0]) for g in gains]
+            allocs = [optimal_power(GaussianWthi(*g))[0] for g in zip(*(x.tolist() for x in axis))]
         except DomainError as exc:
             with pytest.raises(DomainError, match=re.escape(str(exc))):
-                power._policy_axis(a, b, p1_max, p2_max)
+                power._policy_rate(a, b, p1_max, p2_max)
             return
-        p1, p2 = power._policy_axis(a, b, p1_max, p2_max)
-        assert list(zip(p1.tolist(), p2.tolist())) == want
+        p1, p2 = (np.array([getattr(alloc, name) for alloc in allocs]) for name in ("p1", "p2"))
+        with np.errstate(all="ignore"):
+            want = _rate_array(*axis[:2], p1, p2, strict=True)
+        got = power._policy_rate(a, b, p1_max, p2_max)
+        assert (np.isnan(got) == np.isnan(want)).all()
+        for gains, cell, rate in zip(zip(*(x.tolist() for x in axis)), got.tolist(), want.tolist()):
+            assert math.isnan(rate) or 0.0 <= cell - rate <= sweep_tolerance(*gains), gains
 
     @given(closed_channels() | FLEET_CHANNELS, st.integers(9, 33))
     @settings(max_examples=300, deadline=None)
@@ -449,16 +457,18 @@ class TestPolicyAxis:
     @given(st.lists(st.tuples(*[st.sampled_from(EXTREMES)] * 4), min_size=2, max_size=12))
     # one path's channel, then near ties that raise: one of another path, one of the first's
     @example([(0.5, 2.0, 1e12, 1e12), (0.0, 1.0, 1.7e308, 1.7e308), (1e-12, 1e12, 1e12, 1e300)])
+    # on the seam b = 1 + p1, where the best menu rate rounds above the policy's
+    @example([(1.8524739826848087, 1.0000011408783442, 1.1408783443522532e-06,
+               19.03155273576474)])
     @settings(max_examples=200, deadline=None)
     def test_extreme_channels_as_one_axis(self, channels):
         self.assert_matches_optimal_power(*np.array(channels).T)
 
     def test_extreme_grid_as_one_axis(self):
-        answered = {gains: out for gains, out in extreme_sweep()["optimal_power"].items()
-                    if out != "DomainError"}
+        answered = [gains for gains, out in extreme_sweep()["optimal_power"].items()
+                    if out != "DomainError"]
         assert len(answered) > 9000
-        p1, p2 = power._policy_axis(*np.array(list(answered)).T)
-        assert list(zip(p1.tolist(), p2.tolist())) == list(answered.values())
+        self.assert_matches_optimal_power(*np.array(answered).T)
 
 
 class TestClosedDomain:
