@@ -312,10 +312,12 @@ def simulate(ch: DmcWthi, inp: ProductInput, spec: CodebookSpec, seed: int,
     exactly over all pairs.  ``equivocation_ratio`` is the trial-averaged
     H(W1 | Y2 = y2) normalized by log2(m1s), so it lies in [0, 1]; a
     degenerate spec with a single secret message reports 1.0.  At most
-    4,000,000 trials run, the desk-scale budget; more raise ``DeskScaleError``.
+    4,000,000 trials and 10**10 pair-trials (``trials * spec.pairs``) run, the
+    desk-scale budgets; more raise ``DeskScaleError`` before any codebook is drawn.
     """
     trials = _count("trials", trials, 1)
     _check_budget(trials, "trials")
+    _check_budget(trials * spec.pairs, "pair-trials", 10**10)
     books = build_codebooks(ch, inp, spec, seed)
     m1s, m1p, m1pp, m2p, m2pp = spec.sizes
     m1 = m1s * m1p * m1pp

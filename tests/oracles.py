@@ -23,6 +23,8 @@ Gaussian grid oracle rates every point of the library's power grid with
 search, reads the library's decodable-rate forms (``dmc._decodable``), so
 that it checks only the library's choice of three dummy-rate candidates.
 The time-sharing envelope of a rate curve tries every pair of its points.
+The CSV body is formatted one ``%`` per row, with no block template and no
+constant columns.
 """
 
 from __future__ import annotations
@@ -127,6 +129,13 @@ def concave_envelope(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         weight = np.divide(xs[hi] - x, span, out=np.ones_like(span), where=span > 0.0)
         out[k] = (weight * ys[lo] + (1.0 - weight) * ys[hi]).max()
     return out
+
+
+def csv_body_reference(rows) -> str:
+    """The CSV body of a 2-D float array: each row through its own ``%`` with one
+    ``%.12g`` per cell, one newline-terminated line per row."""
+    row = ",".join(["%.12g"] * np.shape(rows)[1])
+    return "".join(row % values + "\n" for values in map(tuple, np.asarray(rows).tolist()))
 
 
 def entropy_bits(p: np.ndarray) -> float:

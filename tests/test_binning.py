@@ -259,6 +259,23 @@ class TestSimulate:
         with pytest.raises(DeskScaleError, match="4000001 trials exceed"):
             simulate(blind_eavesdropper_channel(), UNIFORM, BLIND_SPEC, 0, 4_000_001)
 
+    def test_rejects_pair_trials_over_the_work_budget_before_any_work(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        # 2^20 pairs: 9536 trials are 9,999,220,736 pair-trials, 9537 exceed 10^10
+        spec = CodebookSpec(n=10, r1s=1.0, r1d_prime=0.0, r1d_dprime=0.0,
+                            r2=1.0, r2_prime=0.0, r2_dprime=1.0)
+        monkeypatch.setattr(binning, "build_codebooks", draw)
+        with pytest.raises(DeskScaleError, match="^10000269312 pair-trials exceed the "
+                                                 "desk-scale budget 10000000000$"):
+            simulate(blind_eavesdropper_channel(), UNIFORM, spec, 0, 9537)
+        with pytest.raises(Drawn):
+            simulate(blind_eavesdropper_channel(), UNIFORM, spec, 0, 9536)
+
     def test_per_trial_arrays_are_read_only_and_outside_equality(self):
         res = simulate(trend_channel(), UNIFORM, SHORT_SPEC, 6, 50)
         assert res.h_bits.shape == res.errors.shape == (50,)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from wthi.bounds import (
     BoundKind,
+    _sato,
+    _z_bound,
     bound_best,
     bound_main_channel,
     bound_sato,
@@ -14,10 +17,10 @@ from wthi.bounds import (
     sato_minimize,
 )
 from wthi.errors import DomainError
-from wthi.gaussian import GaussianWthi, PowerAllocation, rate_achievable
-from wthi.power import optimal_power
+from wthi.gaussian import GaussianWthi, PowerAllocation, awgn_capacity, rate_achievable
+from wthi.power import _policy_rate, optimal_power
 
-from channels import closed_channels, fleet_channel
+from channels import FLEET_CHANNELS, closed_channels, fleet_channel
 from oracles import half_log2, sato_grid, sato_minimum_reference, sato_objective
 
 
@@ -229,3 +232,25 @@ class TestBoundBest:
             rate, _ = rate_achievable(ch, alloc)
             best, _ = bound_best(ch)
             assert rate <= best + 1e-9
+
+    @given(closed_channels() | FLEET_CHANNELS, st.integers(5, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_time_sharing_over_both_caps_stays_under_it(self, ch, k):
+        # Codes at caps (P1_i, P2_i) and (P1_j, P2_j), time-shared with weights lam and
+        # 1 - lam, meet the averaged caps and achieve the averaged rate, so the best
+        # bound at the averaged caps must clear it, to 1e-14 relative (rounding).  The
+        # policy rates a k x k grid of caps up to the channel's own; a bound that
+        # overflows is not checked here.
+        p1, p2 = (grid.ravel() for grid in np.meshgrid(np.linspace(0.0, ch.p1_max, k),
+                                                       np.linspace(0.0, ch.p2_max, k)))
+        rates = _policy_rate(ch.a, ch.b, p1, p2)
+        i, j = np.triu_indices(p1.size)
+        lam = np.array([[0.25], [0.5], [0.75]])
+        p1_avg, p2_avg = lam * p1[i] + (1.0 - lam) * p1[j], lam * p2[i] + (1.0 - lam) * p2[j]
+        shared = lam * rates[i] + (1.0 - lam) * rates[j]
+        with np.errstate(all="ignore"):
+            best = np.minimum(np.vectorize(awgn_capacity)(p1_avg),
+                              np.minimum(_sato(ch.a, ch.b, p1_avg, p2_avg, np)[2],
+                                         _z_bound(ch.a, p1_avg, p2_avg, np)))
+        finite = np.isfinite(best)
+        assert (shared <= best + 1e-14 * (1.0 + best))[finite].all()

@@ -29,7 +29,7 @@ from wthi.power import grid_oracle_detailed, optimal_power
 
 from channels import (FLEET_CHANNELS, channel_document, closed_channels, degraded_instance,
                       fleet_channel, noiseless_blind_channel, trend_channel)
-from oracles import concave_envelope, sweep_tolerance
+from oracles import concave_envelope, csv_body_reference, sweep_tolerance
 
 # Arbitrary JSON values; json.dumps writes a non-finite float as NaN or Infinity.
 JSON_VALUES = st.recursive(
@@ -510,6 +510,9 @@ class TestOutputContract:
          "262145 points exceed the desk-scale budget 262144"),
         (["simulate", "--channel", "{tmp}/blind.json", "--trials", "4000001"],
          "4000001 trials exceed the desk-scale budget 4000000"),
+        (["simulate", "--channel", "{tmp}/blind.json", "--n", "10", "--r1s", "1",
+          "--r2-dprime", "1", "--trials", "9537"],
+         "10000269312 pair-trials exceed the desk-scale budget 10000000000"),
         # sweep endpoints are checked before the axis is built from them
         (["sweep-symmetric", "--start", "1e308", "--stop", "inf"],
          "stop must be finite and >= 0, got inf"),
@@ -621,6 +624,81 @@ class TestOutputContract:
                         "--stop", "1e300", "--points", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().out == ""
         assert not out.exists()
+
+
+def csv_cells(rows: int, columns: int, seed: int = 0) -> np.ndarray:
+    """Random cells of either sign over 40 decades, each column varying."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-20, 20, (rows, columns))
+
+
+def signed_zeros(rows: int, odd: float) -> np.ndarray:
+    """A column of ``-odd`` (0.0 or -0.0) with one ``odd`` in it."""
+    column = np.full(rows, -odd)
+    column[rows // 2] = odd
+    return column
+
+
+# Where %.12g switches between fixed and exponent notation, and where it rounds up
+# into the next decade
+NOTATION_SWITCHES = (1e-05, 9.99999999999e-05, 99999999999.9, 999999999999.5, 1e12)
+# The least subnormal, the least normal and the largest float
+FLOAT_EDGES = (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+
+CSV_CASES = {
+    **{f"{n}_rows": csv_cells(n, 5) for n in (1, 2, 4095, 4096, 4097, 8193)},
+    "one_constant_column": np.column_stack([csv_cells(5000, 2), np.full(5000, 0.1),
+                                            csv_cells(5000, 2, 1)]),
+    "every_column_constant": np.tile([0.5, -3.0, 1e-300, 7.0, 0.0], (5000, 1)),
+    "zeros_with_one_negative_zero": np.column_stack([csv_cells(9, 1), signed_zeros(9, -0.0)]),
+    "negative_zeros_with_one_zero": np.column_stack([signed_zeros(9, 0.0), csv_cells(9, 1)]),
+    "negative_zero_constant": np.column_stack([csv_cells(3, 1), np.full(3, -0.0)]),
+    "single_column": csv_cells(4100, 1),
+    "notation_switches": np.array([[x, -x] for x in NOTATION_SWITCHES]),
+    **{f"constant_{x!r}": np.column_stack([np.full(3, x), np.full(3, -x), csv_cells(3, 1)])
+       for x in (*NOTATION_SWITCHES, *FLOAT_EDGES)},
+    "float_edges": np.array([[x, -x] for x in FLOAT_EDGES]),
+}
+
+
+@st.composite
+def csv_arrays(draw) -> np.ndarray:
+    """Finite float64 arrays of 1-6 columns, each column a drawn cycle of 1-8 values
+    repeated down the rows, so that a cycle of one value is a constant column."""
+    rows = draw(st.integers(1, 40) | st.integers(4090, 4100))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    cycles = draw(st.lists(st.lists(values, min_size=1, max_size=1)
+                           | st.lists(values, min_size=1, max_size=8), min_size=1, max_size=6))
+    return np.column_stack([np.resize(np.array(cycle, dtype=np.float64), rows)
+                            for cycle in cycles])
+
+
+class TestCsvWriter:
+    # write_csv formats a block of rows with one %, and a column of one bit pattern
+    # once; its text must be the four header lines and the body that one % per row
+    # writes (``csv_body_reference``), byte for byte
+    @staticmethod
+    def assert_matches_the_reference(rows):
+        cfg = cli.load_config("sweep-interferer", None, {})
+        header = [f"h{k}" for k in range(np.shape(rows)[1])]
+        with redirect_stdout(io.StringIO()) as out:
+            text = cli.write_csv(cfg, header, rows)
+        assert out.getvalue() == text
+        head = [f"# wthi {wthi.__version__}", "# units: bits per channel use",
+                f"# config: {json.dumps(cli._json_config(cfg), sort_keys=True)}", ",".join(header)]
+        assert text == "\n".join(head) + "\n" + csv_body_reference(rows)
+
+    @pytest.mark.parametrize("rows", CSV_CASES.values(), ids=CSV_CASES.keys())
+    def test_text_matches_the_reference(self, rows):
+        self.assert_matches_the_reference(rows)
+
+    def test_a_list_is_formatted_as_its_array(self):
+        self.assert_matches_the_reference([[1.0, -0.0, 2.5], [1.0, 0.0, 1e-05]])
+
+    @given(csv_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_any_finite_array_matches_the_reference(self, rows):
+        self.assert_matches_the_reference(rows)
 
 
 def test_docs_list_the_parser_subcommands():
