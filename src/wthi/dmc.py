@@ -36,11 +36,11 @@ best rate, yet finds the exhaustive scan's winner.  The output marginals sum
 the other output in sorted order: cells of equal terms are equal doubles.  The
 Sato objective uses the chain rule I(X1,X2;Y1~|Y2~) = I(X1,X2;Y1~,Y2~) -
 I(X1,X2;Y2): every coupling keeps the channel's Y2 marginal, so the second
-term is computed once per input law.  Each coupling takes one grid position
-per input cell, so every coupling is gathered from one table of per-cell
-couplings built once per search (the half-step perturbations of the winner
-from one of three positions per cell), and the min over couplings skips every
-coupling whose value at a few witness laws already exceeds a coupling's max.
+term is computed once per input law.  A coupling takes one grid position per
+input cell, so each coupling and its entropies H(Y1~,Y2~|x) are gathered from
+one per-cell table built once per search (the winner's half-step perturbations
+from one of three positions per cell); the min over couplings skips each
+coupling whose value at a few witness laws exceeds a coupling's max.
 
 All information quantities are in bits.
 """
@@ -469,14 +469,12 @@ class DmcSatoBound:
 
     ``value`` is the min over the whole coupling grid (the search skips only
     couplings that cannot attain it) of the grid max over product inputs of
-    I(X1,X2; Y1~ | Y2~).  The inner grid max undershoots the true max, so
-    ``value`` alone may sit below the exact bound at that coupling;
-    ``inner_tolerance`` estimates that undershoot (grid refinement gap plus
-    local variation).  ``coupling_tolerance`` estimates how much the outer
-    min could still descend between coupling grid nodes (local half-step
-    sensitivity).  ``tolerance`` is their sum: the reported value
-    is a valid upper bound up to ``inner_tolerance`` and is within
-    ``tolerance`` of what this double grid could certify.
+    I(X1,X2; Y1~ | Y2~).  That inner grid max undershoots the exact max at the
+    coupling by about ``inner_tolerance`` (grid refinement gap plus local
+    variation), and the outer min could still descend by about
+    ``coupling_tolerance`` between coupling grid nodes (local half-step
+    sensitivity).  ``value`` is a valid upper bound up to ``inner_tolerance``,
+    and within their sum ``tolerance`` of what this double grid could certify.
     """
 
     value: float
@@ -488,20 +486,21 @@ class DmcSatoBound:
         return self.inner_tolerance + self.coupling_tolerance
 
 
-def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
+def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Couplings q(y1, y2 | x1, x2) with the channel's marginals, binary outputs.
 
     ``params`` holds, per (x1, x2) pair, the position t in [0, 1] of
-    q(0,0|x1,x2) inside its Frechet interval.  Shape (n, cells) ->
-    (n, cells, 2, 2), the input cells in (x1, x2) order; (n, 1) puts every
-    cell at the same t.  Each cell's coupling depends only on its own t.
+    q(0,0|x1,x2) inside its Frechet interval.  Shape (n, cells) -> couplings
+    (n, cells, 2, 2), the input cells in (x1, x2) order, and their entropies
+    H(Y1~,Y2~|x) (n, cells); (n, 1) puts every cell at the same t.  Each cell's
+    coupling and entropy depend only on its own t.
     """
     m1 = ch.receiver_marginal()[..., 0].ravel()  # p(y1=0 | x1, x2)
     m2 = ch.eavesdropper_marginal()[..., 0].ravel()
     lo = np.maximum(0.0, m1 + m2 - 1.0)
     q00 = lo + params * (np.minimum(m1, m2) - lo)  # (n, cells)
-    q = np.stack([q00, m1 - q00, m2 - q00, 1.0 - m1 - m2 + q00], axis=-1)
-    return np.clip(q, 0.0, 1.0).reshape(*q00.shape, 2, 2)
+    q = np.clip(np.stack([q00, m1 - q00, m2 - q00, 1.0 - m1 - m2 + q00], axis=-1), 0.0, 1.0)
+    return q.reshape(*q00.shape, 2, 2), _entropy_rows(q)
 
 
 # Most (input law, coupling, cell) entries in one chunk of the Sato table; a chunk
@@ -509,78 +508,79 @@ def _coupling_tensors(ch: DmcWthi, params: np.ndarray) -> np.ndarray:
 _SATO_CHUNK = 2**16
 
 
-def _couplings(table: np.ndarray, index) -> np.ndarray:
-    """Grid couplings ``index`` (n, cells, y1, y2) from the cell table, the last digit fastest."""
-    digits = np.stack(np.unravel_index(index, (len(table),) * table.shape[1]), axis=-1)
-    return table[digits, np.arange(table.shape[1])]
+def _couplings(table: tuple, index) -> tuple[np.ndarray, np.ndarray]:
+    """Grid couplings ``index`` and their entropies from the cell table, the last digit fastest."""
+    positions, cells = table[1].shape
+    rows = cells * np.stack(np.unravel_index(index, (positions,) * cells), -1) + np.arange(cells)
+    return tuple(np.take(part.reshape(-1, *part.shape[2:]), rows, axis=0) for part in table)
 
 
 def _sato_laws(ch: DmcWthi, px1s: np.ndarray, px2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell weights w(x) = p(x1)p(x2) of the laws px1s[i] x px2s[k], and I(X1,X2;Y2).
 
     Rows run px1 slow, px2 fast, as in ``_law_rows``; I(X1,X2;Y2) is the
-    ``_sato_blocks`` objective of p(y2|x) as one coupling, with law constant 0.
+    ``_sato_blocks`` objective of p(y2|x), a table with one position, with law constant 0.
     """
     w = (px1s[:, None, :, None] * px2s[None, :, None, :]).reshape(len(px1s) * len(px2s), -1)
     m2 = ch.eavesdropper_marginal().reshape(1, w.shape[1], -1, 1)  # p(y2|x) in cell order
-    return w, np.concatenate(list(_sato_blocks(m2, w, np.zeros(len(w)))))[:, 0]
+    i_y2 = np.concatenate(list(_sato_blocks(m2, _entropy_rows(m2[..., 0]), w, np.zeros(len(w)))))
+    return w, i_y2[:, 0]
 
 
-def _sato_blocks(q: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
+def _sato_blocks(q: np.ndarray, h: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
     """I(X1,X2; Y1~ | Y2~) of the laws of ``_sato_laws`` under every coupling of ``q``.
 
     By the chain rule this is H(Y1~,Y2~) - sum_x w(x) H(Y1~,Y2~|x) - I(X1,X2;Y2),
-    and H(Y1~,Y2~|x) is a constant of the coupling: only the mixture p(y1, y2)
-    needs entropies per (law, coupling).  ``q`` is from ``_coupling_tensors``.
-    Yields (chunk, n) blocks in law order; the sums over x run in cell order,
-    so a (law, coupling) value depends on no other law or coupling.
+    and H(Y1~,Y2~|x), ``h`` (n, cells), is a constant of the coupling, read from
+    its cell table (``_couplings``): only the mixture p(y1, y2) needs entropies
+    per (law, coupling).  Yields (chunk, n) blocks in law order; the sums over x
+    run in cell order, so a (law, coupling) value depends on no other law or coupling.
     """
-    n, cells = q.shape[:2]
-    c = _entropy_rows(q.reshape(n, cells, -1))  # H(Y1~,Y2~|x), (n, cells)
     qt = np.ascontiguousarray(np.moveaxis(q, 0, -1))[:, :, :, None, :]  # (x, y1, y2, 1, n)
-    step = max(1, _SATO_CHUNK // (cells * n))
+    step, cells = max(1, _SATO_CHUNK // h.size), h.shape[1]  # h is (n, cells)
     for s in range(0, len(w), step):
         wk = w[s : s + step, :, None]
         mix = sum(wk[:, x] * qt[x] for x in range(cells))  # (y1, y2, chunk, n)
         yield (_entropy_rows(np.moveaxis(mix.reshape(-1, *mix.shape[2:]), 0, -1))
-               - sum(wk[:, x] * c[:, x] for x in range(cells)) - i_y2[s : s + step, None])
+               - sum(wk[:, x] * h[:, x] for x in range(cells)) - i_y2[s : s + step, None])
 
 
-def _sliced_max(table: np.ndarray, idx: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
+def _sliced_max(table: tuple, idx: np.ndarray, w: np.ndarray, i_y2: np.ndarray):
     """Max of the inner objective over the laws of ``_sato_laws`` for each grid coupling ``idx``."""
-    step = _SATO_CHUNK // table.shape[1]
-    parts = (_sato_blocks(_couplings(table, part), w, i_y2)
+    step = _SATO_CHUNK // table[1].shape[1]
+    parts = (_sato_blocks(*_couplings(table, part), w, i_y2)
              for part in np.split(idx, range(step, len(idx), step)))
     return np.concatenate([functools.reduce(np.maximum, (b.max(axis=0) for b in blocks))
                            for blocks in parts])
 
 
-def _least_coupling(table: np.ndarray, w: np.ndarray, i_y2: np.ndarray) -> tuple[int, float]:
+def _least_coupling(table: tuple, w: np.ndarray, i_y2: np.ndarray) -> tuple[int, float]:
     """First index and value of the least ``_sliced_max`` over the grid couplings of ``table``.
 
     ``table`` is the cell table of ``dmc_sato_bound``.  Three rounds each add
     a witness law to ``lb`` (first law ``len(w) // 2``: the centre law for an
     odd input grid, the edge law p(x2) = [0, 1] for an even one; then the
     argmax law of the last evaluated coupling), evaluate the survivor of least
-    ``lb`` in full and prune by the rule of ``dmc_sato_bound``; then every
-    survivor is evaluated, in grid order.
+    ``lb`` in full, then drop it and prune by the rule of ``dmc_sato_bound``;
+    then the survivors are evaluated.  No coupling is evaluated in full twice.
     """
-    idx, lb = np.arange(len(table) ** table.shape[1]), -np.inf
+    idx, lb = np.arange(len(table[1]) ** table[1].shape[1]), -np.inf
     witness, upper, incumbent = [len(w) // 2], math.inf, 0
     for _ in range(3):
         lb = np.maximum(lb, _sliced_max(table, idx, w[witness], i_y2[witness]))
-        c = int(idx[np.argmin(lb)])
-        column = np.concatenate(list(_sato_blocks(_couplings(table, [c]), w, i_y2)))[:, 0]
-        upper, incumbent = min((upper, incumbent), (float(column.max()), c))
-        keep = (lb < upper) | ((lb == upper) & (idx <= incumbent))
+        j = int(np.argmin(lb))
+        column = np.concatenate(list(_sato_blocks(*_couplings(table, idx[[j]]), w, i_y2)))[:, 0]
+        upper, incumbent = min((upper, incumbent), (float(column.max()), int(idx[j])))
+        keep = ((lb < upper) | ((lb == upper) & (idx < incumbent))) & (idx != idx[j])
         idx, lb, witness = idx[keep], lb[keep], [int(np.argmax(column))]
+        if not len(idx):
+            return incumbent, upper
     inner_max = _sliced_max(table, idx, w, i_y2)
-    return int(idx[np.argmin(inner_max)]), float(inner_max.min())
+    upper, incumbent = min([(upper, incumbent), *zip(inner_max.tolist(), idx.tolist())])
+    return incumbent, upper
 
 
-def dmc_sato_bound(
-    ch: DmcWthi, coupling_grid: int = 9, input_grid: int = 21
-) -> DmcSatoBound:
+def dmc_sato_bound(ch: DmcWthi, coupling_grid: int = 9, input_grid: int = 21) -> DmcSatoBound:
     """Desk-scale Sato-type upper bound for binary-alphabet channels.
 
     Minimizes, over a grid of noise couplings whose marginals match the
@@ -589,10 +589,10 @@ def dmc_sato_bound(
     space has one free parameter per input cell (x1, x2), discretized with
     ``coupling_grid`` points, and the inner maximization runs over the
     product of the ``simplex_grid`` laws with ``input_grid`` points per
-    coordinate, read from constants of the coupling in bounded chunks
-    (``_sato_blocks``).  The per-cell couplings of every grid position, a
-    (coupling_grid, cells, ny1, ny2) table, are built once; each pass
-    gathers its couplings from it, ``_SATO_CHUNK // cells`` at a time.
+    coordinate, in bounded chunks (``_sato_blocks``).  The cell table, the
+    per-cell couplings of every grid position with their entropies
+    H(Y1~,Y2~|x), is built once; each pass gathers its couplings and their
+    entropies from it, ``_SATO_CHUNK // cells`` at a time.
 
     The outer min is an exact branch and bound (``_least_coupling``).  The
     objective at any grid law is a lower bound ``lb`` on a coupling's grid
@@ -620,7 +620,7 @@ def dmc_sato_bound(
                   "Sato objective evaluations")
 
     t = np.linspace(0.0, 1.0, coupling_grid)
-    table = _coupling_tensors(ch, t[:, None])  # (grid position, cell, y1, y2)
+    table = _coupling_tensors(ch, t[:, None])  # couplings and entropies per (position, cell)
     laws = _sato_laws(ch, *(simplex_grid(n, input_grid) for n in (ch.nx1, ch.nx2)))
     best_idx, value = _least_coupling(table, *laws)
     best = t[list(np.unravel_index(best_idx, (coupling_grid,) * cells))]
@@ -628,7 +628,7 @@ def dmc_sato_bound(
     # Inner-max quality at the winning coupling: refine the binary input grid
     # 4x and add the local variation of the refined surface as a Lipschitz cushion.
     q_best, fine_laws = _couplings(table, [best_idx]), _sato_laws(ch, *[simplex_grid(2, m)] * 2)
-    surface = np.concatenate(list(_sato_blocks(q_best, *fine_laws))).reshape(m, m)
+    surface = np.concatenate(list(_sato_blocks(*q_best, *fine_laws))).reshape(m, m)
     local_var = max(float(np.max(np.abs(np.diff(surface, axis=a)))) for a in (0, 1))
     inner_tol = max(0.0, float(surface.max()) - value) + local_var
 

@@ -193,13 +193,15 @@ def sato_coupling_scan(ch: DmcWthi, coupling_grid: int, input_grid: int) -> tupl
     The exhaustive coarse scan of ``dmc_sato_bound``: every coupling at every
     law through ``dmc._sato_blocks``, then ``np.argmin``, so ties go to the
     first coupling in grid order.  The couplings are built from their own
-    parameter rows (last parameter fastest), not gathered from a cell table.
+    parameter rows (last parameter fastest), not gathered from a cell table,
+    and their entropies H(Y1~,Y2~|x) are taken from those couplings.
     """
     laws = dmc._sato_laws(ch, *(dmc.simplex_grid(n, input_grid) for n in (ch.nx1, ch.nx2)))
     shape = (coupling_grid,) * (ch.nx1 * ch.nx2)  # one grid digit per input cell
     digits = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=-1)
-    q = dmc._coupling_tensors(ch, np.linspace(0.0, 1.0, coupling_grid)[digits])
-    inner_max = np.concatenate(list(dmc._sato_blocks(q, *laws))).max(axis=0)
+    q, _ = dmc._coupling_tensors(ch, np.linspace(0.0, 1.0, coupling_grid)[digits])
+    h = dmc._entropy_rows(q.reshape(*digits.shape, -1))
+    inner_max = np.concatenate(list(dmc._sato_blocks(q, h, *laws))).max(axis=0)
     k = int(np.argmin(inner_max))
     return k, float(inner_max[k])
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -894,6 +895,38 @@ class TestSatoCouplingSearch:
         for grids in ((3, 5), (4, 7)):
             assert_sato_search_is_exhaustive(make(), *grids, coupling_slice)
 
+    @pytest.mark.parametrize("make, grids", [
+        *((make, grids) for make in (identical_outputs_channel, noiseless_blind_channel,
+                                     perfect_eavesdropper_channel, very_strong_instance,
+                                     degraded_instance)
+          for grids in ((3, 5), (4, 7))),
+        (degraded_instance, (6, 13)), (degraded_instance, (9, 21)),
+    ])
+    def test_no_coupling_is_scored_at_every_law_twice(self, monkeypatch, make, grids):
+        # the incumbent's max is known once its column is scored, and on the tie-heavy
+        # channels the least witness bound keeps falling on it
+        ch, (coupling_grid, input_grid) = make(), grids
+        expected = sato_coupling_scan(ch, coupling_grid, input_grid)
+        laws = dmc._sato_laws(ch, *[simplex_grid(2, input_grid)] * 2)
+        table = dmc._coupling_tensors(ch, np.linspace(0.0, 1.0, coupling_grid)[:, None])
+        gathered, scored = {}, collections.Counter()
+        couplings, blocks = dmc._couplings, dmc._sato_blocks
+
+        def gather(table, index):
+            q, h = couplings(table, index)
+            gathered[id(q)] = (q, np.asarray(index).tolist())  # q kept alive: ids stay unique
+            return q, h
+
+        def score(q, h, w, i_y2):
+            if len(w) == len(laws[0]):
+                scored.update(gathered[id(q)][1])
+            return blocks(q, h, w, i_y2)
+
+        monkeypatch.setattr(dmc, "_couplings", gather)
+        monkeypatch.setattr(dmc, "_sato_blocks", score)
+        assert dmc._least_coupling(table, *laws) == expected
+        assert scored and max(scored.values()) == 1, scored
+
 
 unit_with_endpoints = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -908,10 +941,10 @@ class TestSatoObjective:
     def test_matches_joint_entropy_reference(self, seed, params, ts):
         # Frechet endpoints 0 and 1 put zero cells into q; t = 0 or 1 is a point mass
         ch = random_binary_channel(np.random.default_rng(seed))
-        q = dmc._coupling_tensors(ch, np.asarray(params))
+        q, h = dmc._coupling_tensors(ch, np.asarray(params))
         t1, t2 = np.asarray(ts).T
         px1, px2 = np.stack([t1, 1 - t1], axis=-1), np.stack([t2, 1 - t2], axis=-1)
-        got = np.concatenate(list(dmc._sato_blocks(q, *dmc._sato_laws(ch, px1, px2))))
+        got = np.concatenate(list(dmc._sato_blocks(q, h, *dmc._sato_laws(ch, px1, px2))))
         expected = [[sato_inner_reference(qn.reshape(2, 2, 2, 2), a, b) for qn in q]
                     for a in px1 for b in px2]
         assert got == pytest.approx(np.asarray(expected), abs=1e-12)
@@ -920,9 +953,30 @@ class TestSatoObjective:
         q = ch.receiver_marginal()[..., None] * ch.eavesdropper_marginal()[..., None, :]
         px1, px2 = simplex_grid(3, 3), simplex_grid(2, 3)
         got = np.concatenate(list(dmc._sato_blocks(q.reshape(1, 6, 2, 3),
+                                                   dmc._entropy_rows(q.reshape(1, 6, 6)),
                                                    *dmc._sato_laws(ch, px1, px2))))
         expected = [[sato_inner_reference(q, a, b)] for a in px1 for b in px2]
         assert got == pytest.approx(np.asarray(expected), abs=1e-12)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(DMC_FAMILIES),
+        st.lists(unit_with_endpoints, min_size=1, max_size=5),
+    )
+    @example(0, "dense", [0.0, 1.0]).via("Frechet endpoints: zero cells")
+    @example(0, "sparse", [1.0]).via("a table with one position")
+    @settings(max_examples=60, deadline=None)
+    def test_gathered_entropies_match_their_own_couplings(self, seed, family, ts):
+        # the search reads H(Y1~,Y2~|x) from the cell table; the scan forms each coupling
+        # from its own parameter row and takes its entropies there
+        ch = family_channel((2, 2, 2, 2), seed, family)
+        t = np.asarray(ts)
+        index = np.arange(len(t) ** 4)
+        digits = np.stack(np.unravel_index(index, (len(t),) * 4), axis=-1)
+        q, h = dmc._couplings(dmc._coupling_tensors(ch, t[:, None]), index)
+        own, _ = dmc._coupling_tensors(ch, t[digits])
+        assert q.tobytes() == own.tobytes()
+        assert h.tobytes() == dmc._entropy_rows(own.reshape(len(index), 4, 4)).tobytes()
 
     def test_law_constant_is_the_eavesdropper_information(self):
         # the chain-rule term I(X1,X2;Y2) is the profile's i_x1x2_y2, and the cell
@@ -945,29 +999,29 @@ class TestSatoObjective:
         # couplings take 5 laws a chunk and fewer couplings take more
         rng = np.random.default_rng(seed)
         ch = random_binary_channel(rng)
-        q = dmc._coupling_tensors(ch, rng.random((50, 4)))
+        q, h = dmc._coupling_tensors(ch, rng.random((50, 4)))
         laws = dmc._sato_laws(ch, *[simplex_grid(2, 9)] * 2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dmc, "_SATO_CHUNK", 1000)
-            whole = np.concatenate(list(dmc._sato_blocks(q, *laws)))
-            got = np.concatenate(list(dmc._sato_blocks(q[idx], *laws)))
+            whole = np.concatenate(list(dmc._sato_blocks(q, h, *laws)))
+            got = np.concatenate(list(dmc._sato_blocks(q[idx], h[idx], *laws)))
         assert np.array_equal(got, whole[:, idx])
 
     def test_values_do_not_depend_on_the_chunking(self, monkeypatch):
         rng = np.random.default_rng(9)
         ch = random_binary_channel(rng)
-        q = dmc._coupling_tensors(ch, rng.random((50, 4)))
+        q, h = dmc._coupling_tensors(ch, rng.random((50, 4)))
         w, i_y2 = dmc._sato_laws(ch, *[simplex_grid(2, 7)] * 2)
-        blocks = list(dmc._sato_blocks(q, w, i_y2))
+        blocks = list(dmc._sato_blocks(q, h, w, i_y2))
         assert len(blocks) == 1
         whole = blocks[0]
         for laws_per_chunk in (1, 5, 13):
             monkeypatch.setattr(dmc, "_SATO_CHUNK", laws_per_chunk * 4 * len(q))
-            split = list(dmc._sato_blocks(q, w, i_y2))
+            split = list(dmc._sato_blocks(q, h, w, i_y2))
             assert len(split) == math.ceil(len(w) / laws_per_chunk)
             assert np.array_equal(np.concatenate(split), whole)
             # the same laws at other offsets inside their chunks
-            shifted = np.concatenate(list(dmc._sato_blocks(q, w[3:], i_y2[3:])))
+            shifted = np.concatenate(list(dmc._sato_blocks(q, h, w[3:], i_y2[3:])))
             assert np.array_equal(shifted, whole[3:])
 
 
